@@ -2,9 +2,6 @@
 //! Program-Executor module): SQL parse/execute, logical-form evaluation,
 //! and arithmetic-expression execution.
 
-// Criterion harness setup; failures should abort the benchmark loudly.
-#![allow(clippy::unwrap_used)]
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tabular::{ExecContext, Table};
 

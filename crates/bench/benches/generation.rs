@@ -1,9 +1,6 @@
 //! Criterion micro-benchmarks for the NL-Generator: per-program-type
 //! realization, LM scoring, and template instantiation throughput.
 
-// Criterion harness setup; failures should abort the benchmark loudly.
-#![allow(clippy::unwrap_used)]
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nlgen::{NgramLm, NlGenerator, NoiseConfig};
 use rand::rngs::StdRng;

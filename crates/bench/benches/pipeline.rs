@@ -3,9 +3,6 @@
 //! ablation variants of the design choices DESIGN.md flags (noise channel,
 //! T2T operators).
 
-// Criterion harness setup; failures should abort the benchmark loudly.
-#![allow(clippy::unwrap_used)]
-
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use nlgen::NoiseConfig;
 use rand::rngs::StdRng;

@@ -1,9 +1,6 @@
 //! Criterion benchmarks for the reasoning-model substrate: feature
 //! extraction, candidate generation, and model training/prediction.
 
-// Criterion harness setup; failures should abort the benchmark loudly.
-#![allow(clippy::unwrap_used)]
-
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use models::{verifier_features, EvidenceView, QaModel, VerdictSpace, VerifierModel};
 use tabular::Table;

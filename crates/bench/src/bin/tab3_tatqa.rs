@@ -6,8 +6,8 @@
 //! MQA-QG 19.4/27.7, UCTR -w/o T2T 32.8/40.5, UCTR 34.9/42.4;
 //! few-shot TAGOP 8.3/12.1, TAGOP+UCTR 47.7/55.4.
 
-// Reporting binary: stdout tables are the product, and unwrap aborts the report on malformed input.
-#![allow(clippy::unwrap_used, clippy::print_stdout, clippy::print_stderr)]
+// Reporting binary: stdout tables are the product.
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use bench::{few_shot, pretrain_finetune_qa, print_table, restrict_all};
 use corpora::{tatqa_like, CorpusConfig};

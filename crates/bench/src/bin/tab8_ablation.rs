@@ -9,8 +9,8 @@
 //! Flags: `--report-json PATH` writes each setting's [`uctr::PipelineReport`]
 //! (per-kind/per-source generation counters) as one JSON object.
 
-// Reporting binary: stdout tables are the product, and unwrap aborts the report on malformed input.
-#![allow(clippy::unwrap_used, clippy::print_stdout, clippy::print_stderr)]
+// Reporting binary: stdout tables are the product.
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use bench::{composition_row, flag_value, print_table, qa_breakdown, reports_to_json};
 use corpora::{tatqa_like, CorpusConfig};

@@ -669,7 +669,7 @@ mod tests {
     }
 
     #[test]
-    fn gold_verification_labels_match_execution() {
+    fn gold_verification_labels_match_execution() -> Result<(), Box<dyn std::error::Error>> {
         let mut rng = StdRng::seed_from_u64(1);
         let bank = gold_bank();
         let table = vocab::wiki_table("sports", &mut rng);
@@ -678,16 +678,16 @@ mod tests {
             let Some(s) = gold_verification(&table, &bank, &mut rng) else { continue };
             produced += 1;
             let ProgramKind::Logic(f) = &s.program else { panic!() };
-            let truth =
-                logicforms::evaluate_truth(&logicforms::parse(f).unwrap(), &s.table).unwrap();
+            let truth = logicforms::evaluate_truth(&logicforms::parse(f)?, &s.table)?;
             let expect = if truth { Verdict::Supported } else { Verdict::Refuted };
             assert_eq!(s.label.as_verdict(), Some(expect));
         }
         assert!(produced > 10, "only {produced}/30 instantiated");
+        Ok(())
     }
 
     #[test]
-    fn gold_qa_answers_match_execution() {
+    fn gold_qa_answers_match_execution() -> Result<(), Box<dyn std::error::Error>> {
         let mut rng = StdRng::seed_from_u64(2);
         let bank = gold_bank();
         let table = vocab::wiki_table("politics", &mut rng);
@@ -695,22 +695,24 @@ mod tests {
         for _ in 0..30 {
             let Some(s) = gold_qa_sql(&table, &bank, &mut rng) else { continue };
             produced += 1;
-            assert!(!s.label.as_answer().unwrap().is_empty());
+            assert!(!s.label.as_answer().ok_or("QA sample without an answer")?.is_empty());
             assert!(s.text.ends_with('?'));
         }
         assert!(produced > 10);
+        Ok(())
     }
 
     #[test]
-    fn human_phrasing_differs_from_nlgen() {
+    fn human_phrasing_differs_from_nlgen() -> Result<(), Box<dyn std::error::Error>> {
         // The same program realized by both generators should rarely match
         // exactly — that's the supervised/unsupervised distribution gap.
         let mut rng = StdRng::seed_from_u64(3);
-        let stmt = sqlexec::parse("select [team] from w order by [points] desc limit 1").unwrap();
+        let stmt = sqlexec::parse("select [team] from w order by [points] desc limit 1")?;
         let human = human_sql_question(&stmt, &mut rng);
         let g = nlgen::NlGenerator::new().with_noise(nlgen::NoiseConfig::off());
         let machine = g.sql_question(&stmt, &mut rng).text;
         assert_ne!(human, machine);
+        Ok(())
     }
 
     #[test]
@@ -734,7 +736,7 @@ mod tests {
     }
 
     #[test]
-    fn human_sql_covers_all_shapes() {
+    fn human_sql_covers_all_shapes() -> Result<(), Box<dyn std::error::Error>> {
         let mut rng = StdRng::seed_from_u64(9);
         let cases = [
             ("select [team] from w order by [points] desc limit 1", &["team", "points"][..]),
@@ -744,7 +746,7 @@ mod tests {
             ("select [team] from w where [city] = 'Oslo'", &["team", "Oslo"]),
         ];
         for (q, must_contain) in cases {
-            let stmt = sqlexec::parse(q).unwrap();
+            let stmt = sqlexec::parse(q)?;
             let text = human_sql_question(&stmt, &mut rng);
             assert!(text.ends_with('?'), "{text}");
             for needle in must_contain {
@@ -754,10 +756,11 @@ mod tests {
                 );
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn human_logic_covers_all_shapes() {
+    fn human_logic_covers_all_shapes() -> Result<(), Box<dyn std::error::Error>> {
         let mut rng = StdRng::seed_from_u64(10);
         let cases = [
             "eq { count { filter_eq { all_rows ; team ; Reds } } ; 2 }",
@@ -768,41 +771,39 @@ mod tests {
             "greater { hop { filter_eq { all_rows ; team ; Reds } ; points } ; hop { filter_eq { all_rows ; team ; Blues } ; points } }",
         ];
         for f in cases {
-            let e = logicforms::parse(f).unwrap();
+            let e = logicforms::parse(f)?;
             let text = human_logic_claim(&e, &mut rng);
             assert!(text.ends_with('.'), "{text}");
             assert!(text.len() > 15, "too short: {text}");
         }
+        Ok(())
     }
 
     #[test]
-    fn human_arith_covers_idioms() {
+    fn human_arith_covers_idioms() -> Result<(), Box<dyn std::error::Error>> {
         let mut rng = StdRng::seed_from_u64(11);
         let pct = arithexpr::parse(
             "subtract( the 2019 of Revenue , the 2018 of Revenue ), divide( #0 , the 2018 of Revenue )",
-        )
-        .unwrap();
+        )?;
         let t = human_arith_question(&pct, &mut rng);
         assert!(t.to_lowercase().contains("percentage"), "{t}");
         let avg2 =
-            arithexpr::parse("add( the 2019 of Revenue , the 2018 of Revenue ), divide( #0 , 2 )")
-                .unwrap();
+            arithexpr::parse("add( the 2019 of Revenue , the 2018 of Revenue ), divide( #0 , 2 )")?;
         let t = human_arith_question(&avg2, &mut rng);
         assert!(t.to_lowercase().contains("average"), "{t}");
-        let prop =
-            arithexpr::parse("table_sum( 2019 ) , divide( the 2019 of Costs , #0 )").unwrap();
+        let prop = arithexpr::parse("table_sum( 2019 ) , divide( the 2019 of Costs , #0 )")?;
         let t = human_arith_question(&prop, &mut rng);
         assert!(t.to_lowercase().contains("share"), "{t}");
         let sumdiff =
-            arithexpr::parse("table_sum( 2019 ) , table_sum( 2018 ) , subtract( #0 , #1 )")
-                .unwrap();
+            arithexpr::parse("table_sum( 2019 ) , table_sum( 2018 ) , subtract( #0 , #1 )")?;
         let t = human_arith_question(&sumdiff, &mut rng);
         assert!(t.to_lowercase().contains("sum"), "{t}");
+        Ok(())
     }
 
     #[test]
-    fn topic_idioms_differ_by_topic() {
-        let stmt = sqlexec::parse("select [team] from w order by [points] desc limit 1").unwrap();
+    fn topic_idioms_differ_by_topic() -> Result<(), Box<dyn std::error::Error>> {
+        let stmt = sqlexec::parse("select [team] from w order by [points] desc limit 1")?;
         let mut seen = std::collections::BTreeSet::new();
         for topic in crate::vocab::TOPICS {
             let mut rng = StdRng::seed_from_u64(3);
@@ -812,18 +813,20 @@ mod tests {
         }
         // Five topics with distinct idioms plus generic variants.
         assert!(seen.len() >= 6, "not enough phrasing diversity: {seen:?}");
+        Ok(())
     }
 
     #[test]
-    fn gold_text_only_has_sentence_evidence() {
+    fn gold_text_only_has_sentence_evidence() -> Result<(), Box<dyn std::error::Error>> {
         let mut rng = StdRng::seed_from_u64(5);
         let table = vocab::finance_table(&mut rng);
-        let s = gold_text_only(&table, &mut rng).unwrap();
+        let s = gold_text_only(&table, &mut rng).ok_or("no text-only sample")?;
         assert_eq!(s.evidence, EvidenceType::TextOnly);
         assert_eq!(s.table.n_rows(), 0);
         assert!(!s.context[0].is_empty());
         // The answer must appear in the sentence.
-        assert!(s.context[0].contains(s.label.as_answer().unwrap()));
+        assert!(s.context[0].contains(s.label.as_answer().ok_or("QA sample without an answer")?));
+        Ok(())
     }
 
     #[test]

@@ -431,12 +431,13 @@ mod tests {
     }
 
     #[test]
-    fn finance_tables_are_item_by_year() {
+    fn finance_tables_are_item_by_year() -> Result<(), Box<dyn std::error::Error>> {
         let mut rng = StdRng::seed_from_u64(2);
         let t = finance_table(&mut rng);
         assert_eq!(t.n_cols(), 3);
-        assert_eq!(t.schema().column(0).unwrap().ty, ColumnType::Text);
-        assert_eq!(t.schema().column(1).unwrap().ty, ColumnType::Number);
+        assert_eq!(t.schema().column(0).ok_or("no column 0")?.ty, ColumnType::Text);
+        assert_eq!(t.schema().column(1).ok_or("no column 1")?.ty, ColumnType::Number);
+        Ok(())
     }
 
     #[test]
@@ -463,18 +464,22 @@ mod tests {
     }
 
     #[test]
-    fn extra_record_entities_not_in_table() {
+    fn extra_record_entities_not_in_table() -> Result<(), Box<dyn std::error::Error>> {
         let mut rng = StdRng::seed_from_u64(5);
         let t = wiki_table("politics", &mut rng);
         for _ in 0..10 {
             if let Some(s) = extra_record_sentence(&t, &mut rng) {
-                let entity = s.split(" has ").next().unwrap();
+                let entity = s.split(" has ").next().ok_or("empty sentence")?;
                 let ecol = textops::entity_column(&t);
-                let exists = (0..t.n_rows())
-                    .any(|r| t.cell(r, ecol).unwrap().to_string().eq_ignore_ascii_case(entity));
+                let mut exists = false;
+                for r in 0..t.n_rows() {
+                    let cell = t.cell(r, ecol).ok_or("entity cell out of range")?;
+                    exists |= cell.to_string().eq_ignore_ascii_case(entity);
+                }
                 assert!(!exists, "{entity} already in table");
             }
         }
+        Ok(())
     }
 
     #[test]

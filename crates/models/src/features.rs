@@ -561,7 +561,7 @@ mod tests {
     use super::*;
     use uctr::Verdict;
 
-    fn table() -> Table {
+    fn table() -> Result<Table, tabular::TableError> {
         Table::from_strings(
             "Printers",
             &[
@@ -571,7 +571,6 @@ mod tests {
                 vec!["P300", "PLA", "95", "399"],
             ],
         )
-        .unwrap()
     }
 
     #[test]
@@ -592,27 +591,29 @@ mod tests {
     }
 
     #[test]
-    fn supmax_hit_feature_fires_for_true_superlative() {
+    fn supmax_hit_feature_fires_for_true_superlative() -> Result<(), Box<dyn std::error::Error>> {
         let s =
-            uctr::Sample::verification(table(), "P300 has the highest speed.", Verdict::Supported);
+            uctr::Sample::verification(table()?, "P300 has the highest speed.", Verdict::Supported);
         let fv = verifier_features(&s);
         let hit = FeatureVec::hash_name("x:supmax_hit");
         assert!(fv.iter().any(|(i, _)| i == hit), "expected supmax_hit");
+        Ok(())
     }
 
     #[test]
-    fn supmax_nohit_for_false_superlative() {
+    fn supmax_nohit_for_false_superlative() -> Result<(), Box<dyn std::error::Error>> {
         let s =
-            uctr::Sample::verification(table(), "P100 has the highest speed.", Verdict::Refuted);
+            uctr::Sample::verification(table()?, "P100 has the highest speed.", Verdict::Refuted);
         let fv = verifier_features(&s);
         let nohit = FeatureVec::hash_name("x:supmax_nohit");
         assert!(fv.iter().any(|(i, _)| i == nohit), "expected supmax_nohit");
+        Ok(())
     }
 
     #[test]
-    fn count_signals() {
+    fn count_signals() -> Result<(), Box<dyn std::error::Error>> {
         let s = uctr::Sample::verification(
-            table(),
+            table()?,
             "There are 2 rows whose material is PLA.",
             Verdict::Supported,
         );
@@ -620,7 +621,7 @@ mod tests {
         let hit = FeatureVec::hash_name("x:count_hit");
         assert!(fv.iter().any(|(i, _)| i == hit));
         let s = uctr::Sample::verification(
-            table(),
+            table()?,
             "There are 3 rows whose material is PLA.",
             Verdict::Refuted,
         );
@@ -628,33 +629,36 @@ mod tests {
         // 3 == n_rows so count_match also fires; at minimum the vector is
         // non-empty and contains the count cue.
         assert!(!fv.is_empty());
+        Ok(())
     }
 
     #[test]
-    fn aggregate_signal() {
+    fn aggregate_signal() -> Result<(), Box<dyn std::error::Error>> {
         // avg price = 299
         let s =
-            uctr::Sample::verification(table(), "The average price is 299.", Verdict::Supported);
+            uctr::Sample::verification(table()?, "The average price is 299.", Verdict::Supported);
         let fv = verifier_features(&s);
         let hit = FeatureVec::hash_name("x:avg_hit");
         assert!(fv.iter().any(|(i, _)| i == hit));
+        Ok(())
     }
 
     #[test]
-    fn low_coverage_flags_unknown_style_claims() {
+    fn low_coverage_flags_unknown_style_claims() -> Result<(), Box<dyn std::error::Error>> {
         let s = uctr::Sample::verification(
-            table(),
+            table()?,
             "The gross domestic product of Ruritania quadrupled in 1931.",
             Verdict::Unknown,
         );
         let fv = verifier_features(&s);
         let flag = FeatureVec::hash_name("sig:no_anchor");
         assert!(fv.iter().any(|(i, _)| i == flag));
+        Ok(())
     }
 
     #[test]
-    fn row_consistency_signal() {
-        let t = table();
+    fn row_consistency_signal() -> Result<(), Box<dyn std::error::Error>> {
+        let t = table()?;
         // Claimed value sits in P200's row.
         let s =
             uctr::Sample::verification(t.clone(), "P200 has a price of 299.", Verdict::Supported);
@@ -666,11 +670,12 @@ mod tests {
         let fv = verifier_features(&s);
         let miss = FeatureVec::hash_name("sig:row_value_miss");
         assert!(fv.iter().any(|(i, _)| i == miss));
+        Ok(())
     }
 
     #[test]
-    fn threshold_count_signal() {
-        let t = table();
+    fn threshold_count_signal() -> Result<(), Box<dyn std::error::Error>> {
+        let t = table()?;
         // speeds: 60, 80, 95 -> exactly 2 are above 70.
         let s = uctr::Sample::verification(
             t,
@@ -680,10 +685,11 @@ mod tests {
         let fv = verifier_features(&s);
         let hit = FeatureVec::hash_name("x:count_hit");
         assert!(fv.iter().any(|(i, _)| i == hit), "threshold count signal missing");
+        Ok(())
     }
 
     #[test]
-    fn multiword_value_count_signal() {
+    fn multiword_value_count_signal() -> Result<(), Box<dyn std::error::Error>> {
         let t = Table::from_strings(
             "t",
             &[
@@ -692,8 +698,7 @@ mod tests {
                 vec!["Red Lions", "4"],
                 vec!["Blue Sharks", "5"],
             ],
-        )
-        .unwrap();
+        )?;
         let s = uctr::Sample::verification(
             t,
             "There are 2 entries that list Red Lions as their team.",
@@ -702,12 +707,13 @@ mod tests {
         let fv = verifier_features(&s);
         let hit = FeatureVec::hash_name("x:count_hit");
         assert!(fv.iter().any(|(i, _)| i == hit), "multiword count signal missing");
+        Ok(())
     }
 
     #[test]
-    fn context_signals_for_text_samples() {
+    fn context_signals_for_text_samples() -> Result<(), Box<dyn std::error::Error>> {
         let mut s = uctr::Sample::verification(
-            Table::from_strings("t", &[vec![]]).unwrap(),
+            Table::from_strings("t", &[vec![]])?,
             "P900 reports 44 as its speed.",
             Verdict::Supported,
         );
@@ -715,5 +721,6 @@ mod tests {
         let fv = verifier_features(&s);
         let hit = FeatureVec::hash_name("sig:ctx_num_hit");
         assert!(fv.iter().any(|(i, _)| i == hit));
+        Ok(())
     }
 }

@@ -244,12 +244,13 @@ mod tests {
     }
 
     #[test]
-    fn featurevec_accumulates() {
+    fn featurevec_accumulates() -> Result<(), Box<dyn std::error::Error>> {
         let mut v = FeatureVec::new();
         v.add("a", 1.0);
         v.add("a", 2.0);
         assert_eq!(v.len(), 1);
-        assert_eq!(v.iter().next().unwrap().1, 3.0);
+        assert_eq!(v.iter().next().ok_or("empty feature vector")?.1, 3.0);
+        Ok(())
     }
 
     #[test]

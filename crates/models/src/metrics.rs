@@ -156,45 +156,47 @@ mod tests {
         assert_eq!(micro_f1(&pairs), label_accuracy(&pairs));
     }
 
-    fn sample_with_program() -> Sample {
+    fn sample_with_program() -> Result<Sample, tabular::TableError> {
         let t = Table::from_strings(
             "Printers",
             &[vec!["model", "speed"], vec!["P100", "60"], vec!["P300", "95"]],
-        )
-        .unwrap();
+        )?;
         let mut s = Sample::verification(t, "P300 has the highest speed.", Verdict::Supported);
         s.program =
             ProgramKind::Logic("eq { hop { argmax { all_rows ; speed } ; model } ; P300 }".into());
-        s
+        Ok(s)
     }
 
     #[test]
-    fn gold_evidence_from_program() {
-        let s = sample_with_program();
+    fn gold_evidence_from_program() -> Result<(), Box<dyn std::error::Error>> {
+        let s = sample_with_program()?;
         let cells = gold_evidence_cells(&s);
         assert!(cells.contains(&(1, 0)), "{cells:?}"); // P300's model cell
         assert!(cells.contains(&(0, 1)), "{cells:?}"); // speed column scanned
+        Ok(())
     }
 
     #[test]
-    fn retriever_finds_mentioned_cells() {
-        let s = sample_with_program();
+    fn retriever_finds_mentioned_cells() -> Result<(), Box<dyn std::error::Error>> {
+        let s = sample_with_program()?;
         let retrieved = retrieve_cells(&s);
         assert!(retrieved.contains(&(1, 0)), "{retrieved:?}");
+        Ok(())
     }
 
     #[test]
-    fn feverous_score_requires_both() {
-        let s = sample_with_program();
+    fn feverous_score_requires_both() -> Result<(), Box<dyn std::error::Error>> {
+        let s = sample_with_program()?;
         let right = feverous_score(std::slice::from_ref(&s), &[Verdict::Supported]);
         let wrong = feverous_score(&[s], &[Verdict::Refuted]);
         assert!(right >= wrong);
         assert_eq!(wrong, 0.0);
+        Ok(())
     }
 
     #[test]
-    fn feverous_score_is_at_most_label_accuracy() {
-        let s = sample_with_program();
+    fn feverous_score_is_at_most_label_accuracy() -> Result<(), Box<dyn std::error::Error>> {
+        let s = sample_with_program()?;
         let mut s2 = s.clone();
         s2.label = Label::Verdict(Verdict::Refuted);
         let samples = vec![s, s2];
@@ -205,5 +207,6 @@ mod tests {
             (Verdict::Refuted, Verdict::Refuted),
         ]);
         assert!(fs <= acc);
+        Ok(())
     }
 }

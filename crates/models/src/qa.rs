@@ -748,7 +748,7 @@ mod tests {
     use super::*;
     use corpora::{wikisql_like, CorpusConfig};
 
-    fn table() -> Table {
+    fn table() -> Result<Table, tabular::TableError> {
         Table::from_strings(
             "Departments",
             &[
@@ -758,27 +758,26 @@ mod tests {
                 vec!["Treasury", "30", "3000"],
             ],
         )
-        .unwrap()
     }
 
     #[test]
-    fn candidates_cover_cells_and_aggregates() {
-        let s = Sample::qa(table(), "What is the total budget?", "12500");
+    fn candidates_cover_cells_and_aggregates() -> Result<(), Box<dyn std::error::Error>> {
+        let s = Sample::qa(table()?, "What is the total budget?", "12500");
         let cands = generate_candidates(&s);
         let texts: Vec<&str> = cands.iter().map(|c| c.text.as_str()).collect();
         assert!(texts.contains(&"Defense"));
         assert!(texts.contains(&"12500"), "sum missing: {texts:?}");
         assert!(texts.contains(&"42"));
         assert!(texts.contains(&"3")); // row count
+        Ok(())
     }
 
     #[test]
-    fn candidates_include_percentage_change() {
+    fn candidates_include_percentage_change() -> Result<(), Box<dyn std::error::Error>> {
         let t = Table::from_strings(
             "fin",
             &[vec!["item", "2019", "2018"], vec!["Equity", "3200", "4000"]],
-        )
-        .unwrap();
+        )?;
         let s = Sample::qa(
             t,
             "In percentage terms, how did Equity move between 2018 and 2019?",
@@ -786,30 +785,33 @@ mod tests {
         );
         let cands = generate_candidates(&s);
         assert!(cands.iter().any(|c| c.text == "-0.2"), "pct candidate missing");
+        Ok(())
     }
 
     #[test]
-    fn candidates_from_context_records() {
-        let mut s = Sample::qa(table(), "What is the budget of Energy?", "700");
+    fn candidates_from_context_records() -> Result<(), Box<dyn std::error::Error>> {
+        let mut s = Sample::qa(table()?, "What is the budget of Energy?", "700");
         s.context = vec!["Energy has a total deputies of 12 and a budget of 700.".to_string()];
         let cands = generate_candidates(&s);
         assert!(cands.iter().any(|c| c.text == "700"));
+        Ok(())
     }
 
     #[test]
-    fn yes_no_candidates_for_comparatives() {
+    fn yes_no_candidates_for_comparatives() -> Result<(), Box<dyn std::error::Error>> {
         let s = Sample::qa(
-            table(),
+            table()?,
             "Was the budget of Defense greater than the budget of Treasury?",
             "yes",
         );
         let cands = generate_candidates(&s);
         assert!(cands.iter().any(|c| c.text == "yes"));
         assert!(cands.iter().any(|c| c.text == "no"));
+        Ok(())
     }
 
     #[test]
-    fn trained_model_beats_untrained() {
+    fn trained_model_beats_untrained() -> Result<(), Box<dyn std::error::Error>> {
         let b = wikisql_like(CorpusConfig {
             n_tables: 40,
             train_per_table: 8,
@@ -818,15 +820,19 @@ mod tests {
         });
         let trained = QaModel::train(&b.gold.train);
         let untrained = QaModel::untrained();
+        let answers = b
+            .gold
+            .dev
+            .iter()
+            .map(|s| s.label.as_answer().ok_or("dev sample without an answer"))
+            .collect::<Result<Vec<_>, _>>()?;
         let em = |m: &QaModel| {
             let hits = b
                 .gold
                 .dev
                 .iter()
-                .filter(|s| {
-                    normalize_answer(&m.predict(s))
-                        == normalize_answer(s.label.as_answer().unwrap())
-                })
+                .zip(&answers)
+                .filter(|(s, a)| normalize_answer(&m.predict(s)) == normalize_answer(a))
                 .count();
             hits as f64 / b.gold.dev.len() as f64
         };
@@ -837,17 +843,17 @@ mod tests {
             "trained {em_trained:.3} vs untrained {em_untrained:.3}"
         );
         assert!(em_trained > 0.3, "trained EM too low: {em_trained:.3}");
+        Ok(())
     }
 
     #[test]
-    fn same_column_pair_arithmetic_candidates() {
+    fn same_column_pair_arithmetic_candidates() -> Result<(), Box<dyn std::error::Error>> {
         // Difference of two rows' values in the same column (a common
         // FinQA/TAT-QA gold shape).
         let t = Table::from_strings(
             "fin",
             &[vec!["item", "2019"], vec!["Revenue", "8800"], vec!["Costs", "6100"]],
-        )
-        .unwrap();
+        )?;
         let s = Sample::qa(
             t,
             "How far apart are Revenue's 2019 figure and Costs's 2019 figure?",
@@ -856,10 +862,11 @@ mod tests {
         let cands = generate_candidates(&s);
         assert!(cands.iter().any(|c| c.text == "2700" && c.kind == "arith_diff"));
         assert!(cands.iter().any(|c| c.text == "-2700"));
+        Ok(())
     }
 
     #[test]
-    fn proportion_and_sumdiff_candidates() {
+    fn proportion_and_sumdiff_candidates() -> Result<(), Box<dyn std::error::Error>> {
         let t = Table::from_strings(
             "fin",
             &[
@@ -867,8 +874,7 @@ mod tests {
                 vec!["Revenue", "8000", "7000"],
                 vec!["Costs", "2000", "3000"],
             ],
-        )
-        .unwrap();
+        )?;
         let s = Sample::qa(t, "What share of the 2019 total does Costs account for?", "0.2");
         let cands = generate_candidates(&s);
         assert!(
@@ -877,25 +883,26 @@ mod tests {
         );
         // sum(2019)=10000, sum(2018)=10000 -> sumdiff 0
         assert!(cands.iter().any(|c| c.kind == "arith_sumdiff"));
+        Ok(())
     }
 
     #[test]
-    fn range_lookup_candidates() {
+    fn range_lookup_candidates() -> Result<(), Box<dyn std::error::Error>> {
         let t = Table::from_strings(
             "t",
             &[vec!["name", "pts"], vec!["a", "10"], vec!["b", "20"], vec!["c", "30"]],
-        )
-        .unwrap();
+        )?;
         let s = Sample::qa(t, "Which name has pts of at least 15 and at most 25?", "b");
         let cands = generate_candidates(&s);
         assert!(
             cands.iter().any(|c| c.text == "b" && c.kind == "lookup_range"),
             "range lookup missing"
         );
+        Ok(())
     }
 
     #[test]
-    fn filtered_superlative_candidates() {
+    fn filtered_superlative_candidates() -> Result<(), Box<dyn std::error::Error>> {
         let t = Table::from_strings(
             "t",
             &[
@@ -904,8 +911,7 @@ mod tests {
                 vec!["b", "x", "25"],
                 vec!["c", "y", "30"],
             ],
-        )
-        .unwrap();
+        )?;
         let s = Sample::qa(
             t,
             "Name the entry that leads in pts, considering only rows where group equals x?",
@@ -916,10 +922,11 @@ mod tests {
             cands.iter().any(|c| c.text == "b" && c.kind == "lookup_filter_max"),
             "filtered superlative missing"
         );
+        Ok(())
     }
 
     #[test]
-    fn compound_count_candidates() {
+    fn compound_count_candidates() -> Result<(), Box<dyn std::error::Error>> {
         let t = Table::from_strings(
             "t",
             &[
@@ -928,23 +935,22 @@ mod tests {
                 vec!["b", "x", "25"],
                 vec!["c", "y", "30"],
             ],
-        )
-        .unwrap();
+        )?;
         let s = Sample::qa(t, "How many entries have group x while pts exceeds 15?", "1");
         let cands = generate_candidates(&s);
         assert!(
             cands.iter().any(|c| c.text == "1" && c.kind == "count_filter_gt"),
             "compound count missing"
         );
+        Ok(())
     }
 
     #[test]
-    fn candidate_space_restriction() {
+    fn candidate_space_restriction() -> Result<(), Box<dyn std::error::Error>> {
         let t = Table::from_strings(
             "fin",
             &[vec!["item", "2019", "2018"], vec!["Equity", "3200", "4000"]],
-        )
-        .unwrap();
+        )?;
         let s = Sample::qa(
             t,
             "In percentage terms, how did Equity move between 2018 and 2019?",
@@ -954,10 +960,11 @@ mod tests {
         assert!(full.iter().any(|c| c.kind.starts_with("arith")));
         assert!(CandidateSpace::CellsAndAggs.allows("cell"));
         assert!(!CandidateSpace::CellsAndAggs.allows("arith_pct"));
+        Ok(())
     }
 
     #[test]
-    fn lookup_candidates_join_multi_rows() {
+    fn lookup_candidates_join_multi_rows() -> Result<(), Box<dyn std::error::Error>> {
         let t = Table::from_strings(
             "t",
             &[
@@ -966,10 +973,10 @@ mod tests {
                 vec!["b", "x", "2"],
                 vec!["c", "y", "3"],
             ],
-        )
-        .unwrap();
+        )?;
         let s = Sample::qa(t, "Tell me the name recorded where group equals x?", "a, b");
         let cands = generate_candidates(&s);
         assert!(cands.iter().any(|c| c.text == "a, b"), "joined lookup missing");
+        Ok(())
     }
 }

@@ -160,7 +160,7 @@ mod tests {
     use tabular::Table;
     use uctr::{ProgramKind, Verdict};
 
-    fn sample() -> Sample {
+    fn sample() -> Result<Sample, tabular::TableError> {
         let t = Table::from_strings(
             "Printers",
             &[
@@ -168,59 +168,64 @@ mod tests {
                 vec!["P100", "60", "199"],
                 vec!["P300", "95", "399"],
             ],
-        )
-        .unwrap();
+        )?;
         let mut s = Sample::verification(t, "P300 has the highest speed.", Verdict::Supported);
         s.program =
             ProgramKind::Logic("eq { hop { argmax { all_rows ; speed } ; model } ; P300 }".into());
-        s
+        Ok(s)
     }
 
     #[test]
-    fn retrieval_budget_is_respected() {
-        let s = sample();
+    fn retrieval_budget_is_respected() -> Result<(), Box<dyn std::error::Error>> {
+        let s = sample()?;
         for k in [1, 3, 8] {
             assert!(Retriever::with_budget(k).retrieve(&s).len() <= k);
         }
+        Ok(())
     }
 
     #[test]
-    fn mentioned_cell_ranks_first() {
-        let s = sample();
+    fn mentioned_cell_ranks_first() -> Result<(), Box<dyn std::error::Error>> {
+        let s = sample()?;
         let top = Retriever::with_budget(1).retrieve(&s);
         // "P300" itself is the strongest lexical match.
         assert_eq!(top, vec![(1, 0)]);
+        Ok(())
     }
 
     #[test]
-    fn recall_grows_with_budget() {
-        let samples = vec![sample()];
+    fn recall_grows_with_budget() -> Result<(), Box<dyn std::error::Error>> {
+        let samples = vec![sample()?];
         let low = Retriever::with_budget(1).evidence_recall(&samples);
         let high = Retriever::with_budget(8).evidence_recall(&samples);
         assert!(high >= low);
         assert_eq!(high, 100.0, "budget 8 must cover this 2x3 table's evidence");
+        Ok(())
     }
 
     #[test]
-    fn gold_evidence_reexecutes_program() {
-        let s = sample();
+    fn gold_evidence_reexecutes_program() -> Result<(), Box<dyn std::error::Error>> {
+        let s = sample()?;
         let cells = gold_evidence_cells(&s);
         assert!(cells.contains(&(1, 0))); // P300's model cell
         assert!(cells.contains(&(0, 1))); // speed column scanned
+        Ok(())
     }
 
     #[test]
-    fn program_free_samples_use_anchor_cells() {
-        let mut s = sample();
+    fn program_free_samples_use_anchor_cells() -> Result<(), Box<dyn std::error::Error>> {
+        let mut s = sample()?;
         s.program = ProgramKind::None;
         let cells = gold_evidence_cells(&s);
         assert!(cells.contains(&(1, 0)), "{cells:?}");
+        Ok(())
     }
 
     #[test]
-    fn empty_table_retrieves_nothing() {
-        let t = Table::from_strings("e", &[vec![]]).unwrap();
+    fn empty_table_retrieves_nothing() -> Result<(), Box<dyn std::error::Error>> {
+        let t = Table::from_strings("e", &[vec![]])?;
         let s = Sample::verification(t, "anything", Verdict::Unknown);
         assert!(Retriever::default().retrieve(&s).is_empty());
+        Ok(())
     }
 }

@@ -436,6 +436,12 @@ pub fn mined_bank(seed: u64) -> TemplateBank {
 
 /// SQUALL-style probe table: two text columns, two number columns, one date
 /// column. Types the SQL holes and hosts the logic-claim instantiation.
+#[expect(
+    clippy::panic,
+    reason = "The SQL probe table is a compile-time constant with uniform row widths; from_strings \
+              can only reject it if the literal itself is edited into malformedness, and the panic \
+              message names that invariant for whoever does."
+)]
 pub fn sql_probe_table() -> Table {
     Table::from_strings(
         "clubs",
@@ -452,6 +458,12 @@ pub fn sql_probe_table() -> Table {
 
 /// FinQA-style probe table: a text item column and per-year number columns,
 /// addressed by the `the <col> of <row>` cell syntax.
+#[expect(
+    clippy::panic,
+    reason = "The FinQA-style probe table is a compile-time constant with uniform row widths; \
+              from_strings can only reject it if the literal itself is edited into malformedness, \
+              and the panic message names that invariant for whoever does."
+)]
 pub fn fin_probe_table() -> Table {
     Table::from_strings(
         "financials",

@@ -291,6 +291,12 @@ impl UctrPipeline {
                 .collect();
             let mut ranges = Vec::new();
             for h in handles {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "A panicked generation worker has already torn down its shard; \
+                              propagating the panic to the caller is the only sound recovery, and \
+                              expect names the invariant in the abort message."
+                )]
                 let (claimed, worker_tel, stats) = h.join().expect("generation worker panicked");
                 tel.merge(&worker_tel);
                 workers.push(stats);

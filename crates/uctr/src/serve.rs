@@ -478,6 +478,14 @@ impl Daemon {
                 inner.rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(SubmitError::Rejected { retry_after_ms: inner.cfg.retry_after_ms });
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "Serving-latency measurement points (enqueue timestamp and service-start \
+                          timestamp) feed the request latency histogram and the \
+                          queue_ns/service_ns response fields; sample bytes are derived solely \
+                          from the request seed, so wall-clock reads cannot perturb generated \
+                          data."
+            )]
             q.push(Job { request, enqueued: Instant::now(), reply: tx });
         }
         shard.ready.notify_one();
@@ -666,6 +674,13 @@ impl Inner {
                 GenScratch::default()
             }
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "Serving-latency measurement points (enqueue timestamp and service-start \
+                      timestamp) feed the request latency histogram and the queue_ns/service_ns \
+                      response fields; sample bytes are derived solely from the request seed, so \
+                      wall-clock reads cannot perturb generated data."
+        )]
         let service_started = Instant::now();
         let outcome = self.run(&job.request, &shard.tel, &mut scratch);
         let service_ns = elapsed_ns(&service_started);
@@ -878,11 +893,13 @@ mod tests {
 
     #[test]
     fn request_json_round_trips() {
-        let request = GenRequest::generate(7, RequestSpec::qa(42), wire_tables());
-        let json = serde_json::to_string(&request).unwrap_or_else(|e| panic!("serialize: {e}"));
-        let back: GenRequest =
-            serde_json::from_str(&json).unwrap_or_else(|e| panic!("deserialize: {e}"));
-        assert_eq!(back, request);
+        for seed in [42, u64::MAX, (1 << 63) + 5] {
+            let request = GenRequest::generate(7, RequestSpec::qa(seed), wire_tables());
+            let json = serde_json::to_string(&request).unwrap_or_else(|e| panic!("serialize: {e}"));
+            let back: GenRequest =
+                serde_json::from_str(&json).unwrap_or_else(|e| panic!("deserialize: {e}"));
+            assert_eq!(back, request, "seed {seed}");
+        }
     }
 
     #[test]
@@ -896,6 +913,14 @@ mod tests {
             std::mem::forget(_rx);
             Job {
                 request: GenRequest::generate(id, spec, Vec::new()),
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "Serving-latency measurement points (enqueue timestamp and \
+                              service-start timestamp) feed the request latency histogram and the \
+                              queue_ns/service_ns response fields; sample bytes are derived solely \
+                              from the request seed, so wall-clock reads cannot perturb generated \
+                              data."
+                )]
                 enqueued: Instant::now(),
                 reply: tx,
             }
@@ -1015,13 +1040,15 @@ mod tests {
         );
         let (addr, _accept) =
             daemon.spawn_listener("127.0.0.1:0").unwrap_or_else(|e| panic!("listener: {e}"));
-        let expected = daemon.dispatch(GenRequest::generate(5, RequestSpec::qa(21), wire_tables()));
         let mut client = Client::connect(addr).unwrap_or_else(|e| panic!("client connect: {e}"));
-        let over_wire = client
-            .request(&GenRequest::generate(5, RequestSpec::qa(21), wire_tables()))
-            .unwrap_or_else(|e| panic!("wire request: {e}"));
-        assert!(over_wire.is_ok(), "wire status: {} {}", over_wire.status, over_wire.message);
-        assert_eq!(over_wire.samples, expected.samples);
+        for seed in [21, u64::MAX] {
+            let request = GenRequest::generate(5, RequestSpec::qa(seed), wire_tables());
+            let expected = daemon.dispatch(request.clone());
+            let over_wire =
+                client.request(&request).unwrap_or_else(|e| panic!("wire request: {e}"));
+            assert!(over_wire.is_ok(), "wire status: {} {}", over_wire.status, over_wire.message);
+            assert_eq!(over_wire.samples, expected.samples, "seed {seed}");
+        }
         let stats =
             client.request(&GenRequest::stats(6)).unwrap_or_else(|e| panic!("stats request: {e}"));
         let snapshot = match stats.stats {

@@ -341,6 +341,12 @@ impl TelemetryBank {
     /// Runs `f` and records its wall-clock under `timer`.
     #[inline]
     pub fn timed<T>(&self, timer: Timer, f: impl FnOnce() -> T) -> T {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "Latency histogram measures wall-clock stage durations; timing is \
+                      observability-only and never feeds generated data, so determinism of the \
+                      corpus is unaffected."
+        )]
         let start = std::time::Instant::now();
         let out = f();
         self.time(timer, start.elapsed());

@@ -4,9 +4,9 @@
 //! builtin template bank plus any `--mined` corpus files, without touching
 //! a table: every template is parsed, typechecked, and reduced to its
 //! [`uctr::SchemaRequirement`]. Diagnostic counts per `(kind, code)` are
-//! ratcheted in `ci/template_health.json` with the same two-sided compare
-//! as the lint ratchet (`crate::ratchet`): a new diagnostic is a
-//! regression, a fixed one must be locked in with `--write`.
+//! ratcheted in `ci/template_health.json` with the two-sided compare in
+//! [`crate::ratchet`]: a new diagnostic is a regression, a fixed one must
+//! be locked in with `--write`.
 //!
 //! Mined corpus files are plain text, one template per line in the form
 //! `kind: template-source` (kind ∈ `sql` | `logic` | `arith`); blank lines
@@ -29,8 +29,7 @@ use std::collections::BTreeMap;
 use serde::Value;
 use uctr::{analyze_text, AnalyzedTemplate, KindSlot, SchemaRequirement};
 
-use crate::ratchet::Counts;
-use crate::report::RatchetStatus;
+use crate::ratchet::{Counts, RatchetStatus};
 
 /// One analyzed template with its provenance.
 pub struct AuditedTemplate {
@@ -270,25 +269,7 @@ pub fn json_report(outcome: &AuditOutcome, ratchet: Option<&RatchetStatus>) -> S
         ("templates".to_string(), templates),
     ];
     if let Some(status) = ratchet {
-        root.push((
-            "ratchet".to_string(),
-            Value::Obj(vec![
-                ("path".to_string(), Value::Str(status.path.clone())),
-                (
-                    "status".to_string(),
-                    Value::Str(
-                        if !status.regressions.is_empty() {
-                            "regressions"
-                        } else if !status.stale.is_empty() {
-                            "stale"
-                        } else {
-                            "ok"
-                        }
-                        .to_string(),
-                    ),
-                ),
-            ]),
-        ));
+        root.push(("ratchet".to_string(), status.json()));
     }
     let mut text =
         serde_json::to_string_pretty(&Value::Obj(root)).expect("report JSON always renders");
@@ -350,13 +331,13 @@ pub fn markdown_summary(outcome: &AuditOutcome, ratchet: Option<&RatchetStatus>)
             for d in &status.regressions {
                 md.push_str(&format!(
                     "- regression: `{}`/`{}` rose {} → {}\n",
-                    d.krate, d.rule, d.recorded, d.current
+                    d.group, d.key, d.recorded, d.current
                 ));
             }
             for d in &status.stale {
                 md.push_str(&format!(
                     "- stale: `{}`/`{}` fell {} → {} (re-run with --write)\n",
-                    d.krate, d.rule, d.recorded, d.current
+                    d.group, d.key, d.recorded, d.current
                 ));
             }
         }

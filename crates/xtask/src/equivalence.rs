@@ -19,8 +19,7 @@ use serde::Value;
 use uctr::analysis::EquivalenceReport;
 use uctr::KindSlot;
 
-use crate::ratchet::Counts;
-use crate::report::RatchetStatus;
+use crate::ratchet::{Counts, RatchetStatus};
 
 /// The counts group inside `ci/template_health.json` owned by this audit.
 pub const GROUP: &str = "equivalence";
@@ -132,25 +131,7 @@ pub fn json_report(
         ),
     ];
     if let Some(status) = ratchet {
-        root.push((
-            "ratchet".to_string(),
-            Value::Obj(vec![
-                ("path".to_string(), Value::Str(status.path.clone())),
-                (
-                    "status".to_string(),
-                    Value::Str(
-                        if !status.regressions.is_empty() {
-                            "regressions"
-                        } else if !status.stale.is_empty() {
-                            "stale"
-                        } else {
-                            "ok"
-                        }
-                        .to_string(),
-                    ),
-                ),
-            ]),
-        ));
+        root.push(("ratchet".to_string(), status.json()));
     }
     let mut text =
         serde_json::to_string_pretty(&Value::Obj(root)).expect("report JSON always renders");
@@ -206,13 +187,13 @@ pub fn markdown_summary(report: &EquivalenceReport, ratchet: Option<&RatchetStat
             for d in &status.regressions {
                 md.push_str(&format!(
                     "- regression: `{}`/`{}` was {}, now {}\n",
-                    d.krate, d.rule, d.recorded, d.current
+                    d.group, d.key, d.recorded, d.current
                 ));
             }
             for d in &status.stale {
                 md.push_str(&format!(
                     "- stale: `{}`/`{}` was {}, now {} (re-run with --write)\n",
-                    d.krate, d.rule, d.recorded, d.current
+                    d.group, d.key, d.recorded, d.current
                 ));
             }
         }

@@ -1,19 +1,4 @@
-//! # xtask — workspace-native static analysis for UCTR
-//!
-//! `cargo run -p xtask -- lint` audits the generation-path crates for two
-//! disciplines the golden-pipeline byte-identity tests can only check
-//! dynamically:
-//!
-//! * **determinism** — no per-process-seeded hash containers, OS entropy,
-//!   wall clocks, or environment reads where samples are synthesized
-//!   (rules D001–D003);
-//! * **panic discipline** — invalid sampled programs must flow into the
-//!   structured `*InstantiateError`/`Discard` machinery instead of
-//!   panicking mid-funnel (rules P001–P002, paper §III-B).
-//!
-//! Suppressions live in `ci/lint_allowlist.toml` (justification required);
-//! per-crate per-rule counts are ratcheted in `ci/lint_ratchet.json` and
-//! compared two-sided in CI. See `DESIGN.md` §6.
+//! # xtask — program-template audits for UCTR
 //!
 //! `cargo run -p xtask -- audit-templates` statically typechecks the
 //! builtin program-template bank (plus optional `--mined` corpora) with
@@ -25,28 +10,14 @@
 //! differentially verifies every canonical merge the miner performed —
 //! ratcheted under the `equivalence` group of the same health file, with
 //! a hard zero gate on unverified merges. See [`equivalence`].
+//!
+//! `cargo run -p xtask -- mine` regenerates `ci/mined_templates.txt`; with
+//! `--check` it gates that the committed corpus is reproduced byte for byte.
+//!
+//! These are domain checks clippy cannot do. The determinism and
+//! panic-discipline rules are clippy lints at `deny`, configured in the
+//! workspace `Cargo.toml` and `clippy.toml` (`DESIGN.md` §6).
 
-pub mod allowlist;
 pub mod audit;
 pub mod equivalence;
-pub mod lint;
 pub mod ratchet;
-pub mod report;
-pub mod rules;
-pub mod scanner;
-pub mod workspace;
-
-use std::path::Path;
-
-/// Convenience for tests and the CLI: parse the allowlist at `path`
-/// (missing file = empty allowlist) and run the full audit.
-pub fn run_with_allowlist(root: &Path, allowlist_path: &Path) -> Result<lint::LintOutcome, String> {
-    let entries = if allowlist_path.exists() {
-        let text = std::fs::read_to_string(allowlist_path)
-            .map_err(|e| format!("cannot read {}: {e}", allowlist_path.display()))?;
-        allowlist::parse(&text)?
-    } else {
-        Vec::new()
-    };
-    lint::run(root, &entries)
-}

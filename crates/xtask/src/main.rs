@@ -6,26 +6,15 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use xtask::ratchet;
-use xtask::report::{json_report, markdown_summary, RatchetStatus};
+use xtask::ratchet::{self, RatchetStatus};
 
 const USAGE: &str = "\
-xtask — workspace-native static analysis for UCTR
+xtask — program-template audits and the template miner for UCTR
 
 USAGE:
-    cargo run -p xtask -- lint [OPTIONS]
     cargo run -p xtask -- audit-templates [OPTIONS]
     cargo run -p xtask -- audit-equivalence [OPTIONS]
     cargo run -p xtask -- mine [OPTIONS]
-
-LINT OPTIONS:
-    --root <DIR>            workspace root (default: auto-detected)
-    --allowlist <FILE>      suppression list (default: ci/lint_allowlist.toml)
-    --check-ratchet <FILE>  fail unless counts match the recorded ratchet
-    --write-ratchet <FILE>  rewrite the ratchet file from current counts
-    --json <FILE>           write the machine-readable report
-    --md <FILE>             write a markdown summary table (for CI job summaries)
-    --quiet                 suppress per-violation lines
 
 AUDIT-TEMPLATES OPTIONS:
     --root <DIR>            workspace root (default: auto-detected)
@@ -73,16 +62,19 @@ MINE OPTIONS:
     --check                 do not write; fail if the regenerated corpus
                             differs from the committed file (determinism gate)
 
+The determinism and panic-discipline rules are clippy lints:
+`cargo clippy --workspace --all-targets -- -D warnings` (DESIGN.md §6).
+
 EXIT CODES:
-    0  clean (or counts match the ratchet exactly)
-    1  ratchet regression/staleness, or an invalid allowlist
+    0  clean (or counts match the health file exactly)
+    1  health regression/staleness, a failed witness gate, or a stale
+       mined corpus
     2  usage or I/O error
 ";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let run: fn(&[String]) -> Result<bool, String> = match args.first().map(String::as_str) {
-        Some("lint") => run_lint_cli,
         Some("audit-templates") => run_audit_cli,
         Some("audit-equivalence") => run_equiv_cli,
         Some("mine") => run_mine_cli,
@@ -121,157 +113,10 @@ fn resolve(root: &Path, path: &Path) -> PathBuf {
     }
 }
 
-// ---------------------------------------------------------------- lint ----
-
-struct LintOpts {
-    root: PathBuf,
-    allowlist: PathBuf,
-    check_ratchet: Option<PathBuf>,
-    write_ratchet: Option<PathBuf>,
-    json: Option<PathBuf>,
-    md: Option<PathBuf>,
-    quiet: bool,
-}
-
-fn run_lint_cli(args: &[String]) -> Result<bool, String> {
-    let opts = parse_lint_opts(args).map_err(|e| format!("{e}\n\n{USAGE}"))?;
-    run_lint(&opts)
-}
-
-fn parse_lint_opts(args: &[String]) -> Result<LintOpts, String> {
-    let mut opts = LintOpts {
-        root: default_root(),
-        allowlist: PathBuf::new(),
-        check_ratchet: None,
-        write_ratchet: None,
-        json: None,
-        md: None,
-        quiet: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut path_arg = |name: &str| {
-            it.next().map(PathBuf::from).ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--root" => opts.root = path_arg("--root")?,
-            "--allowlist" => opts.allowlist = path_arg("--allowlist")?,
-            "--check-ratchet" => opts.check_ratchet = Some(path_arg("--check-ratchet")?),
-            "--write-ratchet" => opts.write_ratchet = Some(path_arg("--write-ratchet")?),
-            "--json" => opts.json = Some(path_arg("--json")?),
-            "--md" => opts.md = Some(path_arg("--md")?),
-            "--quiet" => opts.quiet = true,
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    if opts.allowlist.as_os_str().is_empty() {
-        opts.allowlist = opts.root.join("ci/lint_allowlist.toml");
-    }
-    Ok(opts)
-}
-
-fn run_lint(opts: &LintOpts) -> Result<bool, String> {
-    let outcome = xtask::run_with_allowlist(&opts.root, &opts.allowlist)?;
-
-    if !opts.quiet {
-        for v in &outcome.violations {
-            match &v.allowlisted {
-                None => println!(
-                    "{}:{}:{}: {} [{}] {}{}",
-                    v.path,
-                    v.line,
-                    v.col,
-                    v.rule.name(),
-                    v.severity.name(),
-                    v.matched,
-                    if v.in_test { " (in test code)" } else { "" },
-                ),
-                Some(just) => println!(
-                    "{}:{}:{}: {} allowlisted: {}",
-                    v.path,
-                    v.line,
-                    v.col,
-                    v.rule.name(),
-                    just
-                ),
-            }
-        }
-    }
-    for entry in &outcome.unused_allow {
-        eprintln!(
-            "warning: allowlist entry at line {} ({} {}) suppressed nothing — remove it?",
-            entry.decl_line, entry.rule, entry.path
-        );
-    }
-
-    let mut status: Option<RatchetStatus> = None;
-    let mut clean = true;
-    if let Some(path) = &opts.check_ratchet {
-        let path = resolve(&opts.root, path);
-        let recorded = ratchet::load(&path)?;
-        let (regressions, stale) = ratchet::compare(&outcome.counts, &recorded);
-        for d in &regressions {
-            eprintln!(
-                "ratchet REGRESSION: {}/{} rose {} -> {} — fix the new site(s) or add a \
-                 justified entry to ci/lint_allowlist.toml",
-                d.krate, d.rule, d.recorded, d.current
-            );
-        }
-        for d in &stale {
-            eprintln!(
-                "ratchet stale: {}/{} fell {} -> {} — lock in the improvement with \
-                 `cargo run -p xtask -- lint --write-ratchet ci/lint_ratchet.json`",
-                d.krate, d.rule, d.recorded, d.current
-            );
-        }
-        clean = regressions.is_empty() && stale.is_empty();
-        status = Some(RatchetStatus {
-            path: xtask::workspace::rel_display(&opts.root, &path),
-            regressions,
-            stale,
-        });
-    }
-
-    if let Some(path) = &opts.write_ratchet {
-        let path = resolve(&opts.root, path);
-        let (comment, floors) = match ratchet::load(&path) {
-            Ok(existing) => (existing.comment, existing.floors),
-            Err(_) => (default_ratchet_comment(), ratchet::Counts::new()),
-        };
-        let new = ratchet::Ratchet { comment, counts: outcome.counts.clone(), floors };
-        std::fs::write(&path, ratchet::render(&new))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("wrote ratchet {}", path.display());
-    }
-
-    if let Some(path) = &opts.json {
-        std::fs::write(path, json_report(&outcome, status.as_ref()))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    }
-    if let Some(path) = &opts.md {
-        std::fs::write(path, markdown_summary(&outcome, status.as_ref()))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    }
-
-    println!(
-        "xtask lint: {} active violation(s), {} allowlisted{}",
-        outcome.active_total(),
-        outcome.allowlisted_total(),
-        match (&opts.check_ratchet, clean) {
-            (Some(_), true) => " — ratchet ok",
-            (Some(_), false) => " — RATCHET FAILED",
-            (None, _) => "",
-        }
-    );
-    Ok(clean)
-}
-
-fn default_ratchet_comment() -> String {
-    "Per-crate per-rule violation counts measured by `cargo run -p xtask -- lint`. \
-     CI compares two-sided: counts above these values are regressions; counts below \
-     mean sites were fixed and this file must be regenerated with --write-ratchet so \
-     the improvement sticks. Missing entries are zero."
-        .to_string()
+/// Renders a path relative to the workspace root with forward slashes.
+fn rel_display(root: &Path, path: &Path) -> String {
+    let rel = path.strip_prefix(root).unwrap_or(path);
+    rel.components().map(|c| c.as_os_str().to_string_lossy()).collect::<Vec<_>>().join("/")
 }
 
 // ----------------------------------------------------- audit-templates ----
@@ -332,7 +177,7 @@ fn run_audit(opts: &AuditOpts) -> Result<bool, String> {
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let entries = audit::parse_mined(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        groups.push((xtask::workspace::rel_display(&opts.root, &path), entries));
+        groups.push((rel_display(&opts.root, &path), entries));
     }
     let outcome = audit::audit(&groups);
 
@@ -365,14 +210,14 @@ fn run_audit(opts: &AuditOpts) -> Result<bool, String> {
             eprintln!(
                 "template health REGRESSION: {}/{} rose {} -> {} — fix the template(s) or \
                  regenerate with `cargo run -p xtask -- audit-templates --write`",
-                d.krate, d.rule, d.recorded, d.current
+                d.group, d.key, d.recorded, d.current
             );
         }
         for d in &stale {
             eprintln!(
                 "template health stale: {}/{} fell {} -> {} — lock in the improvement with \
                  `cargo run -p xtask -- audit-templates --write`",
-                d.krate, d.rule, d.recorded, d.current
+                d.group, d.key, d.recorded, d.current
             );
         }
         if !opts.mined.is_empty() {
@@ -383,25 +228,22 @@ fn run_audit(opts: &AuditOpts) -> Result<bool, String> {
                     "mined-template floor REGRESSION: {}/{} fell {} -> {} — the mined corpus \
                      may only grow; restore the lost templates or justify the drop by \
                      regenerating with `cargo run -p xtask -- audit-templates --mined ... --write`",
-                    d.krate, d.rule, d.recorded, d.current
+                    d.group, d.key, d.recorded, d.current
                 );
             }
             for d in &floor_stale {
                 eprintln!(
                     "mined-template floor stale: {}/{} rose {} -> {} — lock in the gain with \
                      `cargo run -p xtask -- audit-templates --mined ... --write`",
-                    d.krate, d.rule, d.recorded, d.current
+                    d.group, d.key, d.recorded, d.current
                 );
             }
             regressions.extend(floor_regressions);
             stale.extend(floor_stale);
         }
         clean = regressions.is_empty() && stale.is_empty();
-        status = Some(RatchetStatus {
-            path: xtask::workspace::rel_display(&opts.root, &health_path),
-            regressions,
-            stale,
-        });
+        status =
+            Some(RatchetStatus { path: rel_display(&opts.root, &health_path), regressions, stale });
     }
 
     if opts.write {
@@ -556,22 +398,19 @@ fn run_equiv(opts: &EquivOpts) -> Result<bool, String> {
                 "equivalence REGRESSION: {}/{} rose {} -> {} — the canonical structure of the \
                  mined bank changed; inspect the merge log, then regenerate with \
                  `cargo run -p xtask -- audit-equivalence --write`",
-                d.krate, d.rule, d.recorded, d.current
+                d.group, d.key, d.recorded, d.current
             );
         }
         for d in &stale {
             eprintln!(
                 "equivalence stale: {}/{} fell {} -> {} — lock in the change with \
                  `cargo run -p xtask -- audit-equivalence --write`",
-                d.krate, d.rule, d.recorded, d.current
+                d.group, d.key, d.recorded, d.current
             );
         }
         clean = regressions.is_empty() && stale.is_empty();
-        status = Some(RatchetStatus {
-            path: xtask::workspace::rel_display(&opts.root, &health_path),
-            regressions,
-            stale,
-        });
+        status =
+            Some(RatchetStatus { path: rel_display(&opts.root, &health_path), regressions, stale });
     }
 
     if opts.write {

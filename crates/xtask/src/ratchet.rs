@@ -1,17 +1,17 @@
-//! The per-rule per-crate violation ratchet (`ci/lint_ratchet.json`).
+//! Count ratchets for the template audits (`ci/template_health.json`).
 //!
-//! Same gate pattern as `ci/acceptance_floor.json` (PR 1): CI compares the
-//! live measurement against a committed bound and fails on regression. Here
-//! the bound is a count per `(crate, rule)` and the check is two-sided:
+//! CI compares the live measurement against a committed bound and fails on
+//! regression, the same gate pattern as `ci/acceptance_floor.json`. Here the
+//! bound is a count per `(group, key)` and the check is two-sided:
 //!
-//! * count **above** the recorded value → a new violation slipped in; fix
-//!   it or add a justified allowlist entry.
-//! * count **below** the recorded value → sites were fixed; re-ratchet with
-//!   `cargo run -p xtask -- lint --write-ratchet ci/lint_ratchet.json` so
-//!   the improvement can never regress silently.
+//! * count **above** the recorded value → a regression (for example a new
+//!   template diagnostic); fix it.
+//! * count **below** the recorded value → the file is stale; regenerate it
+//!   with the audit's `--write` so the improvement can never regress
+//!   silently.
 //!
-//! Missing `(crate, rule)` pairs are implicitly zero in both directions, so
-//! D-rule entries never need seeding: the first hit in a clean crate is a
+//! Missing `(group, key)` pairs are implicitly zero in both directions, so
+//! entries never need seeding: the first hit in a clean group is a
 //! regression from 0.
 //!
 //! A ratchet file may additionally carry a `floors` section with the same
@@ -20,7 +20,8 @@
 //! per-kind mined-template counts — the mined corpus may gain templates but
 //! never silently lose them.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use serde::Value;
@@ -36,13 +37,37 @@ pub struct Ratchet {
     pub floors: Counts,
 }
 
-/// One `(crate, rule)` mismatch between the measurement and the file.
+/// One `(group, key)` mismatch between the measurement and the file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diff {
-    pub krate: String,
-    pub rule: String,
+    pub group: String,
+    pub key: String,
     pub recorded: i64,
     pub current: i64,
+}
+
+/// Ratchet comparison outcome carried into an audit's report.
+pub struct RatchetStatus {
+    pub path: String,
+    pub regressions: Vec<Diff>,
+    pub stale: Vec<Diff>,
+}
+
+impl RatchetStatus {
+    /// The `ratchet` object of an audit's JSON report.
+    pub fn json(&self) -> Value {
+        let status = if !self.regressions.is_empty() {
+            "regressions"
+        } else if !self.stale.is_empty() {
+            "stale"
+        } else {
+            "ok"
+        };
+        Value::Obj(vec![
+            ("path".to_string(), Value::Str(self.path.clone())),
+            ("status".to_string(), Value::Str(status.to_string())),
+        ])
+    }
 }
 
 pub fn load(path: &Path) -> Result<Ratchet, String> {
@@ -67,20 +92,20 @@ pub fn load(path: &Path) -> Result<Ratchet, String> {
 
 fn parse_counts(val: &Value, section: &str) -> Result<Counts, String> {
     let mut counts = Counts::new();
-    let crates = val.as_obj().ok_or_else(|| format!("ratchet `{section}` must be an object"))?;
-    for (krate, rules) in crates {
-        let rules = rules
+    let groups = val.as_obj().ok_or_else(|| format!("ratchet `{section}` must be an object"))?;
+    for (group, entries) in groups {
+        let entries = entries
             .as_obj()
-            .ok_or_else(|| format!("ratchet {section} for `{krate}` must be an object"))?;
-        let mut per_rule = BTreeMap::new();
-        for (rule, n) in rules {
+            .ok_or_else(|| format!("ratchet {section} for `{group}` must be an object"))?;
+        let mut per_key = BTreeMap::new();
+        for (key, n) in entries {
             let n = n
                 .as_f64()
-                .ok_or_else(|| format!("ratchet {section} {krate}/{rule} must be a number"))?
+                .ok_or_else(|| format!("ratchet {section} {group}/{key} must be a number"))?
                 as i64;
-            per_rule.insert(rule.clone(), n);
+            per_key.insert(key.clone(), n);
         }
-        counts.insert(krate.clone(), per_rule);
+        counts.insert(group.clone(), per_key);
     }
     Ok(counts)
 }
@@ -93,7 +118,7 @@ pub fn render(ratchet: &Ratchet) -> String {
         ("comment".to_string(), Value::Str(ratchet.comment.clone())),
         ("counts".to_string(), render_counts(&ratchet.counts)),
     ];
-    if ratchet.floors.values().any(|rules| rules.values().any(|&n| n != 0)) {
+    if ratchet.floors.values().any(|entries| entries.values().any(|&n| n != 0)) {
         root.push(("floors".to_string(), render_counts(&ratchet.floors)));
     }
     let mut text =
@@ -106,14 +131,14 @@ fn render_counts(counts: &Counts) -> Value {
     Value::Obj(
         counts
             .iter()
-            .filter(|(_, rules)| rules.values().any(|&n| n != 0))
-            .map(|(krate, rules)| {
-                let per_rule = rules
+            .filter(|(_, entries)| entries.values().any(|&n| n != 0))
+            .map(|(group, entries)| {
+                let per_key = entries
                     .iter()
                     .filter(|(_, &n)| n != 0)
-                    .map(|(rule, &n)| (rule.clone(), Value::Int(n)))
+                    .map(|(key, &n)| (key.clone(), Value::Int(n)))
                     .collect();
-                (krate.clone(), Value::Obj(per_rule))
+                (group.clone(), Value::Obj(per_key))
             })
             .collect(),
     )
@@ -122,29 +147,7 @@ fn render_counts(counts: &Counts) -> Value {
 /// Compares a measurement against the recorded ratchet.
 /// Returns `(regressions, stale)`.
 pub fn compare(current: &Counts, ratchet: &Ratchet) -> (Vec<Diff>, Vec<Diff>) {
-    let mut regressions = Vec::new();
-    let mut stale = Vec::new();
-    let mut keys: Vec<(String, String)> = Vec::new();
-    for (krate, rules) in current.iter().chain(ratchet.counts.iter()) {
-        for rule in rules.keys() {
-            let key = (krate.clone(), rule.clone());
-            if !keys.contains(&key) {
-                keys.push(key);
-            }
-        }
-    }
-    keys.sort();
-    for (krate, rule) in keys {
-        let cur = current.get(&krate).and_then(|r| r.get(&rule)).copied().unwrap_or(0);
-        let rec = ratchet.counts.get(&krate).and_then(|r| r.get(&rule)).copied().unwrap_or(0);
-        let diff = Diff { krate, rule, recorded: rec, current: cur };
-        if cur > rec {
-            regressions.push(diff);
-        } else if cur < rec {
-            stale.push(diff);
-        }
-    }
-    (regressions, stale)
+    diff(current, &ratchet.counts, Ordering::Greater)
 }
 
 /// Compares a measurement against the recorded grow-only floors: the
@@ -154,26 +157,30 @@ pub fn compare(current: &Counts, ratchet: &Ratchet) -> (Vec<Diff>, Vec<Diff>) {
 /// so the gain can never regress silently). Missing pairs are implicitly
 /// zero on both sides.
 pub fn compare_floors(current: &Counts, ratchet: &Ratchet) -> (Vec<Diff>, Vec<Diff>) {
+    diff(current, &ratchet.floors, Ordering::Less)
+}
+
+/// Every `(group, key)` of either side, in sorted order, whose counts
+/// differ: a regression when `current` compares to `recorded` as `worse`,
+/// stale otherwise.
+fn diff(current: &Counts, recorded: &Counts, worse: Ordering) -> (Vec<Diff>, Vec<Diff>) {
+    let count = |counts: &Counts, group: &str, key: &str| {
+        counts.get(group).and_then(|r| r.get(key)).copied().unwrap_or(0)
+    };
+    let keys: BTreeSet<(&String, &String)> = current
+        .iter()
+        .chain(recorded)
+        .flat_map(|(group, entries)| entries.keys().map(move |key| (group, key)))
+        .collect();
     let mut regressions = Vec::new();
     let mut stale = Vec::new();
-    let mut keys: Vec<(String, String)> = Vec::new();
-    for (krate, rules) in current.iter().chain(ratchet.floors.iter()) {
-        for rule in rules.keys() {
-            let key = (krate.clone(), rule.clone());
-            if !keys.contains(&key) {
-                keys.push(key);
-            }
-        }
-    }
-    keys.sort();
-    for (krate, rule) in keys {
-        let cur = current.get(&krate).and_then(|r| r.get(&rule)).copied().unwrap_or(0);
-        let rec = ratchet.floors.get(&krate).and_then(|r| r.get(&rule)).copied().unwrap_or(0);
-        let diff = Diff { krate, rule, recorded: rec, current: cur };
-        if cur < rec {
-            regressions.push(diff);
-        } else if cur > rec {
-            stale.push(diff);
+    for (group, key) in keys {
+        let (cur, rec) = (count(current, group, key), count(recorded, group, key));
+        let diff = Diff { group: group.clone(), key: key.clone(), recorded: rec, current: cur };
+        match cur.cmp(&rec) {
+            Ordering::Equal => {}
+            order if order == worse => regressions.push(diff),
+            _ => stale.push(diff),
         }
     }
     (regressions, stale)
@@ -185,8 +192,8 @@ mod tests {
 
     fn counts(entries: &[(&str, &str, i64)]) -> Counts {
         let mut c: Counts = BTreeMap::new();
-        for &(krate, rule, n) in entries {
-            c.entry(krate.to_string()).or_default().insert(rule.to_string(), n);
+        for &(group, key, n) in entries {
+            c.entry(group.to_string()).or_default().insert(key.to_string(), n);
         }
         c
     }
@@ -201,10 +208,10 @@ mod tests {
         let (regressions, stale) = compare(&current, &ratchet);
         let reg: Vec<_> = regressions
             .iter()
-            .map(|d| (d.krate.as_str(), d.rule.as_str(), d.recorded, d.current))
+            .map(|d| (d.group.as_str(), d.key.as_str(), d.recorded, d.current))
             .collect();
         assert_eq!(reg, vec![("a", "P002", 3, 4), ("c", "D001", 0, 1)]);
-        let st: Vec<_> = stale.iter().map(|d| (d.krate.as_str(), d.current)).collect();
+        let st: Vec<_> = stale.iter().map(|d| (d.group.as_str(), d.current)).collect();
         assert_eq!(st, vec![("b", 0)]);
     }
 
@@ -248,10 +255,10 @@ mod tests {
         let (regressions, stale) = compare_floors(&current, &ratchet);
         let reg: Vec<_> = regressions
             .iter()
-            .map(|d| (d.krate.as_str(), d.rule.as_str(), d.recorded, d.current))
+            .map(|d| (d.group.as_str(), d.key.as_str(), d.recorded, d.current))
             .collect();
         assert_eq!(reg, vec![("mined", "sql", 700, 650)]);
-        let st: Vec<_> = stale.iter().map(|d| (d.rule.as_str(), d.recorded, d.current)).collect();
+        let st: Vec<_> = stale.iter().map(|d| (d.key.as_str(), d.recorded, d.current)).collect();
         assert_eq!(st, vec![("arith", 0, 10), ("logic", 300, 320)]);
         let (regressions, stale) =
             compare_floors(&counts(&[("mined", "sql", 700), ("mined", "logic", 300)]), &ratchet);

@@ -1,52 +1,9 @@
-//! Workspace self-check: a live lint run must agree with the committed
-//! ratchet and allowlist. This is the same comparison the CI `lint-audit`
-//! job performs, so `cargo test` catches a stale `ci/lint_ratchet.json`
-//! before CI does.
-
-// Aborting the self-check on unreadable committed artifacts is the point.
-#![allow(clippy::unwrap_used)]
+//! Workspace self-check: live template audits must agree with the committed
+//! health file. These are the same comparisons the CI `template-audit` and
+//! `mine-and-audit` jobs perform, so `cargo test` catches a stale
+//! `ci/template_health.json` before CI does.
 
 use std::path::Path;
-
-#[test]
-fn workspace_lint_matches_committed_ratchet() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let outcome = xtask::run_with_allowlist(&root, &root.join("ci/lint_allowlist.toml")).unwrap();
-    let ratchet = xtask::ratchet::load(&root.join("ci/lint_ratchet.json")).unwrap();
-    let (regressions, stale) = xtask::ratchet::compare(&outcome.counts, &ratchet);
-    assert!(
-        regressions.is_empty(),
-        "new lint violations vs ci/lint_ratchet.json (fix them or add a justified \
-         ci/lint_allowlist.toml entry): {regressions:?}"
-    );
-    assert!(
-        stale.is_empty(),
-        "ci/lint_ratchet.json is stale — sites were fixed; regenerate with \
-         `cargo run -p xtask -- lint --write-ratchet ci/lint_ratchet.json`: {stale:?}"
-    );
-    assert!(
-        outcome.unused_allow.is_empty(),
-        "allowlist entries that no longer suppress anything: {:?}",
-        outcome.unused_allow
-    );
-}
-
-#[test]
-fn deny_rules_hold_at_zero_outside_the_allowlist() {
-    // The two allowlisted wall-clock reads are the only sanctioned D-rule
-    // sites in the whole workspace; everything else must be clean.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let outcome = xtask::run_with_allowlist(&root, &root.join("ci/lint_allowlist.toml")).unwrap();
-    for (krate, rules) in &outcome.counts {
-        for rule in ["D001", "D002", "D003"] {
-            assert_eq!(
-                rules.get(rule).copied().unwrap_or(0),
-                0,
-                "determinism rule {rule} must stay at zero in `{krate}`"
-            );
-        }
-    }
-}
 
 #[test]
 fn builtin_templates_match_committed_health_file() {

@@ -6,8 +6,8 @@
 //! cargo run --example auto_templates --release
 //! ```
 
-// Examples are demonstration entry points: println! is their output and unwrap on known-good literals keeps them readable.
-#![allow(clippy::unwrap_used, clippy::print_stdout)]
+// Examples are demonstration entry points: println! is their output and expect on known-good literals keeps them readable.
+#![allow(clippy::expect_used, clippy::print_stdout)]
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -6,8 +6,8 @@
 //! cargo run --example financial_qa --release
 //! ```
 
-// Examples are demonstration entry points: println! is their output and unwrap on known-good literals keeps them readable.
-#![allow(clippy::unwrap_used, clippy::print_stdout)]
+// Examples are demonstration entry points: println! is their output and unwrap/expect on known-good literals keeps them readable.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::print_stdout)]
 
 use models::QaModel;
 use rand::rngs::StdRng;

@@ -15,6 +15,9 @@
 //! the budget by running this test with `ALLOC_BUDGET_PRINT=1` and pinning
 //! ~10% above the printed figure.
 
+// Integration-test helpers run outside #[cfg(test)], so the clippy.toml test exemption does not reach them.
+#![allow(clippy::panic)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 

@@ -2,9 +2,6 @@
 //! corpora: metric edge cases, retriever/FEVEROUS-score coupling, and the
 //! few-shot recipe.
 
-// Integration-test helpers run outside #[cfg(test)], so the clippy.toml test exemption does not reach them.
-#![allow(clippy::unwrap_used)]
-
 use models::{
     em_f1, exact_match, feverous_score, label_accuracy, numeracy_f1, EvidenceView, QaModel,
     TrainConfig, VerdictSpace, VerifierModel,

@@ -2,9 +2,6 @@
 //! faithfulness of synthetic data, and the complete unsupervised
 //! train-evaluate loop.
 
-// Integration-test helpers run outside #[cfg(test)], so the clippy.toml test exemption does not reach them.
-#![allow(clippy::unwrap_used)]
-
 use uctr::{
     generate_mqaqg, EvidenceType, MqaQgConfig, ProgramKind, Sample, UctrConfig, UctrPipeline,
     Verdict,

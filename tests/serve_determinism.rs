@@ -7,6 +7,9 @@
 //! cold or a warm scratch pool. Backpressure is explicit: a full shard
 //! rejects at admission with a retry hint and buffers nothing.
 
+// Integration-test helpers run outside #[cfg(test)], so the clippy.toml test exemption does not reach them.
+#![allow(clippy::unwrap_used)]
+
 use std::sync::Arc;
 use std::thread;
 use uctr::serve::{Daemon, GenRequest, RequestSpec, ServeConfig, SubmitError, WireTable};
