@@ -84,16 +84,12 @@ pub struct AeOutcome {
 
 /// The index of the row-name column: the first `Text` column, falling back
 /// to column 0 (financial tables lead with a label column).
-pub fn row_name_column(table: &Table) -> usize {
+pub(crate) fn row_name_column(table: &Table) -> usize {
     table.schema().columns().iter().position(|c| c.ty == ColumnType::Text).unwrap_or(0)
 }
 
 /// Resolves `col of row` to a (row, col) pair.
-pub fn resolve_cell(table: &Table, col: &str, row: &str) -> Result<(usize, usize), AeError> {
-    resolve_cell_impl(table, None, col, row)
-}
-
-fn resolve_cell_impl(
+fn locate_cell(
     table: &Table,
     ctx: Option<&ExecContext>,
     col: &str,
@@ -126,25 +122,9 @@ fn resolve_cell_impl(
     Ok((ri, ci))
 }
 
-/// Executes a fully instantiated program against a table.
-pub fn execute(program: &AeProgram, table: &Table) -> Result<AeOutcome, AeError> {
-    execute_impl(program, table, None, &mut KernelScratch::default(), &mut Vec::new())
-}
-
-/// [`execute`] using a prebuilt [`ExecContext`]: table aggregations read the
-/// cached per-column numeric pairs and cell addressing uses the cached
-/// row-name renderings. Result-identical to [`execute`].
-pub fn execute_in(
-    program: &AeProgram,
-    table: &Table,
-    ctx: &ExecContext,
-) -> Result<AeOutcome, AeError> {
-    execute_impl(program, table, Some(ctx), &mut KernelScratch::default(), &mut Vec::new())
-}
-
-/// [`execute_in`] reusing caller-owned kernel buffers so failed attempts in
-/// the instantiation loop stop allocating. Result-identical to [`execute`].
-pub fn execute_in_with(
+/// Executes a fully instantiated program against a table. Aggregations and
+/// cell addressing read `ctx`'s caches; gathers and highlights reuse `kern`.
+pub fn execute(
     program: &AeProgram,
     table: &Table,
     ctx: &ExecContext,
@@ -153,6 +133,8 @@ pub fn execute_in_with(
     execute_impl(program, table, Some(ctx), kern, &mut Vec::new())
 }
 
+/// [`execute`] with an optional context (`None` is the oracle of
+/// [`crate::reference::execute`]), writing step results into `results`.
 pub(crate) fn execute_impl(
     program: &AeProgram,
     table: &Table,
@@ -269,7 +251,7 @@ fn resolve_numeric(
             results.get(*i).ok_or(AeError::BoolAsNumber)?.as_number().ok_or(AeError::BoolAsNumber)
         }
         AeArg::Cell { col, row } => {
-            let (ri, ci) = resolve_cell_impl(table, ctx, col, row)?;
+            let (ri, ci) = locate_cell(table, ctx, col, row)?;
             highlighted.push((ri, ci));
             match ctx {
                 Some(ctx) => ctx.number_at(ri, ci),
@@ -282,10 +264,11 @@ fn resolve_numeric(
     }
 }
 
-/// Convenience: parse + execute.
+/// Convenience: parse, build the table's [`ExecContext`], execute.
 pub fn run_arith(program: &str, table: &Table) -> Result<AeOutcome, String> {
     let p = crate::parser::parse(program).map_err(|e| e.to_string())?;
-    execute(&p, table).map_err(|e| e.to_string())
+    execute(&p, table, &ExecContext::new(table), &mut KernelScratch::default())
+        .map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

@@ -7,6 +7,10 @@
 //! `table_average`), with `#N` step references and `col of row` cell
 //! addressing.
 //!
+//! One entry point per step: [`AeTemplate::try_instantiate`] and
+//! [`execute`], which [`run_arith`] also runs. The context-free per-cell
+//! executor survives as the test oracle in [`reference`](mod@reference).
+//!
 //! ```
 //! use tabular::Table;
 //! use arithexpr::run_arith;
@@ -28,14 +32,12 @@ pub mod ast;
 pub mod canon;
 pub mod exec;
 pub mod parser;
+pub mod reference;
 pub mod template;
 
 pub use ast::{AeArg, AeOp, AeProgram, AeStep};
 pub use canon::{canonical_form, canonical_program};
-pub use exec::{
-    execute, execute_in, execute_in_with, resolve_cell, row_name_column, run_arith, AeAnswer,
-    AeError, AeOutcome,
-};
+pub use exec::{execute, run_arith, AeAnswer, AeError, AeOutcome};
 pub use parser::{parse, AeParseError};
 pub use template::{
     abstract_program, AeInstantiateError, AeScratch, AeTemplate, InstantiatedArith,

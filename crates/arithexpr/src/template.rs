@@ -54,7 +54,7 @@ pub struct InstantiatedArith {
     pub outcome: AeOutcome,
 }
 
-/// Reusable sampling buffers for [`AeTemplate::try_instantiate_in_with`].
+/// Reusable sampling buffers for [`AeTemplate::try_instantiate`].
 ///
 /// Instantiation retries up to 8 times per call and each attempt needs the
 /// hole list, the shuffled addressable-cell pool, the same-row/same-column
@@ -117,48 +117,22 @@ impl AeTemplate {
 
     /// Instantiates on `table`: distinct holes get distinct numeric cells,
     /// repeated holes share a binding, column holes get numeric columns.
-    /// Returns the program and its executed answer, or `None` when the table
-    /// cannot support it (or execution degenerates, e.g. divide-by-zero).
-    pub fn instantiate(&self, table: &Table, rng: &mut impl Rng) -> Option<InstantiatedArith> {
-        self.try_instantiate(table, rng).ok()
-    }
-
-    /// Like [`AeTemplate::instantiate`], but reports the failure reason of
-    /// the last sampling attempt.
+    /// Cell pools and the execution of the result read `ctx`; buffers come
+    /// from `scratch`. Returns the program and its executed answer, or the
+    /// last attempt's failure (e.g. divide-by-zero).
     pub fn try_instantiate(
-        &self,
-        table: &Table,
-        rng: &mut impl Rng,
-    ) -> Result<InstantiatedArith, AeInstantiateError> {
-        self.try_instantiate_impl(table, None, rng, &mut AeScratch::default())
-    }
-
-    /// [`AeTemplate::try_instantiate`] using a prebuilt [`ExecContext`]: the
-    /// addressable-cell and numeric-column scans come from the context, as
-    /// does the execution of the instantiated program. Draw-for-draw
-    /// identical to the context-free path.
-    pub fn try_instantiate_in(
-        &self,
-        table: &Table,
-        ctx: &ExecContext,
-        rng: &mut impl Rng,
-    ) -> Result<InstantiatedArith, AeInstantiateError> {
-        self.try_instantiate_impl(table, Some(ctx), rng, &mut AeScratch::default())
-    }
-
-    /// [`AeTemplate::try_instantiate_in`] reusing caller-owned sampling
-    /// buffers. Draw-for-draw identical to the other entry points.
-    pub fn try_instantiate_in_with(
         &self,
         table: &Table,
         ctx: &ExecContext,
         rng: &mut impl Rng,
         scratch: &mut AeScratch,
     ) -> Result<InstantiatedArith, AeInstantiateError> {
-        self.try_instantiate_impl(table, Some(ctx), rng, scratch)
+        self.sample(table, Some(ctx), rng, scratch)
     }
 
-    fn try_instantiate_impl(
+    /// [`AeTemplate::try_instantiate`] with an optional context; `None` is
+    /// the oracle of [`crate::reference::try_instantiate`].
+    pub(crate) fn sample(
         &self,
         table: &Table,
         ctx: Option<&ExecContext>,
@@ -357,11 +331,20 @@ mod tests {
         .unwrap_or_else(|e| panic!("test table: {e}"))
     }
 
+    /// [`AeTemplate::try_instantiate`] on `t` with a fresh context.
+    fn instantiate(
+        tpl: &AeTemplate,
+        t: &Table,
+        rng: &mut StdRng,
+    ) -> Result<InstantiatedArith, AeInstantiateError> {
+        tpl.try_instantiate(t, &ExecContext::new(t), rng, &mut AeScratch::default())
+    }
+
     #[test]
     fn instantiate_paper_template() -> Result<(), Box<dyn std::error::Error>> {
         let tpl = AeTemplate::parse("subtract( val1 , val2 ), divide( #0 , val2 )")?;
         let mut rng = StdRng::seed_from_u64(42);
-        let inst = tpl.instantiate(&financials(), &mut rng).ok_or("instantiate returned None")?;
+        let inst = instantiate(&tpl, &financials(), &mut rng)?;
         assert!(!inst.program.has_holes());
         assert!(matches!(inst.outcome.answer, AeAnswer::Number(_)));
         // val2 appears twice: both occurrences must be the same cell.
@@ -376,8 +359,7 @@ mod tests {
         let tpl = AeTemplate::parse("subtract( val1 , val2 )")?;
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..10 {
-            let inst =
-                tpl.instantiate(&financials(), &mut rng).ok_or("instantiate returned None")?;
+            let inst = instantiate(&tpl, &financials(), &mut rng)?;
             let cells = inst.program.cells();
             assert_ne!(cells[0], cells[1]);
         }
@@ -388,7 +370,7 @@ mod tests {
     fn instantiate_table_op_template() -> Result<(), Box<dyn std::error::Error>> {
         let tpl = AeTemplate::parse("table_sum( c1 ) , divide( #0 , 3 )")?;
         let mut rng = StdRng::seed_from_u64(5);
-        let inst = tpl.instantiate(&financials(), &mut rng).ok_or("instantiate returned None")?;
+        let inst = instantiate(&tpl, &financials(), &mut rng)?;
         let n = inst.outcome.answer.as_number().ok_or("non-numeric answer")?;
         // one of sum(2019)/3, sum(2018)/3
         assert!((n - 18100.0 / 3.0).abs() < 1e-9 || (n - 17900.0 / 3.0).abs() < 1e-9);
@@ -400,11 +382,8 @@ mod tests {
         let t = Table::from_strings("t", &[vec!["a", "b"], vec!["x", "y"]])?;
         let tpl = AeTemplate::parse("add( val1 , val2 )")?;
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(tpl.instantiate(&t, &mut rng).is_none());
-        assert_eq!(
-            tpl.try_instantiate(&t, &mut rng),
-            Err(AeInstantiateError::NotEnoughNumericCells)
-        );
+        assert!(instantiate(&tpl, &t, &mut rng).is_err());
+        assert_eq!(instantiate(&tpl, &t, &mut rng), Err(AeInstantiateError::NotEnoughNumericCells));
         Ok(())
     }
 
@@ -432,7 +411,7 @@ mod tests {
         let p = parse("greater( the 2019 of Revenue , the 2018 of Revenue )")?;
         let tpl = abstract_program(&p);
         let mut rng = StdRng::seed_from_u64(3);
-        let inst = tpl.instantiate(&financials(), &mut rng).ok_or("instantiate returned None")?;
+        let inst = instantiate(&tpl, &financials(), &mut rng)?;
         assert!(matches!(inst.outcome.answer, AeAnswer::YesNo(_)));
         Ok(())
     }

@@ -3,7 +3,7 @@
 //! and arithmetic-expression execution.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tabular::{ExecContext, Table};
+use tabular::{ExecContext, KernelScratch, Table};
 
 fn sample_table() -> Table {
     sized_table(64)
@@ -42,10 +42,11 @@ fn bench_sql(c: &mut Criterion) {
         })
     });
     let stmts: Vec<_> = queries.iter().map(|q| sqlexec::parse(q).unwrap()).collect();
+    let mut kern = KernelScratch::default();
     c.bench_function("sql/execute_64rows", |b| {
         b.iter(|| {
             for s in &stmts {
-                black_box(sqlexec::execute(s, &table).unwrap());
+                black_box(sqlexec::execute(s, &table, &mut kern).unwrap());
             }
         })
     });
@@ -67,10 +68,12 @@ fn bench_logic(c: &mut Criterion) {
             }
         })
     });
+    let ctx = ExecContext::new(&table);
+    let mut kern = KernelScratch::default();
     c.bench_function("logic/evaluate_64rows", |b| {
         b.iter(|| {
             for e in &exprs {
-                black_box(logicforms::evaluate(e, &table).unwrap());
+                black_box(logicforms::evaluate(e, &table, &ctx, &mut kern).unwrap());
             }
         })
     });
@@ -100,24 +103,26 @@ fn bench_arith(c: &mut Criterion) {
             }
         })
     });
+    let ctx = ExecContext::new(&table);
+    let mut kern = KernelScratch::default();
     c.bench_function("arith/execute", |b| {
         b.iter(|| {
             for p in &parsed {
-                black_box(arithexpr::execute(p, &table).unwrap());
+                black_box(arithexpr::execute(p, &table, &ctx, &mut kern).unwrap());
             }
         })
     });
 }
 
-/// ExecContext vs naive scans on a 128-row table: the per-table caches must
-/// measurably beat re-scanning per program on tables ≥ 100 rows (the
-/// ExecContext acceptance criterion).
+/// The per-table [`ExecContext`] on a 128-row table: what building it
+/// costs, and the context-backed executors and samplers that amortize it.
 fn bench_exec_context(c: &mut Criterion) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     let table = sized_table(128);
     let ctx = ExecContext::new(&table);
+    let mut kern = KernelScratch::default();
 
     c.bench_function("ctx/build_128rows", |b| {
         b.iter(|| black_box(ExecContext::new(black_box(&table))))
@@ -130,17 +135,10 @@ fn bench_exec_context(c: &mut Criterion) {
         "eq { nth_max { all_rows ; points ; 3 } ; 97 }",
     ];
     let exprs: Vec<_> = forms.iter().map(|f| logicforms::parse(f).unwrap()).collect();
-    c.bench_function("logic/evaluate_128rows_naive", |b| {
-        b.iter(|| {
-            for e in &exprs {
-                black_box(logicforms::evaluate(e, &table).unwrap());
-            }
-        })
-    });
     c.bench_function("logic/evaluate_128rows_ctx", |b| {
         b.iter(|| {
             for e in &exprs {
-                black_box(logicforms::evaluate_in(e, &table, &ctx).unwrap());
+                black_box(logicforms::evaluate(e, &table, &ctx, &mut kern).unwrap());
             }
         })
     });
@@ -151,52 +149,36 @@ fn bench_exec_context(c: &mut Criterion) {
         "table_max( points ) , table_min( points ) , subtract( #0 , #1 )",
     ];
     let parsed: Vec<_> = programs.iter().map(|p| arithexpr::parse(p).unwrap()).collect();
-    c.bench_function("arith/execute_128rows_naive", |b| {
-        b.iter(|| {
-            for p in &parsed {
-                black_box(arithexpr::execute(p, &table).unwrap());
-            }
-        })
-    });
     c.bench_function("arith/execute_128rows_ctx", |b| {
         b.iter(|| {
             for p in &parsed {
-                black_box(arithexpr::execute_in(p, &table, &ctx).unwrap());
+                black_box(arithexpr::execute(p, &table, &ctx, &mut kern).unwrap());
             }
         })
     });
 
     let tpl =
         sqlexec::SqlTemplate::parse("select c1 from w where c2 = val1 and c3 = val2").unwrap();
-    c.bench_function("sql/instantiate_128rows_naive", |b| {
-        let mut rng = StdRng::seed_from_u64(11);
-        b.iter(|| black_box(tpl.try_instantiate(&table, &mut rng)))
-    });
     c.bench_function("sql/instantiate_128rows_ctx", |b| {
         let mut rng = StdRng::seed_from_u64(11);
-        b.iter(|| black_box(tpl.try_instantiate_in(&table, &ctx, &mut rng)))
+        let mut scratch = sqlexec::SqlScratch::default();
+        b.iter(|| black_box(tpl.try_instantiate(&table, &ctx, &mut rng, &mut scratch)))
     });
 
     let lf_tpl =
         logicforms::LfTemplate::parse("eq { count { filter_eq { all_rows ; c1 ; val1 } } ; val2 }")
             .unwrap();
-    c.bench_function("logic/instantiate_128rows_naive", |b| {
-        let mut rng = StdRng::seed_from_u64(12);
-        b.iter(|| black_box(lf_tpl.try_instantiate(&table, &mut rng, true)))
-    });
     c.bench_function("logic/instantiate_128rows_ctx", |b| {
         let mut rng = StdRng::seed_from_u64(12);
-        b.iter(|| black_box(lf_tpl.try_instantiate_in(&table, &ctx, &mut rng, true)))
+        let mut scratch = logicforms::LfScratch::default();
+        b.iter(|| black_box(lf_tpl.try_instantiate(&table, &ctx, &mut rng, true, &mut scratch)))
     });
 
     let ae_tpl = arithexpr::AeTemplate::parse("table_sum( c1 ) , divide( val1 , #0 )").unwrap();
-    c.bench_function("arith/instantiate_128rows_naive", |b| {
-        let mut rng = StdRng::seed_from_u64(13);
-        b.iter(|| black_box(ae_tpl.try_instantiate(&table, &mut rng)))
-    });
     c.bench_function("arith/instantiate_128rows_ctx", |b| {
         let mut rng = StdRng::seed_from_u64(13);
-        b.iter(|| black_box(ae_tpl.try_instantiate_in(&table, &ctx, &mut rng)))
+        let mut scratch = arithexpr::AeScratch::default();
+        b.iter(|| black_box(ae_tpl.try_instantiate(&table, &ctx, &mut rng, &mut scratch)))
     });
 }
 

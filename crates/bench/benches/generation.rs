@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nlgen::{NgramLm, NlGenerator, NoiseConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tabular::Table;
+use tabular::{ExecContext, Table};
 
 fn bench_realization(c: &mut Criterion) {
     let generator = NlGenerator::new().with_noise(NoiseConfig::off());
@@ -66,13 +66,16 @@ fn bench_templates(c: &mut Criterion) {
         "eq { hop { filter_eq { all_rows ; c1 ; val1 } ; c2 } ; val2 }",
     )
     .unwrap();
+    let ctx = ExecContext::new(&table);
     c.bench_function("template/sql_instantiate", |b| {
         let mut rng = StdRng::seed_from_u64(4);
-        b.iter(|| black_box(sql_tpl.instantiate(&table, &mut rng)))
+        let mut scratch = sqlexec::SqlScratch::default();
+        b.iter(|| black_box(sql_tpl.try_instantiate(&table, &ctx, &mut rng, &mut scratch)))
     });
     c.bench_function("template/logic_instantiate_true", |b| {
         let mut rng = StdRng::seed_from_u64(5);
-        b.iter(|| black_box(lf_tpl.instantiate(&table, &mut rng, true)))
+        let mut scratch = logicforms::LfScratch::default();
+        b.iter(|| black_box(lf_tpl.try_instantiate(&table, &ctx, &mut rng, true, &mut scratch)))
     });
 }
 

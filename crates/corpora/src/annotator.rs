@@ -9,11 +9,14 @@
 //! tables), and derives labels from program execution over a richer,
 //! private template pool.
 
-use logicforms::{LfExpr, LfOp};
+use arithexpr::AeScratch;
+use logicforms::{LfExpr, LfOp, LfScratch};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use sqlexec::{AggFunc, CmpOp, ColumnRef, Cond, Expr, OrderDir, SelectItem, SelectStmt};
-use tabular::Table;
+use sqlexec::{
+    AggFunc, CmpOp, ColumnRef, Cond, Expr, OrderDir, SelectItem, SelectStmt, SqlScratch,
+};
+use tabular::{ExecContext, KernelScratch, Table};
 use uctr::{AnswerKind, EvidenceType, ProgramKind, Sample, TemplateBank, Verdict};
 
 /// Gold-only template extensions: reasoning shapes UCTR's builtin bank does
@@ -531,7 +534,8 @@ fn lowercase_first(s: &str) -> String {
 pub fn gold_verification(table: &Table, bank: &TemplateBank, rng: &mut impl Rng) -> Option<Sample> {
     let tpl = bank.logic().choose(rng).copied()?;
     let desired = rng.gen_bool(0.5);
-    let claim = tpl.instantiate(table, rng, desired)?;
+    let ctx = ExecContext::new(table);
+    let claim = tpl.try_instantiate(table, &ctx, rng, desired, &mut LfScratch::default()).ok()?;
     let text = human_logic_claim(&claim.expr, rng);
     let verdict = if claim.truth { Verdict::Supported } else { Verdict::Refuted };
     let mut s = Sample::verification(table.clone(), text, verdict);
@@ -552,8 +556,9 @@ pub fn gold_qa_sql_for_topic(
     rng: &mut impl Rng,
 ) -> Option<Sample> {
     let tpl = bank.sql().choose(rng).copied()?;
-    let stmt = tpl.instantiate(table, rng)?;
-    let result = sqlexec::execute(&stmt, table).ok()?;
+    let mut scratch = SqlScratch::default();
+    let stmt = tpl.try_instantiate(table, &ExecContext::new(table), rng, &mut scratch).ok()?;
+    let result = sqlexec::execute(&stmt, table, &mut scratch.kern).ok()?;
     if result.is_empty() {
         return None;
     }
@@ -584,7 +589,8 @@ pub fn gold_qa_sql_for_topic(
 /// Produces one gold arithmetic QA sample on `table`.
 pub fn gold_qa_arith(table: &Table, bank: &TemplateBank, rng: &mut impl Rng) -> Option<Sample> {
     let tpl = bank.arith().choose(rng).copied()?;
-    let inst = tpl.instantiate(table, rng)?;
+    let ctx = ExecContext::new(table);
+    let inst = tpl.try_instantiate(table, &ctx, rng, &mut AeScratch::default()).ok()?;
     let text = human_arith_question(&inst.program, rng);
     let mut s = Sample::qa(table.clone(), text, inst.outcome.answer.to_string());
     s.answer_kind = AnswerKind::Arithmetic;
@@ -596,25 +602,24 @@ pub fn gold_qa_arith(table: &Table, bank: &TemplateBank, rng: &mut impl Rng) -> 
 /// splitting one reasoning row into a sentence (the gold analogue of the
 /// paper's combined-evidence instances).
 pub fn into_table_text(sample: Sample, rng: &mut impl Rng) -> Option<Sample> {
-    let highlighted_rows: Vec<usize> = match &sample.program {
+    let table = &sample.table;
+    let mut kern = KernelScratch::default();
+    let highlighted = match &sample.program {
         ProgramKind::Sql(q) => {
             let stmt = sqlexec::parse(q).ok()?;
-            let r = sqlexec::execute(&stmt, &sample.table).ok()?;
-            r.highlighted.iter().map(|&(row, _)| row).collect()
+            sqlexec::execute(&stmt, table, &mut kern).ok()?.highlighted
         }
         ProgramKind::Logic(f) => {
             let e = logicforms::parse(f).ok()?;
-            let out = logicforms::evaluate(&e, &sample.table).ok()?;
-            out.highlighted.iter().map(|&(row, _)| row).collect()
+            logicforms::evaluate(&e, table, &ExecContext::new(table), &mut kern).ok()?.highlighted
         }
         ProgramKind::Arith(p) => {
             let prog = arithexpr::parse(p).ok()?;
-            let out = arithexpr::execute(&prog, &sample.table).ok()?;
-            out.highlighted.iter().map(|&(row, _)| row).collect()
+            arithexpr::execute(&prog, table, &ExecContext::new(table), &mut kern).ok()?.highlighted
         }
         ProgramKind::None => return None,
     };
-    let mut rows = highlighted_rows;
+    let mut rows: Vec<usize> = highlighted.iter().map(|&(row, _)| row).collect();
     rows.sort_unstable();
     rows.dedup();
     let &row = rows.choose(rng)?;
@@ -678,7 +683,10 @@ mod tests {
             let Some(s) = gold_verification(&table, &bank, &mut rng) else { continue };
             produced += 1;
             let ProgramKind::Logic(f) = &s.program else { panic!() };
-            let truth = logicforms::evaluate_truth(&logicforms::parse(f)?, &s.table)?;
+            let ctx = ExecContext::new(&s.table);
+            let mut kern = KernelScratch::default();
+            let truth =
+                logicforms::evaluate_truth(&logicforms::parse(f)?, &s.table, &ctx, &mut kern)?;
             let expect = if truth { Verdict::Supported } else { Verdict::Refuted };
             assert_eq!(s.label.as_verdict(), Some(expect));
         }

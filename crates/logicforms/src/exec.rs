@@ -89,22 +89,10 @@ pub struct LfOutcome {
     pub highlighted: Vec<(usize, usize)>,
 }
 
-/// Evaluates a fully instantiated logical form on a table.
-pub fn evaluate(expr: &LfExpr, table: &Table) -> Result<LfOutcome, LfError> {
-    evaluate_impl(expr, table, None, &mut KernelScratch::default())
-}
-
-/// [`evaluate`] using a prebuilt [`ExecContext`] so numeric aggregations
-/// read cached cell parses instead of re-running [`Value::as_number`] per
-/// cell. Result-identical to [`evaluate`].
-pub fn evaluate_in(expr: &LfExpr, table: &Table, ctx: &ExecContext) -> Result<LfOutcome, LfError> {
-    evaluate_impl(expr, table, Some(ctx), &mut KernelScratch::default())
-}
-
-/// [`evaluate_in`] reusing caller-owned kernel buffers (views, numeric
-/// gathers, highlight accumulation), so the hot generation loop evaluates
-/// without per-expression allocations. Result-identical to [`evaluate`].
-pub fn evaluate_with(
+/// Evaluates a fully instantiated logical form on a table. Numeric reads
+/// come from `ctx`'s parsed cell grid; views, gathers and highlights reuse
+/// `kern`'s buffers, so evaluation allocates nothing per expression.
+pub fn evaluate(
     expr: &LfExpr,
     table: &Table,
     ctx: &ExecContext,
@@ -113,6 +101,8 @@ pub fn evaluate_with(
     evaluate_impl(expr, table, Some(ctx), kern)
 }
 
+/// [`evaluate`] with an optional context; `None` is the oracle of
+/// [`crate::reference::evaluate`].
 pub(crate) fn evaluate_impl(
     expr: &LfExpr,
     table: &Table,
@@ -139,20 +129,9 @@ pub(crate) fn evaluate_impl(
     Ok(LfOutcome { value, highlighted })
 }
 
-/// Evaluates a boolean-rooted program to its truth value.
-pub fn evaluate_truth(expr: &LfExpr, table: &Table) -> Result<bool, LfError> {
-    evaluate_truth_impl(expr, table, None, &mut KernelScratch::default())
-}
-
-/// [`evaluate_truth`] over a prebuilt [`ExecContext`].
-pub fn evaluate_truth_in(expr: &LfExpr, table: &Table, ctx: &ExecContext) -> Result<bool, LfError> {
-    evaluate_truth_impl(expr, table, Some(ctx), &mut KernelScratch::default())
-}
-
-/// [`evaluate_truth_in`] reusing caller-owned kernel buffers. The truth
-/// path never materializes the highlight set, so the 16-retry
-/// truth-targeting loop of template instantiation runs allocation-free.
-pub fn evaluate_truth_with(
+/// Evaluates a boolean-rooted program to its truth value like [`evaluate`],
+/// without materializing the highlight set.
+pub fn evaluate_truth(
     expr: &LfExpr,
     table: &Table,
     ctx: &ExecContext,
@@ -161,6 +140,8 @@ pub fn evaluate_truth_with(
     evaluate_truth_impl(expr, table, Some(ctx), kern)
 }
 
+/// [`evaluate_truth`] with an optional context; `None` is the oracle of
+/// [`crate::reference::evaluate_truth`].
 pub(crate) fn evaluate_truth_impl(
     expr: &LfExpr,
     table: &Table,
@@ -291,33 +272,13 @@ fn eval(
                         return Err(LfError::Empty { op: *op });
                     }
                     let row = match op {
-                        Argmax => kernels::argmax_pairs(keys.iter().map(|&(n, ri)| (ri, n))),
-                        Argmin => kernels::argmin_pairs(keys.iter().map(|&(n, ri)| (ri, n))),
-                        _ => {
-                            let n = match eval_ordinal(&args[2], table, Some(ctx), kern, hl) {
-                                Ok(n) => n,
-                                Err(e) => {
-                                    kern.keys = keys;
-                                    return Err(e);
-                                }
-                            };
-                            let mut sorted = std::mem::take(&mut kern.nums);
-                            // Reuse the f64 buffer as sort input? No — keys
-                            // carry (value, row); sort keys directly.
-                            sorted.clear();
-                            kern.nums = sorted;
-                            kernels::nth_arg_pairs(
-                                keys.iter().map(|&(n, ri)| (ri, n)),
-                                n,
-                                descending,
-                                &mut kern.keys,
-                            )
-                        }
+                        Argmax => Ok(kernels::argmax_pairs(keys.iter().map(|&(n, ri)| (ri, n)))),
+                        Argmin => Ok(kernels::argmin_pairs(keys.iter().map(|&(n, ri)| (ri, n)))),
+                        _ => eval_ordinal(&args[2], table, Some(ctx), kern, hl)
+                            .map(|n| kernels::nth_arg_pairs(&mut keys, n, descending)),
                     };
-                    if matches!(op, Argmax | Argmin) {
-                        kern.keys = keys;
-                    }
-                    return row.map(LfValue::Row).ok_or(LfError::Empty { op: *op });
+                    kern.keys = keys;
+                    return row?.map(LfValue::Row).ok_or(LfError::Empty { op: *op });
                 }
                 // Per-cell fallback: mixed or non-numeric column. Sort keys
                 // borrow the cells instead of cloning them.
@@ -574,9 +535,21 @@ mod tests {
         .unwrap_or_else(|e| panic!("test table: {e}"))
     }
 
+    /// [`evaluate`] on the test table with a fresh context.
+    fn run(expr: &LfExpr) -> Result<LfOutcome, LfError> {
+        let t = table();
+        evaluate(expr, &t, &ExecContext::new(&t), &mut KernelScratch::default())
+    }
+
+    /// [`evaluate_truth`] on the test table with a fresh context.
+    fn run_truth(expr: &LfExpr) -> Result<bool, LfError> {
+        let t = table();
+        evaluate_truth(expr, &t, &ExecContext::new(&t), &mut KernelScratch::default())
+    }
+
     fn truth(form: &str) -> bool {
         let expr = parse(form).unwrap_or_else(|e| panic!("test form: {e}"));
-        evaluate_truth(&expr, &table()).unwrap_or_else(|e| panic!("test eval: {e}"))
+        run_truth(&expr).unwrap_or_else(|e| panic!("test eval: {e}"))
     }
 
     #[test]
@@ -657,28 +630,28 @@ mod tests {
     #[test]
     fn empty_superlative_is_error() -> Result<(), Box<dyn std::error::Error>> {
         let e = parse("eq { hop { argmax { filter_eq { all_rows ; material ; WOOD } ; price } ; model } ; P1 }")?;
-        assert!(matches!(evaluate_truth(&e, &table()), Err(LfError::Empty { .. })));
+        assert!(matches!(run_truth(&e), Err(LfError::Empty { .. })));
         Ok(())
     }
 
     #[test]
     fn unknown_column_is_error() -> Result<(), Box<dyn std::error::Error>> {
         let e = parse("eq { max { all_rows ; bogus } ; 1 }")?;
-        assert!(matches!(evaluate_truth(&e, &table()), Err(LfError::UnknownColumn(_))));
+        assert!(matches!(run_truth(&e), Err(LfError::UnknownColumn(_))));
         Ok(())
     }
 
     #[test]
     fn template_is_uninstantiated() -> Result<(), Box<dyn std::error::Error>> {
         let e = parse("eq { count { filter_eq { all_rows ; c1 ; val1 } } ; val2 }")?;
-        assert!(matches!(evaluate_truth(&e, &table()), Err(LfError::Uninstantiated)));
+        assert!(matches!(run_truth(&e), Err(LfError::Uninstantiated)));
         Ok(())
     }
 
     #[test]
     fn highlights_cover_reasoning_cells() -> Result<(), Box<dyn std::error::Error>> {
         let e = parse("eq { hop { argmax { all_rows ; speed } ; model } ; P300 }")?;
-        let out = evaluate(&e, &table())?;
+        let out = run(&e)?;
         // speed column scanned for all rows; model of the argmax row read.
         assert!(out.highlighted.contains(&(0, 2)));
         assert!(out.highlighted.contains(&(3, 2)));
@@ -689,9 +662,9 @@ mod tests {
     #[test]
     fn non_boolean_root_rejected_by_truth() -> Result<(), Box<dyn std::error::Error>> {
         let e = parse("count { all_rows }")?;
-        assert!(evaluate_truth(&e, &table()).is_err());
+        assert!(run_truth(&e).is_err());
         // but plain evaluate returns the scalar
-        let out = evaluate(&e, &table())?;
+        let out = run(&e)?;
         assert_eq!(out.value, LfValue::Scalar(Value::Number(4.0)));
         Ok(())
     }
@@ -699,7 +672,7 @@ mod tests {
     #[test]
     fn ordinal_out_of_range_is_error() -> Result<(), Box<dyn std::error::Error>> {
         let e = parse("eq { nth_max { all_rows ; price ; 9 } ; 1 }")?;
-        assert!(matches!(evaluate_truth(&e, &table()), Err(LfError::Empty { .. })));
+        assert!(matches!(run_truth(&e), Err(LfError::Empty { .. })));
         Ok(())
     }
 }

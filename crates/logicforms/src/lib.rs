@@ -7,8 +7,12 @@
 //! truth-targeted template instantiation so sampled claims come with gold
 //! Supported/Refuted labels.
 //!
+//! One entry point per step: [`LfTemplate::try_instantiate`] and
+//! [`evaluate`] / [`evaluate_truth`]. The context-free per-cell evaluator
+//! survives as the test oracle in [`reference`](mod@reference).
+//!
 //! ```
-//! use tabular::Table;
+//! use tabular::{ExecContext, KernelScratch, Table};
 //! use logicforms::{parse, evaluate_truth};
 //!
 //! let t = Table::from_strings("teams", &[
@@ -16,8 +20,9 @@
 //!     vec!["Reds", "77"],
 //!     vec!["Blues", "64"],
 //! ]).unwrap();
+//! let ctx = ExecContext::new(&t);
 //! let claim = parse("eq { hop { argmax { all_rows ; points } ; team } ; Reds }").unwrap();
-//! assert!(evaluate_truth(&claim, &t).unwrap());
+//! assert!(evaluate_truth(&claim, &t, &ctx, &mut KernelScratch::default()).unwrap());
 //! ```
 
 pub mod absint;
@@ -26,13 +31,11 @@ pub mod ast;
 pub mod canon;
 pub mod exec;
 pub mod parser;
+pub mod reference;
 pub mod template;
 
 pub use ast::{LfExpr, LfOp, LogicType};
 pub use canon::{canonical_expr, canonical_form};
-pub use exec::{
-    evaluate, evaluate_in, evaluate_truth, evaluate_truth_in, evaluate_truth_with, evaluate_with,
-    LfError, LfOutcome, LfValue,
-};
+pub use exec::{evaluate, evaluate_truth, LfError, LfOutcome, LfValue};
 pub use parser::{parse, LfParseError};
 pub use template::{abstract_form, InstantiatedClaim, LfInstantiateError, LfScratch, LfTemplate};

@@ -64,7 +64,7 @@ pub struct LfTemplate {
     expr: LfExpr,
 }
 
-/// Reusable sampling buffers for [`LfTemplate::try_instantiate_in_with`].
+/// Reusable sampling buffers for [`LfTemplate::try_instantiate`].
 ///
 /// Truth-targeted instantiation retries up to 16 times per call, and each
 /// attempt needs hole lists, a shuffled column pool, per-column "already
@@ -149,45 +149,10 @@ impl LfTemplate {
     }
 
     /// Instantiates the template on `table`, aiming for the given truth
-    /// value. Returns `None` when the table cannot support the template or
-    /// sampling produced a degenerate program (paper: discarded); use
-    /// [`LfTemplate::try_instantiate`] to learn why.
-    pub fn instantiate(
-        &self,
-        table: &Table,
-        rng: &mut impl Rng,
-        desired: bool,
-    ) -> Option<InstantiatedClaim> {
-        self.try_instantiate(table, rng, desired).ok()
-    }
-
-    /// Like [`LfTemplate::instantiate`], but reports the failure reason of
-    /// the last sampling attempt.
+    /// value. Value pools and truth-targeting execution read `ctx`; buffers
+    /// come from `scratch`. Fails with the last attempt's reason when the
+    /// table cannot support the template (paper: discarded).
     pub fn try_instantiate(
-        &self,
-        table: &Table,
-        rng: &mut impl Rng,
-        desired: bool,
-    ) -> Result<InstantiatedClaim, LfInstantiateError> {
-        self.try_instantiate_impl(table, None, rng, desired, &mut LfScratch::default())
-    }
-
-    /// [`LfTemplate::try_instantiate`] using a prebuilt [`ExecContext`] for
-    /// value-candidate sampling, perturbation pools and truth-targeting
-    /// execution. Draw-for-draw identical to the context-free path.
-    pub fn try_instantiate_in(
-        &self,
-        table: &Table,
-        ctx: &ExecContext,
-        rng: &mut impl Rng,
-        desired: bool,
-    ) -> Result<InstantiatedClaim, LfInstantiateError> {
-        self.try_instantiate_impl(table, Some(ctx), rng, desired, &mut LfScratch::default())
-    }
-
-    /// [`LfTemplate::try_instantiate_in`] reusing caller-owned sampling
-    /// buffers. Draw-for-draw identical to the other entry points.
-    pub fn try_instantiate_in_with(
         &self,
         table: &Table,
         ctx: &ExecContext,
@@ -195,10 +160,12 @@ impl LfTemplate {
         desired: bool,
         scratch: &mut LfScratch,
     ) -> Result<InstantiatedClaim, LfInstantiateError> {
-        self.try_instantiate_impl(table, Some(ctx), rng, desired, scratch)
+        self.sample(table, Some(ctx), rng, desired, scratch)
     }
 
-    fn try_instantiate_impl(
+    /// [`LfTemplate::try_instantiate`] with an optional context; `None` is
+    /// the oracle of [`crate::reference::try_instantiate`].
+    pub(crate) fn sample(
         &self,
         table: &Table,
         ctx: Option<&ExecContext>,
@@ -645,6 +612,7 @@ mod tests {
     use crate::exec::evaluate_truth;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tabular::KernelScratch;
 
     fn table() -> Table {
         Table::from_strings(
@@ -660,16 +628,30 @@ mod tests {
         .unwrap_or_else(|e| panic!("test table: {e}"))
     }
 
+    /// [`LfTemplate::try_instantiate`] on `t` with a fresh context.
+    fn instantiate(
+        tpl: &LfTemplate,
+        t: &Table,
+        rng: &mut StdRng,
+        desired: bool,
+    ) -> Result<InstantiatedClaim, LfInstantiateError> {
+        tpl.try_instantiate(t, &ExecContext::new(t), rng, desired, &mut LfScratch::default())
+    }
+
+    /// [`evaluate_truth`] on `t` with a fresh context.
+    fn truth(expr: &LfExpr, t: &Table) -> Result<bool, LfError> {
+        evaluate_truth(expr, t, &ExecContext::new(t), &mut KernelScratch::default())
+    }
+
     #[test]
     fn instantiate_supported_claim() -> Result<(), Box<dyn std::error::Error>> {
         let tpl =
             LfTemplate::parse("eq { hop { filter_eq { all_rows ; c1 ; val1 } ; c2 } ; val2 }")?;
         let mut rng = StdRng::seed_from_u64(42);
         for _ in 0..10 {
-            let claim =
-                tpl.instantiate(&table(), &mut rng, true).ok_or("instantiate returned None")?;
+            let claim = instantiate(&tpl, &table(), &mut rng, true)?;
             assert!(claim.truth);
-            assert!(evaluate_truth(&claim.expr, &table())?);
+            assert!(truth(&claim.expr, &table())?);
         }
         Ok(())
     }
@@ -680,10 +662,9 @@ mod tests {
             LfTemplate::parse("eq { hop { filter_eq { all_rows ; c1 ; val1 } ; c2 } ; val2 }")?;
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..10 {
-            let claim =
-                tpl.instantiate(&table(), &mut rng, false).ok_or("instantiate returned None")?;
+            let claim = instantiate(&tpl, &table(), &mut rng, false)?;
             assert!(!claim.truth);
-            assert!(!evaluate_truth(&claim.expr, &table())?);
+            assert!(!truth(&claim.expr, &table())?);
         }
         Ok(())
     }
@@ -692,7 +673,7 @@ mod tests {
     fn instantiate_superlative_template() -> Result<(), Box<dyn std::error::Error>> {
         let tpl = LfTemplate::parse("eq { hop { argmax { all_rows ; c1 } ; c2 } ; val1 }")?;
         let mut rng = StdRng::seed_from_u64(3);
-        let claim = tpl.instantiate(&table(), &mut rng, true).ok_or("instantiate returned None")?;
+        let claim = instantiate(&tpl, &table(), &mut rng, true)?;
         assert!(claim.truth);
         // c1 must have bound a numeric column.
         let rendered = claim.expr.to_string();
@@ -704,10 +685,9 @@ mod tests {
     fn instantiate_count_template_both_labels() -> Result<(), Box<dyn std::error::Error>> {
         let tpl = LfTemplate::parse("eq { count { filter_eq { all_rows ; c1 ; val1 } } ; val2 }")?;
         let mut rng = StdRng::seed_from_u64(11);
-        let sup = tpl.instantiate(&table(), &mut rng, true).ok_or("instantiate returned None")?;
+        let sup = instantiate(&tpl, &table(), &mut rng, true)?;
         assert!(sup.truth);
-        let refuted =
-            tpl.instantiate(&table(), &mut rng, false).ok_or("instantiate returned None")?;
+        let refuted = instantiate(&tpl, &table(), &mut rng, false)?;
         assert!(!refuted.truth);
         Ok(())
     }
@@ -717,8 +697,8 @@ mod tests {
         let tpl = LfTemplate::parse("most_greater { all_rows ; c1 ; val1 }")?;
         let mut rng = StdRng::seed_from_u64(5);
         // Either label should be reachable within retries on this table.
-        let sup = tpl.instantiate(&table(), &mut rng, true);
-        assert!(sup.ok_or("instantiate returned None")?.truth);
+        let sup = instantiate(&tpl, &table(), &mut rng, true);
+        assert!(sup?.truth);
         Ok(())
     }
 
@@ -726,10 +706,9 @@ mod tests {
     fn instantiate_greater_root() -> Result<(), Box<dyn std::error::Error>> {
         let tpl = LfTemplate::parse("greater { max { all_rows ; c1 } ; val1 }")?;
         let mut rng = StdRng::seed_from_u64(13);
-        let sup = tpl.instantiate(&table(), &mut rng, true).ok_or("instantiate returned None")?;
+        let sup = instantiate(&tpl, &table(), &mut rng, true)?;
         assert!(sup.truth);
-        let refuted =
-            tpl.instantiate(&table(), &mut rng, false).ok_or("instantiate returned None")?;
+        let refuted = instantiate(&tpl, &table(), &mut rng, false)?;
         assert!(!refuted.truth);
         Ok(())
     }
@@ -739,7 +718,7 @@ mod tests {
         let tpl =
             LfTemplate::parse("eq { hop { nth_argmax { all_rows ; c1 ; val1 } ; c2 } ; val2 }")?;
         let mut rng = StdRng::seed_from_u64(17);
-        let claim = tpl.instantiate(&table(), &mut rng, true).ok_or("instantiate returned None")?;
+        let claim = instantiate(&tpl, &table(), &mut rng, true)?;
         assert!(claim.truth);
         assert_eq!(claim.expr.logic_type(), LogicType::Ordinal);
         Ok(())
@@ -750,9 +729,9 @@ mod tests {
         let t = Table::from_strings("t", &[vec!["a", "b"], vec!["x", "y"], vec!["z", "w"]])?;
         let tpl = LfTemplate::parse("eq { max { all_rows ; c1 } ; val1 }")?;
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(tpl.instantiate(&t, &mut rng, true).is_none());
+        assert!(instantiate(&tpl, &t, &mut rng, true).is_err());
         assert_eq!(
-            tpl.try_instantiate(&t, &mut rng, true),
+            instantiate(&tpl, &t, &mut rng, true),
             Err(LfInstantiateError::NoCompatibleColumn)
         );
         Ok(())
@@ -763,7 +742,7 @@ mod tests {
         let t = Table::from_strings("t", &[vec!["a", "b"]])?;
         let tpl = LfTemplate::parse("eq { count { all_rows } ; val1 }")?;
         let mut rng = StdRng::seed_from_u64(2);
-        assert_eq!(tpl.try_instantiate(&t, &mut rng, true), Err(LfInstantiateError::EmptyTable));
+        assert_eq!(instantiate(&tpl, &t, &mut rng, true), Err(LfInstantiateError::EmptyTable));
         Ok(())
     }
 
@@ -818,7 +797,7 @@ mod tests {
         let e = parse("eq { hop { argmin { all_rows ; wins } ; team } ; Golds }")?;
         let tpl = abstract_form(&e);
         let mut rng = StdRng::seed_from_u64(23);
-        let claim = tpl.instantiate(&table(), &mut rng, true).ok_or("instantiate returned None")?;
+        let claim = instantiate(&tpl, &table(), &mut rng, true)?;
         assert!(claim.truth);
         Ok(())
     }

@@ -13,6 +13,7 @@
 //! back to anchor cells (cells whose value the claim mentions).
 
 use tabular::text::tokenize;
+use tabular::{ExecContext, KernelScratch};
 use uctr::Sample;
 
 /// Default retrieval budget (cells per claim).
@@ -112,20 +113,24 @@ impl Retriever {
 /// highlighted (recomputed by re-executing the program), or — for samples
 /// without a program — the cells whose value the claim mentions.
 pub fn gold_evidence_cells(sample: &Sample) -> Vec<(usize, usize)> {
+    let table = &sample.table;
+    let mut kern = KernelScratch::default();
     match &sample.program {
         uctr::ProgramKind::Sql(q) => sqlexec::parse(q)
             .ok()
-            .and_then(|stmt| sqlexec::execute(&stmt, &sample.table).ok())
+            .and_then(|stmt| sqlexec::execute(&stmt, table, &mut kern).ok())
             .map(|r| r.highlighted)
             .unwrap_or_default(),
         uctr::ProgramKind::Logic(f) => logicforms::parse(f)
             .ok()
-            .and_then(|e| logicforms::evaluate(&e, &sample.table).ok())
+            .and_then(|e| logicforms::evaluate(&e, table, &ExecContext::new(table), &mut kern).ok())
             .map(|o| o.highlighted)
             .unwrap_or_default(),
         uctr::ProgramKind::Arith(p) => arithexpr::parse(p)
             .ok()
-            .and_then(|prog| arithexpr::execute(&prog, &sample.table).ok())
+            .and_then(|prog| {
+                arithexpr::execute(&prog, table, &ExecContext::new(table), &mut kern).ok()
+            })
             .map(|o| o.highlighted)
             .unwrap_or_default(),
         uctr::ProgramKind::None => {

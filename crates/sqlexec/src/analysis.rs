@@ -3,7 +3,7 @@
 //! [`analyze`] inspects a parsed [`SqlTemplate`] and reports defects that
 //! would otherwise surface one failed instantiation at a time at runtime,
 //! plus the [`SchemaRequirement`] a table must satisfy for
-//! `try_instantiate_in` to have any chance of succeeding.
+//! [`SqlTemplate::try_instantiate`] to have any chance of succeeding.
 //!
 //! Type rules:
 //!

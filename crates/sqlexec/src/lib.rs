@@ -6,6 +6,10 @@
 //! abstraction/instantiation machinery for UCTR's random sampling strategy
 //! (paper §IV-B, §IV-C).
 //!
+//! One entry point per step: [`SqlTemplate::try_instantiate`] and
+//! [`execute`], which [`run_sql`] also runs. The context-free per-cell
+//! interpreter survives as the test oracle in [`reference`](mod@reference).
+//!
 //! ```
 //! use tabular::Table;
 //! use sqlexec::run_sql;
@@ -25,6 +29,7 @@ pub mod ast;
 pub mod canon;
 pub mod exec;
 pub mod parser;
+pub mod reference;
 pub mod template;
 pub mod token;
 
@@ -33,8 +38,6 @@ pub use ast::{
     SelectStmt,
 };
 pub use canon::{canonical_form, canonical_stmt};
-pub use exec::{
-    denotation_string, execute, execute_in, execute_in_with, run_sql, ExecError, QueryResult,
-};
+pub use exec::{denotation_string, execute, run_sql, ExecError, QueryResult};
 pub use parser::{parse, ParseError};
 pub use template::{abstract_query, SqlInstantiateError, SqlScratch, SqlTemplate};

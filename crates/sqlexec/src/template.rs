@@ -3,7 +3,7 @@
 //! Implements the paper's program-template machinery for SQL queries
 //! (§IV-B/§IV-C): a template is a `SelectStmt` whose column references are
 //! placeholders (`c1`, `c2_number`) and whose compared constants are value
-//! placeholders (`val1`). [`SqlTemplate::instantiate`] performs the random
+//! placeholders (`val1`). [`SqlTemplate::try_instantiate`] performs the random
 //! sampling strategy — column placeholders are filled with randomly chosen
 //! columns of a matching type, then each value placeholder is filled with a
 //! random cell value *from the column it is compared against*, which keeps
@@ -53,7 +53,7 @@ pub struct SqlTemplate {
     stmt: SelectStmt,
 }
 
-/// Reusable buffers for [`SqlTemplate::try_instantiate_in_with`]: the hole
+/// Reusable buffers for [`SqlTemplate::try_instantiate`]: the hole
 /// list, the shuffled column pool, and the hole→column / hole→value
 /// assignments. One per worker; reused across every instantiation attempt
 /// so the per-attempt path allocates nothing but the instantiated
@@ -115,50 +115,22 @@ impl SqlTemplate {
     }
 
     /// Instantiates the template on `table` using the random sampling
-    /// strategy. Returns `None` when the table cannot satisfy the template
-    /// (e.g. it needs two numeric columns but the table has one); use
-    /// [`SqlTemplate::try_instantiate`] to learn why.
-    pub fn instantiate(&self, table: &Table, rng: &mut impl Rng) -> Option<SelectStmt> {
-        self.try_instantiate(table, rng).ok()
-    }
-
-    /// Like [`SqlTemplate::instantiate`], but reports the reason the table
-    /// could not satisfy the template.
+    /// strategy, reading value candidates from `ctx` and reusing `scratch`.
+    /// Fails with the reason the table cannot satisfy the template (e.g. it
+    /// needs two numeric columns but the table has one).
     pub fn try_instantiate(
-        &self,
-        table: &Table,
-        rng: &mut impl Rng,
-    ) -> Result<SelectStmt, SqlInstantiateError> {
-        self.try_instantiate_impl(table, None, rng, &mut SqlScratch::default())
-    }
-
-    /// [`SqlTemplate::try_instantiate`] using a prebuilt [`ExecContext`] for
-    /// the value-candidate lookups, so repeated instantiation on the same
-    /// table stops rescanning its columns. Draw-for-draw identical to the
-    /// context-free path.
-    pub fn try_instantiate_in(
-        &self,
-        table: &Table,
-        ctx: &ExecContext,
-        rng: &mut impl Rng,
-    ) -> Result<SelectStmt, SqlInstantiateError> {
-        self.try_instantiate_impl(table, Some(ctx), rng, &mut SqlScratch::default())
-    }
-
-    /// [`SqlTemplate::try_instantiate_in`] with caller-owned sampling
-    /// buffers — the zero-transient-allocation form the generation hot path
-    /// uses. Draw-for-draw identical to the other entry points.
-    pub fn try_instantiate_in_with(
         &self,
         table: &Table,
         ctx: &ExecContext,
         rng: &mut impl Rng,
         scratch: &mut SqlScratch,
     ) -> Result<SelectStmt, SqlInstantiateError> {
-        self.try_instantiate_impl(table, Some(ctx), rng, scratch)
+        self.sample(table, Some(ctx), rng, scratch)
     }
 
-    fn try_instantiate_impl(
+    /// [`SqlTemplate::try_instantiate`] with an optional context; `None` is
+    /// the oracle of [`crate::reference::try_instantiate`].
+    pub(crate) fn sample(
         &self,
         table: &Table,
         ctx: Option<&ExecContext>,
@@ -449,9 +421,10 @@ pub fn abstract_query(stmt: &SelectStmt, table: &Table) -> SqlTemplate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute;
+    use crate::exec::{execute, ExecError, QueryResult};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tabular::KernelScratch;
 
     fn table() -> Table {
         Table::from_strings(
@@ -466,13 +439,26 @@ mod tests {
         .unwrap_or_else(|e| panic!("test table: {e}"))
     }
 
+    /// [`SqlTemplate::try_instantiate`] on `t` with a fresh context.
+    fn instantiate(
+        tpl: &SqlTemplate,
+        t: &Table,
+        rng: &mut StdRng,
+    ) -> Result<SelectStmt, SqlInstantiateError> {
+        tpl.try_instantiate(t, &ExecContext::new(t), rng, &mut SqlScratch::default())
+    }
+
+    fn run(stmt: &SelectStmt, t: &Table) -> Result<QueryResult, ExecError> {
+        execute(stmt, t, &mut KernelScratch::default())
+    }
+
     #[test]
     fn instantiate_superlative_template() -> Result<(), Box<dyn std::error::Error>> {
         let tpl = SqlTemplate::parse("select c1 from w order by c2_number desc limit 1")?;
         let mut rng = StdRng::seed_from_u64(7);
-        let stmt = tpl.instantiate(&table(), &mut rng).ok_or("instantiate returned None")?;
+        let stmt = instantiate(&tpl, &table(), &mut rng)?;
         assert!(!stmt.has_placeholders());
-        let r = execute(&stmt, &table())?;
+        let r = run(&stmt, &table())?;
         assert!(!r.is_empty());
         Ok(())
     }
@@ -482,7 +468,7 @@ mod tests {
         let tpl = SqlTemplate::parse("select c1 from w where c2_number > val1")?;
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..20 {
-            let stmt = tpl.instantiate(&table(), &mut rng).ok_or("instantiate returned None")?;
+            let stmt = instantiate(&tpl, &table(), &mut rng)?;
             let rendered = stmt.to_string();
             // The compared column must be the (only) numeric column `score`.
             assert!(rendered.contains("score >"), "got {rendered}");
@@ -495,8 +481,8 @@ mod tests {
         let tpl = SqlTemplate::parse("select c1 from w where c2_number = val1")?;
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..20 {
-            let stmt = tpl.instantiate(&table(), &mut rng).ok_or("instantiate returned None")?;
-            let r = execute(&stmt, &table())?;
+            let stmt = instantiate(&tpl, &table(), &mut rng)?;
+            let r = run(&stmt, &table())?;
             // Sampling from the real column means equality always matches.
             assert!(!r.is_empty(), "instantiated query found nothing: {stmt}");
         }
@@ -508,8 +494,8 @@ mod tests {
         let t = Table::from_strings("t", &[vec!["a", "b"], vec!["x", "y"]])?;
         let tpl = SqlTemplate::parse("select c1 from w where c2_number > val1")?;
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(tpl.instantiate(&t, &mut rng).is_none());
-        assert_eq!(tpl.try_instantiate(&t, &mut rng), Err(SqlInstantiateError::NoCompatibleColumn));
+        assert!(instantiate(&tpl, &t, &mut rng).is_err());
+        assert_eq!(instantiate(&tpl, &t, &mut rng), Err(SqlInstantiateError::NoCompatibleColumn));
         Ok(())
     }
 
@@ -522,7 +508,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut saw_no_values = false;
         for _ in 0..20 {
-            if let Err(SqlInstantiateError::NoValueCandidates) = tpl.try_instantiate(&t, &mut rng) {
+            if let Err(SqlInstantiateError::NoValueCandidates) = instantiate(&tpl, &t, &mut rng) {
                 saw_no_values = true;
             }
         }
@@ -535,7 +521,7 @@ mod tests {
         let tpl = SqlTemplate::parse("select c1 from w where c2 = val1")?;
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..30 {
-            let stmt = tpl.instantiate(&table(), &mut rng).ok_or("instantiate returned None")?;
+            let stmt = instantiate(&tpl, &table(), &mut rng)?;
             // c1 and c2 must not both map to the same column.
             let rendered = stmt.to_string();
             let sel_col = rendered.split_whitespace().nth(1).ok_or("unexpected None")?.to_string();
@@ -572,8 +558,8 @@ mod tests {
         let q = parse("select count(*) from w where [score] > 12")?;
         let tpl = abstract_query(&q, &t);
         let mut rng = StdRng::seed_from_u64(21);
-        let stmt = tpl.instantiate(&t, &mut rng).ok_or("instantiate returned None")?;
-        let r = execute(&stmt, &t)?;
+        let stmt = instantiate(&tpl, &t, &mut rng)?;
+        let r = run(&stmt, &t)?;
         assert_eq!(r.rows.len(), 1);
         Ok(())
     }

@@ -137,19 +137,9 @@ pub fn argmin_pairs(pairs: impl Iterator<Item = (usize, f64)>) -> Option<usize> 
 }
 
 /// Row index holding the `n`-th largest (`descending`) or smallest value
-/// (1-based), with ties broken by input order — the `n-1` element of a
-/// stable keyed sort, without allocating the key vector (it lives in
-/// `keys`).
-pub fn nth_arg_pairs(
-    pairs: impl Iterator<Item = (usize, f64)>,
-    n: usize,
-    descending: bool,
-    keys: &mut Vec<(f64, usize)>,
-) -> Option<usize> {
-    keys.clear();
-    for (ri, v) in pairs {
-        keys.push((v, ri));
-    }
+/// (1-based), with ties broken by input order: stable-sorts the
+/// caller-filled `(value, row)` buffer in place and reads element `n-1`.
+pub fn nth_arg_pairs(keys: &mut [(f64, usize)], n: usize, descending: bool) -> Option<usize> {
     if descending {
         keys.sort_by(|a, b| number_cmp(b.0, a.0));
     } else {
@@ -214,16 +204,18 @@ mod tests {
 
     #[test]
     fn nth_arg_matches_stable_sort() {
-        let pairs = [(0usize, 2.0), (1, 9.0), (2, 9.0), (3, -1.0)];
-        let mut keys = Vec::new();
+        let nth = |n, descending| {
+            let mut keys = [(2.0, 0usize), (9.0, 1), (9.0, 2), (-1.0, 3)];
+            nth_arg_pairs(&mut keys, n, descending)
+        };
         // Descending: 9(row1), 9(row2), 2(row0), -1(row3).
-        assert_eq!(nth_arg_pairs(pairs.iter().copied(), 1, true, &mut keys), Some(1));
-        assert_eq!(nth_arg_pairs(pairs.iter().copied(), 2, true, &mut keys), Some(2));
-        assert_eq!(nth_arg_pairs(pairs.iter().copied(), 3, true, &mut keys), Some(0));
+        assert_eq!(nth(1, true), Some(1));
+        assert_eq!(nth(2, true), Some(2));
+        assert_eq!(nth(3, true), Some(0));
         // Ascending: -1(row3), 2(row0), 9(row1), 9(row2).
-        assert_eq!(nth_arg_pairs(pairs.iter().copied(), 2, false, &mut keys), Some(0));
-        assert_eq!(nth_arg_pairs(pairs.iter().copied(), 0, false, &mut keys), None);
-        assert_eq!(nth_arg_pairs(pairs.iter().copied(), 5, false, &mut keys), None);
+        assert_eq!(nth(2, false), Some(0));
+        assert_eq!(nth(0, false), None);
+        assert_eq!(nth(5, false), None);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! instantiating the template on the table behind `ctx` fails for *every*
 //! RNG stream — the analyzers must under-approximate, never guess. The
 //! workspace property tests (`tests/property_tests.rs`) pin this against
-//! the real `try_instantiate_in` paths under many seeds.
+//! the production `try_instantiate` entry points under many seeds.
 
 use crate::context::ExecContext;
 use crate::schema::ColumnType;

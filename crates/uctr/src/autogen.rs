@@ -21,11 +21,11 @@
 //! View  := all_rows | filter_*(View, col, val)
 //! ```
 
-use logicforms::{LfExpr, LfOp, LfTemplate};
+use logicforms::{LfExpr, LfOp, LfScratch, LfTemplate};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rustc_hash::FxHashMap;
-use tabular::Table;
+use tabular::{ExecContext, Table};
 
 /// Learned operator statistics from a seed template corpus.
 #[derive(Debug, Clone, Default)]
@@ -140,6 +140,8 @@ impl AutoGenerator {
         rng: &mut impl Rng,
     ) -> Vec<LfTemplate> {
         let mut out = Vec::with_capacity(n);
+        let ctx = ExecContext::new(probe);
+        let mut scratch = LfScratch::default();
         let mut attempts = 0;
         while out.len() < n && attempts < n * 40 {
             attempts += 1;
@@ -149,8 +151,8 @@ impl AutoGenerator {
                 continue;
             }
             // Validation: instantiable to a Supported AND a Refuted claim.
-            let ok_true = tpl.instantiate(probe, rng, true).is_some();
-            let ok_false = tpl.instantiate(probe, rng, false).is_some();
+            let ok_true = tpl.try_instantiate(probe, &ctx, rng, true, &mut scratch).is_ok();
+            let ok_false = tpl.try_instantiate(probe, &ctx, rng, false, &mut scratch).is_ok();
             if ok_true && ok_false {
                 existing.insert(sig);
                 out.push(tpl);
@@ -356,10 +358,13 @@ mod tests {
         assert!(new_templates.len() >= 5, "only {} generated", new_templates.len());
         assert_eq!(existing.len(), before + new_templates.len());
         // Each validated template instantiates with correct labels.
+        let table = probe();
+        let ctx = ExecContext::new(&table);
+        let mut scratch = LfScratch::default();
         for t in &new_templates {
-            let claim = t.instantiate(&probe(), &mut rng, true);
-            if let Some(c) = claim {
-                let truth = logicforms::evaluate_truth(&c.expr, &probe())
+            let claim = t.try_instantiate(&table, &ctx, &mut rng, true, &mut scratch);
+            if let Ok(c) = claim {
+                let truth = logicforms::evaluate_truth(&c.expr, &table, &ctx, &mut scratch.kern)
                     .unwrap_or_else(|e| panic!("evaluate: {e:?}"));
                 assert!(truth);
             }

@@ -36,10 +36,11 @@ use crate::program::AnyTemplate;
 use crate::sample::{ProgramKind, Sample};
 use crate::telemetry::KindSlot;
 use crate::templates::TemplateBank;
+use logicforms::LfScratch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rustc_hash::FxHashSet;
-use tabular::Table;
+use tabular::{ExecContext, Table};
 
 /// How one concrete program fared in the mining flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -352,9 +353,12 @@ impl Miner {
         let mut gen = AutoGenerator::fit(seed_bank.logic());
         let mut rng = StdRng::seed_from_u64(seed);
         let mut existing = FxHashSet::default();
+        let ctx = ExecContext::new(probe);
+        let mut scratch = LfScratch::default();
         for tpl in gen.generate(target, probe, &mut existing, &mut rng) {
             for desired in [true, false] {
-                if let Some(claim) = tpl.instantiate(probe, &mut rng, desired) {
+                if let Ok(claim) = tpl.try_instantiate(probe, &ctx, &mut rng, desired, &mut scratch)
+                {
                     self.mine_program(KindSlot::Logic, &claim.expr.to_string(), probe);
                 }
             }

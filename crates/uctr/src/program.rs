@@ -2,9 +2,8 @@
 //! executor crates (paper §II-C's reasoning-program types).
 //!
 //! Before this layer existed the pipeline had one hand-written driver per
-//! program kind (`run_sql` / `run_arith` / `run_logic`), each repeating the
-//! same telemetry funnel. [`ProgramTemplate`] and [`InstantiatedProgram`]
-//! factor that shape out:
+//! program kind, each repeating the same telemetry funnel.
+//! [`ProgramTemplate`] and [`InstantiatedProgram`] factor that shape out:
 //!
 //! * a [`ProgramTemplate`] can **instantiate** itself against a table
 //!   (sampling holes from the table via a shared [`ExecContext`]),
@@ -194,8 +193,7 @@ impl ProgramTemplate for SqlTemplate {
         rng: &mut StdRng,
         scratch: &mut GenScratch,
     ) -> Result<Box<dyn InstantiatedProgram>, Discard> {
-        let stmt = self
-            .try_instantiate_in_with(table, ctx, rng, &mut scratch.sql)
+        let stmt = SqlTemplate::try_instantiate(self, table, ctx, rng, &mut scratch.sql)
             .map_err(Discard::from)?;
         Ok(Box::new(SqlProgram { stmt, answer: String::new(), highlighted: Vec::new() }))
     }
@@ -205,11 +203,11 @@ impl InstantiatedProgram for SqlProgram {
     fn execute(
         &mut self,
         table: &Table,
-        ctx: &ExecContext,
+        _ctx: &ExecContext,
         scratch: &mut GenScratch,
     ) -> Result<(), Discard> {
-        let result = sqlexec::execute_in_with(&self.stmt, table, ctx, &mut scratch.sql.kern)
-            .map_err(Discard::from)?;
+        let result =
+            sqlexec::execute(&self.stmt, table, &mut scratch.sql.kern).map_err(Discard::from)?;
         if result.is_empty() {
             // paper §IV-C: discard empty-result programs
             return Err(Discard::EmptyResult);
@@ -293,8 +291,7 @@ impl ProgramTemplate for LfTemplate {
         // draw order (gen_bool before the template's own draws) is part of
         // the determinism contract.
         let desired = rng.gen_bool(0.5);
-        let claim = self
-            .try_instantiate_in_with(table, ctx, rng, desired, &mut scratch.lf)
+        let claim = LfTemplate::try_instantiate(self, table, ctx, rng, desired, &mut scratch.lf)
             .map_err(Discard::from)?;
         Ok(Box::new(LogicProgram { expr: claim.expr, truth: claim.truth, highlighted: Vec::new() }))
     }
@@ -307,7 +304,7 @@ impl InstantiatedProgram for LogicProgram {
         ctx: &ExecContext,
         scratch: &mut GenScratch,
     ) -> Result<(), Discard> {
-        let outcome = logicforms::evaluate_with(&self.expr, table, ctx, &mut scratch.lf.kern)
+        let outcome = logicforms::evaluate(&self.expr, table, ctx, &mut scratch.lf.kern)
             .map_err(Discard::from)?;
         self.highlighted = outcome.highlighted;
         Ok(())
@@ -364,8 +361,7 @@ impl ProgramTemplate for AeTemplate {
         rng: &mut StdRng,
         scratch: &mut GenScratch,
     ) -> Result<Box<dyn InstantiatedProgram>, Discard> {
-        let inst = self
-            .try_instantiate_in_with(table, ctx, rng, &mut scratch.ae)
+        let inst = AeTemplate::try_instantiate(self, table, ctx, rng, &mut scratch.ae)
             .map_err(Discard::from)?;
         Ok(Box::new(ArithProgram { program: inst.program, outcome: inst.outcome }))
     }

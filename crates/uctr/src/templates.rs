@@ -918,11 +918,13 @@ mod tests {
         )
         .unwrap_or_else(|e| panic!("test table: {e:?}"));
         let bank = TemplateBank::builtin();
+        let ctx = ExecContext::new(&table);
+        let mut scratch = sqlexec::SqlScratch::default();
         let mut rng = StdRng::seed_from_u64(1);
         let mut ok = 0;
         for t in bank.sql() {
-            if let Some(stmt) = t.instantiate(&table, &mut rng) {
-                if sqlexec::execute(&stmt, &table).is_ok() {
+            if let Ok(stmt) = t.try_instantiate(&table, &ctx, &mut rng, &mut scratch) {
+                if sqlexec::execute(&stmt, &table, &mut scratch.kern).is_ok() {
                     ok += 1;
                 }
             }
@@ -946,12 +948,14 @@ mod tests {
         )
         .unwrap_or_else(|e| panic!("test table: {e:?}"));
         let bank = TemplateBank::builtin();
+        let ctx = ExecContext::new(&table);
+        let mut scratch = logicforms::LfScratch::default();
         let mut rng = StdRng::seed_from_u64(2);
         let mut ok = 0;
         for t in bank.logic() {
             // Supported claims at minimum; some templates may fail for a
             // given truth target on a given table, but most should land.
-            if t.instantiate(&table, &mut rng, true).is_some() {
+            if t.try_instantiate(&table, &ctx, &mut rng, true, &mut scratch).is_ok() {
                 ok += 1;
             }
         }
@@ -975,10 +979,12 @@ mod tests {
         )
         .unwrap_or_else(|e| panic!("test table: {e:?}"));
         let bank = TemplateBank::builtin();
+        let ctx = ExecContext::new(&table);
+        let mut scratch = arithexpr::AeScratch::default();
         let mut rng = StdRng::seed_from_u64(3);
         let mut ok = 0;
         for t in bank.arith() {
-            if t.instantiate(&table, &mut rng).is_some() {
+            if t.try_instantiate(&table, &ctx, &mut rng, &mut scratch).is_ok() {
                 ok += 1;
             }
         }

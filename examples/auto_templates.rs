@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tabular::Table;
+use tabular::{ExecContext, Table};
 use uctr::{AutoGenerator, TableWithContext, TemplateBank, UctrConfig, UctrPipeline};
 
 fn main() {
@@ -46,8 +46,10 @@ fn main() {
     // 3. Show a claim each template generates.
     println!("\nClaims instantiated from the novel templates:");
     let nl = nlgen::NlGenerator::new().with_noise(nlgen::NoiseConfig::off());
+    let ctx = ExecContext::new(&probe);
+    let mut scratch = logicforms::LfScratch::default();
     for t in novel.iter().take(4) {
-        if let Some(claim) = t.instantiate(&probe, &mut rng, true) {
+        if let Ok(claim) = t.try_instantiate(&probe, &ctx, &mut rng, true, &mut scratch) {
             let text = nl.logic_claim(&claim.expr, &mut rng).text;
             println!("  [Supported] {text}");
         }

@@ -122,11 +122,18 @@ fn eq_pins(stmt: &sqlexec::SelectStmt) -> Vec<(sqlexec::ColumnRef, Value)> {
     out
 }
 
-fn check_sql(t: &sqlexec::SqlTemplate, a: &tabular::TemplateAnalysis, table: &Table, seed: u64) {
+fn check_sql(
+    t: &sqlexec::SqlTemplate,
+    a: &tabular::TemplateAnalysis,
+    table: &Table,
+    ctx: &ExecContext,
+    seed: u64,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     let sig = t.signature();
-    let Ok(stmt) = t.try_instantiate(table, &mut rng) else { return };
-    let Ok(result) = sqlexec::execute(&stmt, table) else { return };
+    let mut scratch = sqlexec::SqlScratch::default();
+    let Ok(stmt) = t.try_instantiate(table, ctx, &mut rng, &mut scratch) else { return };
+    let Ok(result) = sqlexec::execute(&stmt, table, &mut scratch.kern) else { return };
 
     let plain_select = stmt.group_by.is_none()
         && stmt
@@ -187,12 +194,16 @@ fn check_logic(
     t: &logicforms::LfTemplate,
     a: &tabular::TemplateAnalysis,
     table: &Table,
+    ctx: &ExecContext,
     seed: u64,
 ) {
     let sig = t.signature();
+    let mut scratch = logicforms::LfScratch::default();
     for desired in [false, true] {
         let mut rng = StdRng::seed_from_u64(seed);
-        let Ok(claim) = t.try_instantiate(table, &mut rng, desired) else { continue };
+        let Ok(claim) = t.try_instantiate(table, ctx, &mut rng, desired, &mut scratch) else {
+            continue;
+        };
         assert!(
             a.summary.truth.admits(claim.truth),
             "logic `{sig}` on `{}` seed {seed}: concrete truth {} not admitted by {} for `{}`",
@@ -212,10 +223,17 @@ fn check_logic(
     }
 }
 
-fn check_arith(t: &arithexpr::AeTemplate, a: &tabular::TemplateAnalysis, table: &Table, seed: u64) {
+fn check_arith(
+    t: &arithexpr::AeTemplate,
+    a: &tabular::TemplateAnalysis,
+    table: &Table,
+    ctx: &ExecContext,
+    seed: u64,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     let sig = t.signature();
-    let Ok(inst) = t.try_instantiate(table, &mut rng) else { return };
+    let mut scratch = arithexpr::AeScratch::default();
+    let Ok(inst) = t.try_instantiate(table, ctx, &mut rng, &mut scratch) else { return };
     match inst.outcome.answer {
         arithexpr::AeAnswer::Number(x) => assert!(
             a.summary.value.contains(x),
@@ -237,20 +255,30 @@ fn check_arith(t: &arithexpr::AeTemplate, a: &tabular::TemplateAnalysis, table: 
 /// Requirement soundness: an unsatisfied (tightened) requirement means
 /// instantiation fails on this table under every stream. This is the
 /// contract that lets `TemplateBank::feasible_set` prune attempts.
-fn check_requirement(any: &AnyTemplate, a: &tabular::TemplateAnalysis, table: &Table, seed: u64) {
-    let ctx = ExecContext::new(table);
-    if a.requirement.satisfied_by(&ctx) {
+fn check_requirement(
+    any: &AnyTemplate,
+    a: &tabular::TemplateAnalysis,
+    table: &Table,
+    ctx: &ExecContext,
+    seed: u64,
+) {
+    if a.requirement.satisfied_by(ctx) {
         return;
     }
     let sig = any.as_program().signature();
     let mut rng = StdRng::seed_from_u64(seed);
     let failed = match any {
-        AnyTemplate::Sql(t) => t.try_instantiate(table, &mut rng).is_err(),
-        AnyTemplate::Logic(t) => {
-            t.try_instantiate(table, &mut rng, false).is_err()
-                && t.try_instantiate(table, &mut rng, true).is_err()
+        AnyTemplate::Sql(t) => {
+            t.try_instantiate(table, ctx, &mut rng, &mut sqlexec::SqlScratch::default()).is_err()
         }
-        AnyTemplate::Arith(t) => t.try_instantiate(table, &mut rng).is_err(),
+        AnyTemplate::Logic(t) => {
+            let mut scratch = logicforms::LfScratch::default();
+            t.try_instantiate(table, ctx, &mut rng, false, &mut scratch).is_err()
+                && t.try_instantiate(table, ctx, &mut rng, true, &mut scratch).is_err()
+        }
+        AnyTemplate::Arith(t) => {
+            t.try_instantiate(table, ctx, &mut rng, &mut arithexpr::AeScratch::default()).is_err()
+        }
     };
     assert!(
         failed,
@@ -261,6 +289,7 @@ fn check_requirement(any: &AnyTemplate, a: &tabular::TemplateAnalysis, table: &T
 }
 
 fn sweep(bank: &TemplateBank, tables: &[Table], seeds: u64) {
+    let ctxs: Vec<ExecContext> = tables.iter().map(ExecContext::new).collect();
     for any in bank.templates() {
         let a = any.as_program().analyze();
         assert!(a.issues.is_empty(), "bank template with issues: {:?}", a.issues);
@@ -270,14 +299,14 @@ fn sweep(bank: &TemplateBank, tables: &[Table], seeds: u64) {
             a.survival,
             any.as_program().signature()
         );
-        for table in tables {
+        for (table, ctx) in tables.iter().zip(&ctxs) {
             for seed in 0..seeds {
                 let seed = seed * 6151 + 29;
-                check_requirement(any, &a, table, seed);
+                check_requirement(any, &a, table, ctx, seed);
                 match any {
-                    AnyTemplate::Sql(t) => check_sql(t, &a, table, seed),
-                    AnyTemplate::Logic(t) => check_logic(t, &a, table, seed),
-                    AnyTemplate::Arith(t) => check_arith(t, &a, table, seed),
+                    AnyTemplate::Sql(t) => check_sql(t, &a, table, ctx, seed),
+                    AnyTemplate::Logic(t) => check_logic(t, &a, table, ctx, seed),
+                    AnyTemplate::Arith(t) => check_arith(t, &a, table, ctx, seed),
                 }
             }
         }

@@ -3,18 +3,23 @@
 //! The per-table [`ExecContext`] caches (column value pools, numeric cell
 //! grids, addressable cells, lowercase row names) replace naive table
 //! scans inside the three executors. These tests pin the contract: for any
-//! table and any RNG seed, the `*_in` context paths must return the exact
-//! result of the naive paths AND consume the exact same RNG draws — the
-//! pipeline's fixed-seed byte-identity depends on both.
+//! table and any RNG seed, the production context paths must return the
+//! exact result of the naive paths in each executor crate's `reference`
+//! module AND consume the exact same RNG draws — the pipeline's fixed-seed
+//! byte-identity depends on both.
 
 // Integration-test helpers run outside #[cfg(test)], so the clippy.toml test exemption does not reach them.
 #![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "this suite is the parity check of the context-free test oracle"
+)]
 
-use arithexpr::AeTemplate;
-use logicforms::LfTemplate;
+use arithexpr::{AeScratch, AeTemplate};
+use logicforms::{LfScratch, LfTemplate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sqlexec::SqlTemplate;
+use sqlexec::{SqlScratch, SqlTemplate};
 use tabular::{ExecContext, Table};
 use uctr::{BUILTIN_ARITH, BUILTIN_LOGIC, BUILTIN_SQL};
 
@@ -57,12 +62,13 @@ fn sql_instantiation_matches_naive_path() {
     for round in 0..20 {
         let table = random_table(&mut meta, 3 + (round % 12));
         let ctx = ExecContext::new(&table);
+        let mut scratch = SqlScratch::default();
         for (ti, t) in BUILTIN_SQL.iter().enumerate() {
             let tpl = SqlTemplate::parse(t).unwrap();
             let mut naive_rng = StdRng::seed_from_u64(round as u64 * 100 + ti as u64);
             let mut ctx_rng = naive_rng.clone();
-            let naive = tpl.try_instantiate(&table, &mut naive_rng);
-            let cached = tpl.try_instantiate_in(&table, &ctx, &mut ctx_rng);
+            let naive = sqlexec::reference::try_instantiate(&tpl, &table, &mut naive_rng);
+            let cached = tpl.try_instantiate(&table, &ctx, &mut ctx_rng, &mut scratch);
             assert_eq!(
                 format!("{naive:?}"),
                 format!("{cached:?}"),
@@ -79,13 +85,15 @@ fn logic_instantiation_and_evaluation_match_naive_path() {
     for round in 0..12 {
         let table = random_table(&mut meta, 4 + (round % 10));
         let ctx = ExecContext::new(&table);
+        let mut scratch = LfScratch::default();
         for (ti, t) in BUILTIN_LOGIC.iter().enumerate() {
             let tpl = LfTemplate::parse(t).unwrap();
             for desired in [true, false] {
                 let mut naive_rng = StdRng::seed_from_u64(round as u64 * 1000 + ti as u64);
                 let mut ctx_rng = naive_rng.clone();
-                let naive = tpl.try_instantiate(&table, &mut naive_rng, desired);
-                let cached = tpl.try_instantiate_in(&table, &ctx, &mut ctx_rng, desired);
+                let naive =
+                    logicforms::reference::try_instantiate(&tpl, &table, &mut naive_rng, desired);
+                let cached = tpl.try_instantiate(&table, &ctx, &mut ctx_rng, desired, &mut scratch);
                 assert_eq!(
                     format!("{naive:?}"),
                     format!("{cached:?}"),
@@ -95,11 +103,12 @@ fn logic_instantiation_and_evaluation_match_naive_path() {
                 // Evaluation parity (outcome AND highlighted cells) on every
                 // successfully instantiated claim.
                 if let Ok(claim) = naive {
-                    let a = logicforms::evaluate(&claim.expr, &table);
-                    let b = logicforms::evaluate_in(&claim.expr, &table, &ctx);
+                    let a = logicforms::reference::evaluate(&claim.expr, &table);
+                    let b = logicforms::evaluate(&claim.expr, &table, &ctx, &mut scratch.kern);
                     assert_eq!(a, b, "lf evaluation diverged for `{}`", claim.expr);
-                    let ta = logicforms::evaluate_truth(&claim.expr, &table);
-                    let tb = logicforms::evaluate_truth_in(&claim.expr, &table, &ctx);
+                    let ta = logicforms::reference::evaluate_truth(&claim.expr, &table);
+                    let tb =
+                        logicforms::evaluate_truth(&claim.expr, &table, &ctx, &mut scratch.kern);
                     assert_eq!(ta, tb);
                 }
             }
@@ -113,12 +122,13 @@ fn arith_instantiation_and_execution_match_naive_path() {
     for round in 0..20 {
         let table = random_table(&mut meta, 3 + (round % 12));
         let ctx = ExecContext::new(&table);
+        let mut scratch = AeScratch::default();
         for (ti, t) in BUILTIN_ARITH.iter().enumerate() {
             let tpl = AeTemplate::parse(t).unwrap();
             let mut naive_rng = StdRng::seed_from_u64(round as u64 * 77 + ti as u64);
             let mut ctx_rng = naive_rng.clone();
-            let naive = tpl.try_instantiate(&table, &mut naive_rng);
-            let cached = tpl.try_instantiate_in(&table, &ctx, &mut ctx_rng);
+            let naive = arithexpr::reference::try_instantiate(&tpl, &table, &mut naive_rng);
+            let cached = tpl.try_instantiate(&table, &ctx, &mut ctx_rng, &mut scratch);
             assert_eq!(
                 format!("{naive:?}"),
                 format!("{cached:?}"),
@@ -126,8 +136,8 @@ fn arith_instantiation_and_execution_match_naive_path() {
             );
             assert_rngs_aligned(&mut naive_rng, &mut ctx_rng, "ae instantiation");
             if let Ok(inst) = naive {
-                let a = arithexpr::execute(&inst.program, &table);
-                let b = arithexpr::execute_in(&inst.program, &table, &ctx);
+                let a = arithexpr::reference::execute(&inst.program, &table);
+                let b = arithexpr::execute(&inst.program, &table, &ctx, &mut scratch.kern);
                 assert_eq!(a, b, "ae execution diverged for `{}`", inst.program);
             }
         }

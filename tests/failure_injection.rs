@@ -5,8 +5,13 @@
 // Integration-test helpers run outside #[cfg(test)], so the clippy.toml test exemption does not reach them.
 #![allow(clippy::unwrap_used)]
 
-use tabular::{Table, Value};
+use tabular::{ExecContext, KernelScratch, Table, Value};
 use uctr::{Sample, TableWithContext, UctrConfig, UctrPipeline, Verdict};
+
+/// `logicforms::evaluate_truth` with a fresh context and kernel scratch.
+fn truth(expr: &logicforms::LfExpr, table: &Table) -> Result<bool, logicforms::LfError> {
+    logicforms::evaluate_truth(expr, table, &ExecContext::new(table), &mut KernelScratch::default())
+}
 
 fn empty_table() -> Table {
     Table::from_strings("empty", &[vec![]]).unwrap()
@@ -30,10 +35,10 @@ fn executors_survive_empty_tables() {
     assert_eq!(r.answer_text(), "0");
     // Logic aggregates over nothing: Empty error.
     let e = logicforms::parse("eq { max { all_rows ; a } ; 1 }").unwrap();
-    assert!(logicforms::evaluate_truth(&e, &header).is_err());
+    assert!(truth(&e, &header).is_err());
     // count over nothing is fine.
     let e = logicforms::parse("eq { count { all_rows } ; 0 }").unwrap();
-    assert!(logicforms::evaluate_truth(&e, &header).unwrap());
+    assert!(truth(&e, &header).unwrap());
     // Arithmetic: unknown row.
     assert!(arithexpr::run_arith("add( the a of x , 1 )", &header).is_err());
 }
@@ -106,12 +111,16 @@ fn templates_refuse_unsuitable_tables() {
     // All-text table: numeric templates must decline.
     let text_only =
         Table::from_strings("t", &[vec!["a", "b"], vec!["x", "y"], vec!["z", "w"]]).unwrap();
+    let ctx = ExecContext::new(&text_only);
     let sql = sqlexec::SqlTemplate::parse("select sum ( c1_number ) from w").unwrap();
-    assert!(sql.instantiate(&text_only, &mut rng).is_none());
+    let mut sql_scratch = sqlexec::SqlScratch::default();
+    assert!(sql.try_instantiate(&text_only, &ctx, &mut rng, &mut sql_scratch).is_err());
     let lf = logicforms::LfTemplate::parse("round_eq { avg { all_rows ; c1 } ; val1 }").unwrap();
-    assert!(lf.instantiate(&text_only, &mut rng, true).is_none());
+    let mut lf_scratch = logicforms::LfScratch::default();
+    assert!(lf.try_instantiate(&text_only, &ctx, &mut rng, true, &mut lf_scratch).is_err());
     let ae = arithexpr::AeTemplate::parse("add( val1 , val2 )").unwrap();
-    assert!(ae.instantiate(&text_only, &mut rng).is_none());
+    let mut ae_scratch = arithexpr::AeScratch::default();
+    assert!(ae.try_instantiate(&text_only, &ctx, &mut rng, &mut ae_scratch).is_err());
 }
 
 #[test]
@@ -207,7 +216,7 @@ fn single_row_and_single_column_tables() {
     assert_eq!(r.answer_text(), "6");
     // Superlative claim instantiation on one row: argmax of 1 row is row 0.
     let e = logicforms::parse("eq { hop { argmax { all_rows ; b } ; a } ; x }").unwrap();
-    assert!(logicforms::evaluate_truth(&e, &one_row).unwrap());
+    assert!(truth(&e, &one_row).unwrap());
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! The program-layer refactor (ProgramTemplate trait + ExecContext) must be
 //! behavior-preserving: for a fixed seed and fixed inputs, the generated
 //! samples and the deterministic telemetry counters must be *identical* to
-//! the pre-refactor pipeline. These digests were captured from the direct
-//! `run_sql`/`run_arith`/`run_logic` implementation; any RNG-draw or
+//! the pre-refactor pipeline. These digests were captured from the
+//! per-kind generation loops that predate `run_program`; any RNG-draw or
 //! counter-order drift in the unified `run_program` changes them.
 
 // Integration-test helpers run outside #[cfg(test)], so the clippy.toml test exemption does not reach them.
@@ -185,10 +185,44 @@ fn tightened_requirements_never_drop_a_golden_sample() {
     }
 }
 
+/// Digests of the four `CorpusConfig::tiny()` benchmarks (gold splits and
+/// unlabeled inputs) and of the gold evidence cells of every gold sample.
+/// The annotator and the retriever draw values and highlight cells through
+/// the program executors, so this pins the executor path they run on.
+fn corpora_digests() -> [(u64, u64); 4] {
+    [
+        corpora::wikisql_like(corpora::CorpusConfig::tiny()),
+        corpora::feverous_like(corpora::CorpusConfig::tiny()),
+        corpora::tatqa_like(corpora::CorpusConfig::tiny()),
+        corpora::semtab_like(corpora::CorpusConfig::tiny()),
+    ]
+    .map(|b| {
+        let gold = &b.gold;
+        let cells: Vec<_> = gold
+            .train
+            .iter()
+            .chain(&gold.dev)
+            .chain(&gold.test)
+            .map(models::gold_evidence_cells)
+            .collect();
+        (fnv1a(format!("{b:?}").as_bytes()), fnv1a(format!("{cells:?}").as_bytes()))
+    })
+}
+
+#[test]
+fn corpora_benchmarks_are_byte_identical() {
+    assert_eq!(
+        corpora_digests(),
+        EXPECT_CORPORA,
+        "fixed-seed corpora output or gold evidence cells drifted"
+    );
+}
+
 /// Prints current digests; run with `--nocapture` to regenerate the
 /// constants above after an *intentional* behavior change.
 #[test]
 fn print_current_digests() {
+    println!("const EXPECT_CORPORA: [(u64, u64); 4] = {:#x?};", corpora_digests());
     for (name, d) in [
         ("EXPECT_QA", run_digests(UctrConfig::qa())),
         ("EXPECT_VERIF", run_digests(UctrConfig::verification())),
@@ -211,3 +245,11 @@ fn print_current_digests() {
 const EXPECT_QA: (u64, u64, u64) = (0x6d5a4d9013979880, 0xbe26621e2e7ec12d, 56);
 const EXPECT_VERIF: (u64, u64, u64) = (0x648fbc6273502dd5, 0x434d9110cb2cb1b0, 56);
 const EXPECT_ALT: (u64, u64, u64) = (0xb23eed0c8013e5d9, 0x4b9b471f893117b, 58);
+// Captured from the corpora before the annotator and the retriever moved
+// onto the context-and-scratch executor entry points.
+const EXPECT_CORPORA: [(u64, u64); 4] = [
+    (0x24513268dc1970f4, 0xd62825d1c90c5f11),
+    (0xde2febe580d5d1fa, 0x7bae038a98527148),
+    (0x17fe8e30d7198963, 0x22c37d7ffc5c257a),
+    (0xc14ec18593da1ec6, 0x6fc613a0005a96a1),
+];

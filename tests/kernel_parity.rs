@@ -1,10 +1,10 @@
 //! Kernel / scalar parity property test.
 //!
-//! The compiled columnar paths (`try_instantiate_in_with` + the
-//! `execute_in_with` / `evaluate_in` executors, which read `ExecContext`
-//! caches and `KernelScratch` buffers) must be *result-identical* to the
-//! per-cell reference interpreters (`try_instantiate` / `execute` /
-//! `evaluate` with no context). This sweep pins that contract for every
+//! The production entry points (each template's `try_instantiate` and the
+//! `execute` / `evaluate` / `evaluate_truth` executors, which read
+//! `ExecContext` caches and `KernelScratch` buffers) must be
+//! *result-identical* to the context-free per-cell interpreters in each
+//! executor crate's `reference` module. This sweep pins that contract for every
 //! builtin and mined template over a zoo built to stress the kernels where
 //! they diverge first — non-finite and mixed-type columns (the cached
 //! numeric parse must classify cells exactly like `Value::as_number`),
@@ -19,6 +19,10 @@
 
 // Integration-test helpers run outside #[cfg(test)], so the clippy.toml test exemption does not reach them.
 #![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "this suite is the parity check of the context-free test oracle"
+)]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -101,8 +105,8 @@ fn check_sql(t: &sqlexec::SqlTemplate, table: &Table, ctx: &ExecContext, seed: u
     let mut scalar_rng = StdRng::seed_from_u64(seed);
     let mut kernel_rng = StdRng::seed_from_u64(seed);
     let mut scratch = sqlexec::SqlScratch::default();
-    let scalar = t.try_instantiate(table, &mut scalar_rng);
-    let kernel = t.try_instantiate_in_with(table, ctx, &mut kernel_rng, &mut scratch);
+    let scalar = sqlexec::reference::try_instantiate(t, table, &mut scalar_rng);
+    let kernel = t.try_instantiate(table, ctx, &mut kernel_rng, &mut scratch);
     let sig = t.signature();
     assert_eq!(
         scalar_rng.gen::<u64>(),
@@ -117,8 +121,8 @@ fn check_sql(t: &sqlexec::SqlTemplate, table: &Table, ctx: &ExecContext, seed: u
         table.title
     );
     if let Ok(stmt) = scalar {
-        let scalar_out = sqlexec::execute(&stmt, table);
-        let kernel_out = sqlexec::execute_in_with(&stmt, table, ctx, &mut scratch.kern);
+        let scalar_out = sqlexec::reference::execute(&stmt, table);
+        let kernel_out = sqlexec::execute(&stmt, table, &mut scratch.kern);
         assert_eq!(
             dbg(&scalar_out),
             dbg(&kernel_out),
@@ -134,8 +138,8 @@ fn check_logic(t: &logicforms::LfTemplate, table: &Table, ctx: &ExecContext, see
     for desired in [false, true] {
         let mut scalar_rng = StdRng::seed_from_u64(seed);
         let mut kernel_rng = StdRng::seed_from_u64(seed);
-        let scalar = t.try_instantiate(table, &mut scalar_rng, desired);
-        let kernel = t.try_instantiate_in_with(table, ctx, &mut kernel_rng, desired, &mut scratch);
+        let scalar = logicforms::reference::try_instantiate(t, table, &mut scalar_rng, desired);
+        let kernel = t.try_instantiate(table, ctx, &mut kernel_rng, desired, &mut scratch);
         assert_eq!(
             scalar_rng.gen::<u64>(),
             kernel_rng.gen::<u64>(),
@@ -149,8 +153,8 @@ fn check_logic(t: &logicforms::LfTemplate, table: &Table, ctx: &ExecContext, see
             table.title
         );
         if let Ok(claim) = scalar {
-            let scalar_out = logicforms::evaluate(&claim.expr, table);
-            let kernel_out = logicforms::evaluate_in(&claim.expr, table, ctx);
+            let scalar_out = logicforms::reference::evaluate(&claim.expr, table);
+            let kernel_out = logicforms::evaluate(&claim.expr, table, ctx, &mut scratch.kern);
             assert_eq!(
                 dbg(&scalar_out),
                 dbg(&kernel_out),
@@ -158,8 +162,9 @@ fn check_logic(t: &logicforms::LfTemplate, table: &Table, ctx: &ExecContext, see
                 table.title,
                 claim.expr
             );
-            let scalar_truth = logicforms::evaluate_truth(&claim.expr, table);
-            let kernel_truth = logicforms::evaluate_truth_in(&claim.expr, table, ctx);
+            let scalar_truth = logicforms::reference::evaluate_truth(&claim.expr, table);
+            let kernel_truth =
+                logicforms::evaluate_truth(&claim.expr, table, ctx, &mut scratch.kern);
             assert_eq!(
                 dbg(&scalar_truth),
                 dbg(&kernel_truth),
@@ -177,8 +182,8 @@ fn check_arith(t: &arithexpr::AeTemplate, table: &Table, ctx: &ExecContext, seed
     let mut scratch = arithexpr::AeScratch::default();
     // Arithmetic instantiation executes internally, so this one comparison
     // covers both the sampling and the execution kernels.
-    let scalar = t.try_instantiate(table, &mut scalar_rng);
-    let kernel = t.try_instantiate_in_with(table, ctx, &mut kernel_rng, &mut scratch);
+    let scalar = arithexpr::reference::try_instantiate(t, table, &mut scalar_rng);
+    let kernel = t.try_instantiate(table, ctx, &mut kernel_rng, &mut scratch);
     let sig = t.signature();
     assert_eq!(
         scalar_rng.gen::<u64>(),
@@ -193,8 +198,8 @@ fn check_arith(t: &arithexpr::AeTemplate, table: &Table, ctx: &ExecContext, seed
         table.title
     );
     if let Ok(inst) = scalar {
-        let scalar_out = arithexpr::execute(&inst.program, table);
-        let kernel_out = arithexpr::execute_in(&inst.program, table, ctx);
+        let scalar_out = arithexpr::reference::execute(&inst.program, table);
+        let kernel_out = arithexpr::execute(&inst.program, table, ctx, &mut scratch.kern);
         assert_eq!(
             dbg(&scalar_out),
             dbg(&kernel_out),

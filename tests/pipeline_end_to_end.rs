@@ -2,6 +2,7 @@
 //! faithfulness of synthetic data, and the complete unsupervised
 //! train-evaluate loop.
 
+use tabular::{ExecContext, KernelScratch};
 use uctr::{
     generate_mqaqg, EvidenceType, MqaQgConfig, ProgramKind, Sample, UctrConfig, UctrPipeline,
     Verdict,
@@ -35,7 +36,10 @@ fn verification_labels_are_execution_faithful() {
             continue;
         }
         let expr = logicforms::parse(prog).expect("stored program parses");
-        let truth = logicforms::evaluate_truth(&expr, &s.table).expect("stored program executes");
+        let ctx = ExecContext::new(&s.table);
+        let truth =
+            logicforms::evaluate_truth(&expr, &s.table, &ctx, &mut KernelScratch::default())
+                .expect("stored program executes");
         let expected = s.label.as_verdict().unwrap();
         if expected == Verdict::Unknown {
             continue; // unknowns were re-paired with foreign evidence
@@ -66,12 +70,15 @@ fn qa_answers_are_execution_faithful() {
         match &s.program {
             ProgramKind::Sql(q) => {
                 let stmt = sqlexec::parse(q).expect("stored SQL parses");
-                let r = sqlexec::execute(&stmt, &s.table).expect("stored SQL executes");
+                let r = sqlexec::execute(&stmt, &s.table, &mut KernelScratch::default())
+                    .expect("stored SQL executes");
                 assert_eq!(r.answer_text(), answer, "answer mismatch for `{q}`");
             }
             ProgramKind::Arith(p) => {
                 let prog = arithexpr::parse(p).expect("stored arith parses");
-                let out = arithexpr::execute(&prog, &s.table).expect("stored arith executes");
+                let ctx = ExecContext::new(&s.table);
+                let out = arithexpr::execute(&prog, &s.table, &ctx, &mut KernelScratch::default())
+                    .expect("stored arith executes");
                 assert_eq!(out.answer.to_string(), answer, "answer mismatch for `{p}`");
             }
             _ => continue,

@@ -11,10 +11,18 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tabular::{Table, Value};
+use tabular::{ExecContext, KernelScratch, Table, Value};
 
 /// Number of random cases per property.
 const CASES: u64 = 64;
+
+/// `logicforms::evaluate` with a fresh context and kernel scratch.
+fn lf_evaluate(
+    expr: &logicforms::LfExpr,
+    table: &Table,
+) -> Result<logicforms::LfOutcome, logicforms::LfError> {
+    logicforms::evaluate(expr, table, &ExecContext::new(table), &mut KernelScratch::default())
+}
 
 /// A random table: 3..=8 rows, schema [name text, alpha number, beta number].
 fn random_table(seed: u64) -> Table {
@@ -129,9 +137,9 @@ fn argmax_row_achieves_max() {
     for case in 0..CASES {
         let table = random_table(case + 1);
         let max_e = logicforms::parse("max { all_rows ; alpha }").unwrap();
-        let max_v = logicforms::evaluate(&max_e, &table).unwrap();
+        let max_v = lf_evaluate(&max_e, &table).unwrap();
         let hop_e = logicforms::parse("hop { argmax { all_rows ; alpha } ; alpha }").unwrap();
-        let hop_v = logicforms::evaluate(&hop_e, &table).unwrap();
+        let hop_v = lf_evaluate(&hop_e, &table).unwrap();
         let a = max_v.value.as_scalar().and_then(Value::as_number).expect("non-numeric max");
         let b = hop_v.value.as_scalar().and_then(Value::as_number).expect("non-numeric hop");
         assert!((a - b).abs() < 1e-9);
@@ -143,11 +151,9 @@ fn sum_equals_avg_times_count() {
     for case in 0..CASES {
         let table = random_table(case + 1);
         let sum =
-            logicforms::evaluate(&logicforms::parse("sum { all_rows ; beta }").unwrap(), &table)
-                .unwrap();
+            lf_evaluate(&logicforms::parse("sum { all_rows ; beta }").unwrap(), &table).unwrap();
         let avg =
-            logicforms::evaluate(&logicforms::parse("avg { all_rows ; beta }").unwrap(), &table)
-                .unwrap();
+            lf_evaluate(&logicforms::parse("avg { all_rows ; beta }").unwrap(), &table).unwrap();
         let s = sum.value.as_scalar().and_then(Value::as_number).unwrap();
         let a = avg.value.as_scalar().and_then(Value::as_number).unwrap();
         assert!((s - a * table.n_rows() as f64).abs() < 1e-6 * s.abs().max(1.0));
@@ -161,7 +167,7 @@ fn comparator_duality() {
     for case in 0..CASES {
         let table = random_table(case + 1);
         let threshold: i64 = rng.gen_range(0..1000);
-        let gt = logicforms::evaluate(
+        let gt = lf_evaluate(
             &logicforms::parse(&format!(
                 "count {{ filter_greater {{ all_rows ; alpha ; {threshold} }} }}"
             ))
@@ -169,7 +175,7 @@ fn comparator_duality() {
             &table,
         )
         .unwrap();
-        let le = logicforms::evaluate(
+        let le = lf_evaluate(
             &logicforms::parse(&format!(
                 "count {{ filter_less_eq {{ all_rows ; alpha ; {threshold} }} }}"
             ))
@@ -211,8 +217,10 @@ fn sql_sampling_respects_types() {
     let tpl = sqlexec::SqlTemplate::parse("select c1 from w where c2_number > val1").unwrap();
     for case in 0..CASES {
         let table = random_table(case + 1);
+        let ctx = ExecContext::new(&table);
+        let mut scratch = sqlexec::SqlScratch::default();
         let mut rng = StdRng::seed_from_u64(case * 7 + 1);
-        if let Some(stmt) = tpl.instantiate(&table, &mut rng) {
+        if let Ok(stmt) = tpl.try_instantiate(&table, &ctx, &mut rng, &mut scratch) {
             // The compared column must be numeric (alpha or beta).
             let rendered = stmt.to_string();
             assert!(
@@ -220,7 +228,7 @@ fn sql_sampling_respects_types() {
                 "non-numeric column bound to c2_number: {rendered}"
             );
             // And it must execute.
-            assert!(sqlexec::execute(&stmt, &table).is_ok());
+            assert!(sqlexec::execute(&stmt, &table, &mut scratch.kern).is_ok());
         }
     }
 }
@@ -233,11 +241,15 @@ fn generated_claims_match_their_labels() {
     .unwrap();
     for case in 0..CASES {
         let table = random_table(case + 1);
+        let ctx = ExecContext::new(&table);
+        let mut scratch = logicforms::LfScratch::default();
         for desired in [false, true] {
             let mut rng = StdRng::seed_from_u64(case * 11 + 3);
-            if let Some(claim) = tpl.instantiate(&table, &mut rng, desired) {
+            if let Ok(claim) = tpl.try_instantiate(&table, &ctx, &mut rng, desired, &mut scratch) {
                 assert_eq!(claim.truth, desired);
-                let truth = logicforms::evaluate_truth(&claim.expr, &table).unwrap();
+                let truth =
+                    logicforms::evaluate_truth(&claim.expr, &table, &ctx, &mut scratch.kern)
+                        .unwrap();
                 assert_eq!(truth, desired);
             }
         }
@@ -250,11 +262,13 @@ fn arith_instantiation_executes() {
         arithexpr::AeTemplate::parse("subtract( val1 , val2 ) , divide( #0 , val2 )").unwrap();
     for case in 0..CASES {
         let table = random_table(case + 1);
+        let ctx = ExecContext::new(&table);
+        let mut scratch = arithexpr::AeScratch::default();
         let mut rng = StdRng::seed_from_u64(case * 13 + 5);
-        if let Some(inst) = tpl.instantiate(&table, &mut rng) {
+        if let Ok(inst) = tpl.try_instantiate(&table, &ctx, &mut rng, &mut scratch) {
             assert!(!inst.program.has_holes());
             // Re-execution is deterministic.
-            let again = arithexpr::execute(&inst.program, &table).unwrap();
+            let again = arithexpr::execute(&inst.program, &table, &ctx, &mut scratch.kern).unwrap();
             assert_eq!(again.answer, inst.outcome.answer);
         }
     }
@@ -323,7 +337,6 @@ fn value_parse_display_stable() {
 /// fail under 32 distinct seeds.
 #[test]
 fn schema_prefilter_skips_only_deterministic_failures() {
-    use tabular::ExecContext;
     use uctr::TemplateBank;
 
     // A zoo stressing every axis of the requirement lattice: no data rows,
@@ -377,7 +390,6 @@ fn schema_prefilter_skips_only_deterministic_failures() {
 
 #[test]
 fn feasible_set_matches_brute_force_requirement_scan() {
-    use tabular::ExecContext;
     use uctr::telemetry::KindSlot;
     use uctr::TemplateBank;
 
