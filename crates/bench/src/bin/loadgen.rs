@@ -12,6 +12,10 @@
 //!   delay instead of silently slowing the clock down
 //!   (coordinated-omission-free).
 //!
+//! After the window, one `stats` request fetches the daemon's queue-wait
+//! and service histograms; their p50/p99 print beside client latency, so
+//! the wire's share of a round trip shows without a profiler.
+//!
 //! Flags:
 //!   --addr HOST:PORT     drive a running daemon (default: spawn one
 //!                        in-process on a loopback port)
@@ -341,6 +345,15 @@ fn main() {
         .ok()
         .and_then(|mut c| c.request(&GenRequest::stats(0)).ok())
         .and_then(|resp| resp.stats);
+    // The daemon's queue-wait and service histograms (whole run, warm-up
+    // included) as (p50, p99) in ms; the rest of client latency is the
+    // wire and the client.
+    let daemon_split = |name: &str| {
+        let t = daemon_stats.as_ref()?.report.timing(name)?;
+        Some((ms(t.quantile_ns(0.50)), ms(t.quantile_ns(0.99))))
+    };
+    let queue_wait = daemon_split("queue_wait");
+    let service = daemon_split("service");
 
     let loop_desc = if mode == "open" {
         format!("open-loop {rate:.0}/sec arrivals, {conns} conns")
@@ -372,6 +385,12 @@ fn main() {
             stats.requests_completed,
         );
     }
+    if let (Some((q50, q99)), Some((s50, s99))) = (queue_wait, service) {
+        println!(
+            "serving daemon-side: queue wait p50 {q50:.2}ms · p99 {q99:.2}ms; service p50 \
+             {s50:.2}ms · p99 {s99:.2}ms"
+        );
+    }
     if args.iter().any(|a| a == "--md") {
         println!("| metric | value |");
         println!("|---|---|");
@@ -382,6 +401,10 @@ fn main() {
         println!("| p99 | {:.2} ms |", ms(p99));
         println!("| p999 | {:.2} ms |", ms(p999));
         println!("| max | {:.2} ms |", ms(max));
+        if let (Some((q50, q99)), Some((s50, s99))) = (queue_wait, service) {
+            println!("| daemon queue wait p50 / p99 | {q50:.2} / {q99:.2} ms |");
+            println!("| daemon service p50 / p99 | {s50:.2} / {s99:.2} ms |");
+        }
         println!("| rejections | {} |", tally.rejections);
     }
 

@@ -625,7 +625,7 @@ pub fn into_table_text(sample: Sample, rng: &mut impl Rng) -> Option<Sample> {
     let &row = rows.choose(rng)?;
     let split = textops::table_to_text(&sample.table, row, rng)?;
     let mut s = sample;
-    s.table = split.sub_table.into();
+    s.table = s.table.without_row(row);
     s.context = vec![split.sentence];
     s.evidence = EvidenceType::TableText;
     Some(s)

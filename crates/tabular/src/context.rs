@@ -24,11 +24,11 @@ use crate::value::Value;
 ///
 /// Build once per [`Table`] with [`ExecContext::new`]; the context borrows
 /// nothing and must only be used with the table it was built from (the
-/// executors debug-assert the dimensions match). Single-row edits of an
-/// already-indexed table ([`ExecContext::with_row_appended`] /
-/// [`ExecContext::with_row_removed`]) update the caches incrementally
-/// instead of re-scanning — `PartialEq` exists so tests can pin the deltas
-/// against a fresh scan.
+/// executors debug-assert the dimensions match). Appending one row to an
+/// already-indexed table ([`ExecContext::with_row_appended`], the
+/// table-expansion path) updates the caches incrementally instead of
+/// re-scanning — `PartialEq` exists so tests can pin the delta against a
+/// fresh scan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecContext {
     n_rows: usize,
@@ -86,7 +86,7 @@ fn type_index(ty: ColumnType) -> usize {
 }
 
 /// Whether two tables infer the same column types — the precondition for
-/// the single-row delta constructors, since every schema-derived cache
+/// the single-row delta constructor, since every schema-derived cache
 /// (`numeric_cols`, `row_name_col`, `type_counts`) follows the types.
 fn schema_types_match(a: &Table, b: &Table) -> bool {
     let (ca, cb) = (a.schema().columns(), b.schema().columns());
@@ -236,104 +236,6 @@ impl ExecContext {
             }
         }
         ctx
-    }
-
-    /// Context for `sub` = the table this context was built from
-    /// (`original`) minus its row `removed`, splicing the removed row out
-    /// of every cache instead of re-scanning (in particular, no cell is
-    /// re-parsed through `Value::as_number`). Falls back to a full
-    /// [`ExecContext::new`] scan when dropping the row changed any
-    /// inferred column type.
-    pub fn with_row_removed(&self, original: &Table, sub: &Table, removed: usize) -> ExecContext {
-        debug_assert_eq!(self.n_rows, original.n_rows(), "context/table mismatch");
-        if removed >= self.n_rows
-            || sub.n_rows() + 1 != self.n_rows
-            || sub.n_cols() != self.n_cols
-            || !schema_types_match(original, sub)
-        {
-            return ExecContext::new(sub);
-        }
-        let shift = |ri: usize| if ri > removed { ri - 1 } else { ri };
-        let mut non_null = Vec::with_capacity(self.n_cols);
-        let mut numeric = Vec::with_capacity(self.n_cols);
-        let mut number_cells = Vec::with_capacity(self.n_cols);
-        let mut folded = Vec::with_capacity(self.n_cols);
-        for ci in 0..self.n_cols {
-            let mut vals = self.non_null[ci].clone();
-            if original.cell(removed, ci).is_some_and(|v| !v.is_null()) {
-                // The removed value's position in the row-ordered non-null
-                // list = the count of non-null cells above it.
-                let pos = original.rows()[..removed]
-                    .iter()
-                    .filter(|r| r.get(ci).is_some_and(|v| !v.is_null()))
-                    .count();
-                vals.remove(pos);
-            }
-            non_null.push(vals);
-            numeric.push(
-                self.numeric[ci]
-                    .iter()
-                    .filter(|&&(ri, _)| ri != removed)
-                    .map(|&(ri, n)| (shift(ri), n))
-                    .collect(),
-            );
-            let removed_number =
-                original.cell(removed, ci).is_some_and(|v| matches!(v, Value::Number(_)));
-            number_cells.push(self.number_cells[ci] - usize::from(removed_number));
-            folded.push(
-                self.folded[ci]
-                    .iter()
-                    .filter(|&&(ri, _)| ri != removed)
-                    .map(|(ri, t)| (shift(*ri), t.clone()))
-                    .collect(),
-            );
-        }
-        let mut grid = self.grid.clone();
-        grid.drain(removed * self.n_cols..(removed + 1) * self.n_cols);
-        let mut name_lower = self.name_lower.clone();
-        name_lower.remove(removed);
-        let addressable = self
-            .addressable
-            .iter()
-            .filter(|&&(ri, _)| ri != removed)
-            .map(|&(ri, ci)| (shift(ri), ci))
-            .collect();
-        // Dropping a row can only change the distinct-text pool (values or
-        // first-occurrence order) if the row itself held text.
-        let row_had_text =
-            original.row(removed).is_some_and(|r| r.iter().any(|v| matches!(v, Value::Text(_))));
-        let (text_pool, text_pool_folded) = if row_had_text {
-            let mut pool: Vec<String> = Vec::new();
-            for row in sub.rows() {
-                for v in row {
-                    if let Value::Text(t) = v {
-                        if !pool.contains(t) {
-                            pool.push(t.clone());
-                        }
-                    }
-                }
-            }
-            let pool_folded = pool.iter().map(|t| t.to_ascii_lowercase()).collect();
-            (pool, pool_folded)
-        } else {
-            (self.text_pool.clone(), self.text_pool_folded.clone())
-        };
-        ExecContext {
-            n_rows: self.n_rows - 1,
-            n_cols: self.n_cols,
-            non_null,
-            numeric,
-            grid,
-            numeric_cols: self.numeric_cols.clone(),
-            row_name_col: self.row_name_col,
-            name_lower,
-            addressable,
-            text_pool,
-            text_pool_folded,
-            type_counts: self.type_counts,
-            number_cells,
-            folded,
-        }
     }
 
     /// Dimensions of the table this context was built from.
@@ -573,41 +475,5 @@ mod tests {
         );
         let ctx = ExecContext::new(&original);
         assert_eq!(ctx.with_row_appended(&original, &expanded), ExecContext::new(&expanded));
-    }
-
-    #[test]
-    fn row_removed_delta_matches_fresh_scan() {
-        let original = strings_table(&[
-            vec!["name", "score", "city", "when"],
-            vec!["Ada", "91", "Oslo", "1990-05-01"],
-            vec!["-", "84", "Lima", "n/a"],
-            vec!["Cleo", "n/a", "Oslo", "2001-08-23"],
-            vec!["Ada", "70", "Oslo", "2000-01-01"],
-        ]);
-        let ctx = ExecContext::new(&original);
-        for removed in 0..original.n_rows() {
-            let keep: Vec<usize> = (0..original.n_rows()).filter(|&r| r != removed).collect();
-            let sub = original.select_rows(&keep);
-            assert_eq!(
-                ctx.with_row_removed(&original, &sub, removed),
-                ExecContext::new(&sub),
-                "removed row {removed}"
-            );
-        }
-    }
-
-    #[test]
-    fn row_removed_falls_back_when_types_flip() {
-        let original =
-            strings_table(&[vec!["name", "score"], vec!["Ada", "91"], vec!["Bo", "withdrew"]]);
-        // Dropping the text score and re-inferring makes the column Number.
-        let sub = strings_table(&[vec!["name", "score"], vec!["Ada", "91"]]);
-        assert_ne!(
-            original.schema().column(1).map(|c| c.ty),
-            sub.schema().column(1).map(|c| c.ty),
-            "test premise: the removal must flip the column type"
-        );
-        let ctx = ExecContext::new(&original);
-        assert_eq!(ctx.with_row_removed(&original, &sub, 1), ExecContext::new(&sub));
     }
 }

@@ -1,10 +1,11 @@
 //! # textops — Table-To-Text and Text-To-Table operators
 //!
 //! UCTR's two novel operators for joint table-text reasoning (paper §III):
-//! [`table_to_text()`] splits a table into a sub-table plus a sentence
-//! verbalizing one highlighted row (with the paper's faithfulness filter),
-//! and [`text_to_table()`] extracts a record from the table's surrounding
-//! paragraph and integrates it as a new row, producing an expanded table.
+//! [`table_to_text()`] verbalizes one highlighted row into a sentence (with
+//! the paper's faithfulness filter) that replaces the row in the split
+//! evidence, and [`text_to_table()`] extracts a record from the table's
+//! surrounding paragraph and integrates it as a new row, producing an
+//! expanded table.
 //!
 //! ```
 //! use tabular::Table;

@@ -1,7 +1,8 @@
 //! Table-To-Text operator (paper §IV-A, Eq. 5: `f(T) → T_sub, S`).
 //!
 //! Follows MQA-QG's `DescribeEnt`: one table row is verbalized into a
-//! natural-language sentence, and the row is removed from the table. The
+//! natural-language sentence, and the row is removed from the table (the
+//! caller's evidence is `SharedTable::without_row`, an O(1) view). The
 //! paper adds a *filtering step* — "if important information in the table
 //! is missing from the generated sentence, we will discard it" — which is
 //! implemented here as a faithfulness check that every non-null cell value
@@ -26,7 +27,6 @@ pub struct TextScratch {
     lower: String,
     cell: String,
     cell_lower: String,
-    keep: Vec<usize>,
 }
 
 /// Verbalizes a row into a sentence ("Defense has a total deputies of 42
@@ -115,11 +115,11 @@ pub fn is_faithful_with(
     })
 }
 
-/// The result of one Table-To-Text application.
+/// The result of one Table-To-Text application. The sub-table is the
+/// input minus `highlight_row`, which callers hold as the view
+/// `SharedTable::without_row(highlight_row)` rather than a copy.
 #[derive(Debug, Clone)]
 pub struct SplitResult {
-    /// The table minus the verbalized row.
-    pub sub_table: Table,
     /// The generated sentence.
     pub sentence: String,
     /// The entity name of the removed row (useful for linking).
@@ -139,7 +139,7 @@ pub fn table_to_text(
 
 /// [`table_to_text`] through caller-owned buffers. The returned
 /// [`SplitResult`] still owns its strings (they outlive the scratch), but
-/// all intermediate fact/lowercase/index buffers come from `scratch`.
+/// all intermediate fact/lowercase buffers come from `scratch`.
 pub fn table_to_text_with(
     table: &Table,
     highlight_row: usize,
@@ -158,11 +158,7 @@ pub fn table_to_text_with(
     }
     let ecol = entity_column(table);
     let entity = table.cell(highlight_row, ecol)?.to_string();
-    let keep = &mut scratch.keep;
-    keep.clear();
-    keep.extend((0..table.n_rows()).filter(|&r| r != highlight_row));
-    let sub_table = table.select_rows(keep);
-    Some(SplitResult { sub_table, sentence, entity })
+    Some(SplitResult { sentence, entity })
 }
 
 #[cfg(test)]
@@ -195,13 +191,12 @@ mod tests {
     }
 
     #[test]
-    fn split_removes_row_and_keeps_rest() {
+    fn split_verbalizes_the_highlighted_row() {
         let mut rng = StdRng::seed_from_u64(2);
         let r = table_to_text(&table(), 1, &mut rng).unwrap_or_else(|| panic!("table_to_text"));
-        assert_eq!(r.sub_table.n_rows(), 2);
         assert_eq!(r.entity, "Defense");
-        assert!(!r.sub_table.rows().iter().any(|row| row[0].to_string() == "Defense"));
         assert!(r.sentence.contains("Defense"));
+        assert!(is_faithful(&table(), 1, &r.sentence), "{}", r.sentence);
     }
 
     #[test]

@@ -301,8 +301,9 @@ mod tests {
         // Split Energy out, then recover it from the sentence.
         let split = crate::table_to_text::table_to_text(&full, 2, &mut rng)
             .unwrap_or_else(|| panic!("table_to_text"));
-        let restored = text_to_table(&split.sub_table, &split.sentence)
-            .unwrap_or_else(|| panic!("text_to_table"));
+        let sub_table = tabular::SharedTable::new(full).without_row(2);
+        let restored =
+            text_to_table(&sub_table, &split.sentence).unwrap_or_else(|| panic!("text_to_table"));
         assert_eq!(restored.expanded.n_rows(), 3);
         let recovered = restored.expanded.row(2).unwrap_or_else(|| panic!("row 2"));
         assert_eq!(recovered[0].to_string(), "Energy");

@@ -448,7 +448,8 @@ impl UctrPipeline {
     }
 
     /// Table splitting (§III-A): program on the full table, one highlighted
-    /// row verbalized into a sentence, evidence = sub-table + sentence.
+    /// row verbalized into a sentence, evidence = sub-table + sentence. The
+    /// sub-table is the O(1) view `table.without_row(row)`, never a copy.
     #[allow(clippy::too_many_arguments)]
     fn split_sample(
         &self,
@@ -481,7 +482,7 @@ impl UctrPipeline {
             return None;
         };
         Some(Sample {
-            table: split.sub_table.into(),
+            table: table.without_row(row),
             context: vec![split.sentence],
             text,
             label,
@@ -742,7 +743,9 @@ impl UctrPipeline {
             let j = if j >= i { j + 1 } else { j };
             // Claim i paired with evidence j: the evidence cannot decide the
             // claim (different table), so the gold verdict becomes Unknown.
-            if samples[j].table.title == samples[i].table.title {
+            // A view's title is its base's, so compare those and leave
+            // split evidence unmaterialized.
+            if samples[j].table.base().title == samples[i].table.base().title {
                 continue; // same source table could still decide the claim
             }
             let (table, context, evidence) =

@@ -6,8 +6,13 @@
 //! Both the synthetic data UCTR generates and the gold benchmark data from
 //! the corpora crate use this type, so models train and evaluate on one
 //! representation.
+//!
+//! This module owns the sample's JSON form in both of its shapes: the
+//! self-contained one of [`Dataset`] files (the evidence table inline), and
+//! the shared-table one a serving response uses (each evidence table once
+//! per response, samples citing it by index).
 
-use serde::{Deserialize, Serialize};
+use serde::{field, Deserialize, Error, Serialize, Value};
 use std::fmt;
 use tabular::SharedTable;
 
@@ -120,11 +125,12 @@ pub enum AnswerKind {
 }
 
 /// One reasoning instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
-    /// Table evidence (possibly a sub-table after splitting). Shared:
-    /// cloning a sample (or fanning one table out over many samples) bumps
-    /// a reference count instead of deep-copying the grid.
+    /// Table evidence (possibly a sub-table after splitting, held as the
+    /// O(1) view [`SharedTable::without_row`]). Shared: cloning a sample
+    /// (or fanning one table out over many samples) bumps a reference count
+    /// instead of deep-copying the grid.
     pub table: SharedTable,
     /// Context sentences (surrounding text and/or generated sentences).
     pub context: Vec<String>,
@@ -184,6 +190,113 @@ impl Sample {
     pub fn context_text(&self) -> String {
         self.context.join(" ")
     }
+
+    /// The sample's JSON object: `table`, the caller's rendering of the
+    /// evidence, then every other field in declaration order. This is the
+    /// one list of sample fields, shared by both JSON shapes.
+    fn to_object(&self, mut table: Vec<(String, Value)>) -> Value {
+        table.extend([
+            ("context".to_string(), self.context.to_value()),
+            ("text".to_string(), self.text.to_value()),
+            ("label".to_string(), self.label.to_value()),
+            ("evidence".to_string(), self.evidence.to_value()),
+            ("program".to_string(), self.program.to_value()),
+            ("answer_kind".to_string(), self.answer_kind.to_value()),
+            ("topic".to_string(), self.topic.to_value()),
+        ]);
+        Value::Obj(table)
+    }
+
+    /// Inverse of [`Sample::to_object`]; `table` resolves the evidence
+    /// from the object's fields.
+    fn from_object(
+        v: &Value,
+        table: impl FnOnce(&[(String, Value)]) -> Result<SharedTable, Error>,
+    ) -> Result<Sample, Error> {
+        let o = v.as_obj().ok_or_else(|| Error::expected("object", v))?;
+        Ok(Sample {
+            table: table(o)?,
+            context: field(o, "context")?,
+            text: field(o, "text")?,
+            label: field(o, "label")?,
+            evidence: field(o, "evidence")?,
+            program: field(o, "program")?,
+            answer_kind: field(o, "answer_kind")?,
+            topic: field(o, "topic")?,
+        })
+    }
+}
+
+/// The self-contained form: the evidence table inline, a split view as the
+/// sub-table it derefs to.
+impl Serialize for Sample {
+    fn to_value(&self) -> Value {
+        self.to_object(vec![("table".to_string(), self.table.to_value())])
+    }
+}
+
+impl Deserialize for Sample {
+    fn from_value(v: &Value) -> Result<Sample, Error> {
+        Sample::from_object(v, |o| field(o, "table"))
+    }
+}
+
+/// Encodes samples in the shared-table form of a serving response. Returns
+/// `(tables, samples)`: `tables` lists every distinct evidence base once,
+/// de-duplicated by handle in order of first use, and each sample object
+/// carries `table` (an index into `tables`) plus, for split evidence,
+/// `omitted_row` (the row of that base its view drops). No view is
+/// materialized.
+pub(crate) fn samples_to_wire(samples: &[Sample]) -> (Value, Value) {
+    let mut bases: Vec<&SharedTable> = Vec::new();
+    let encoded = samples
+        .iter()
+        .map(|s| {
+            let base = s.table.base();
+            // Samples of one input are adjacent, so search from the end.
+            let index =
+                bases.iter().rposition(|b| SharedTable::ptr_eq(b, base)).unwrap_or_else(|| {
+                    bases.push(base);
+                    bases.len() - 1
+                });
+            let mut table = vec![("table".to_string(), index.to_value())];
+            if let Some(row) = s.table.omitted_row() {
+                table.push(("omitted_row".to_string(), row.to_value()));
+            }
+            s.to_object(table)
+        })
+        .collect();
+    (bases.to_value(), Value::Arr(encoded))
+}
+
+/// Decodes [`samples_to_wire`]'s output. A table index past `tables`, or an
+/// omitted row past its base, is an error. Every view of one base shares
+/// the one decoded table.
+pub(crate) fn samples_from_wire(tables: &Value, samples: &Value) -> Result<Vec<Sample>, Error> {
+    let tables: Vec<SharedTable> =
+        Deserialize::from_value(tables).map_err(|e| Error::custom(format!("tables: {e}")))?;
+    let samples = samples.as_arr().ok_or_else(|| Error::expected("array", samples))?;
+    let evidence = |o: &[(String, Value)]| -> Result<SharedTable, Error> {
+        let index: usize = field(o, "table")?;
+        let base = tables.get(index).ok_or_else(|| {
+            Error::custom(format!("table index {index} past the {} tables", tables.len()))
+        })?;
+        match field::<Option<usize>>(o, "omitted_row")? {
+            None => Ok(base.clone()),
+            Some(row) if row < base.n_rows() => Ok(base.without_row(row)),
+            Some(row) => Err(Error::custom(format!(
+                "omitted row {row} past the {} rows of table {index}",
+                base.n_rows()
+            ))),
+        }
+    };
+    samples
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            Sample::from_object(v, evidence).map_err(|e| Error::custom(format!("sample {i}: {e}")))
+        })
+        .collect()
 }
 
 /// A named collection of samples with train/dev/test splits.
@@ -322,6 +435,54 @@ mod tests {
         assert_eq!(back.name, "toy");
         assert_eq!(back.train.len(), 1);
         assert_eq!(back.dev[0].label.as_verdict(), Some(Verdict::Refuted));
+    }
+
+    /// The derived form `Sample` had before its serde impls were written
+    /// by hand, field for field, with the evidence as a whole table.
+    #[derive(Serialize)]
+    struct Derived {
+        table: SharedTable,
+        context: Vec<String>,
+        text: String,
+        label: Label,
+        evidence: EvidenceType,
+        program: ProgramKind,
+        answer_kind: AnswerKind,
+        topic: String,
+    }
+
+    #[test]
+    fn json_matches_the_derived_form_for_whole_and_split_evidence() {
+        let table = SharedTable::new(
+            Table::from_strings("t", &[vec!["a", "b"], vec!["x", "1"], vec!["y", "2"]])
+                .unwrap_or_else(|e| panic!("test table: {e:?}")),
+        );
+        for evidence in [table.clone(), table.without_row(0), table.without_row(1)] {
+            let mut s = Sample::qa(evidence.clone(), "q?", "2");
+            s.context = vec!["x has a b of 1.".into()];
+            s.evidence = EvidenceType::TableText;
+            s.program = ProgramKind::Sql("select c2 from w".into());
+            s.topic = "toy".into();
+            let derived = Derived {
+                table: SharedTable::new(evidence.as_table().clone()),
+                context: s.context.clone(),
+                text: s.text.clone(),
+                label: s.label.clone(),
+                evidence: s.evidence,
+                program: s.program.clone(),
+                answer_kind: s.answer_kind,
+                topic: s.topic.clone(),
+            };
+            let json = serde_json::to_string(&s).unwrap_or_else(|e| panic!("serialize: {e}"));
+            let expected =
+                serde_json::to_string(&derived).unwrap_or_else(|e| panic!("serialize: {e}"));
+            assert_eq!(json, expected);
+            let mut d = Dataset::new("split");
+            d.train.push(s.clone());
+            let back = Dataset::from_json(&d.to_json().unwrap_or_else(|e| panic!("to_json: {e}")))
+                .unwrap_or_else(|e| panic!("from_json: {e}"));
+            assert_eq!(back.train, vec![s]);
+        }
     }
 
     #[test]

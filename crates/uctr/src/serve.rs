@@ -25,21 +25,26 @@
 //!   path) out of their shard's pool and back in after every request, so
 //!   steady-state requests skip cold buffer growth.
 //! * **Live telemetry.** Shard [`TelemetryBank`]s aggregate the same
-//!   funnel counters as the batch paths plus a per-request end-to-end
-//!   latency histogram ([`Timer::Request`]); [`Daemon::stats`] merges them
-//!   into a [`PipelineReport`] snapshot served over the wire.
+//!   funnel counters as the batch paths plus per-request histograms of
+//!   end-to-end latency ([`Timer::Request`]) and of its two parts, queue
+//!   wait ([`Timer::QueueWait`]) and service ([`Timer::Service`]);
+//!   [`Daemon::stats`] merges them into a [`PipelineReport`] snapshot
+//!   served over the wire.
 //!
 //! The wire protocol is deliberately tiny: length-prefixed JSON frames
 //! (4-byte big-endian length, then a UTF-8 [`GenRequest`]/[`GenResponse`]
 //! body) over TCP — no new dependencies, and a `loadgen` client fits in a
-//! page of code. See DESIGN.md §11 for the request lifecycle.
+//! page of code. Both ends set `TCP_NODELAY` and write each frame with one
+//! `write_all`, so no response waits on the peer's delayed ACK. A response
+//! sends each evidence table once and its samples cite the tables by index
+//! (see [`GenResponse`]). See DESIGN.md §11 for the request lifecycle.
 
 use crate::pipeline::{TableWithContext, UctrConfig, UctrPipeline};
 use crate::program::GenScratch;
-use crate::sample::Sample;
+use crate::sample::{samples_from_wire, samples_to_wire, Sample};
 use crate::telemetry::{PipelineReport, TelemetryBank, Timer};
 use nlgen::NoiseConfig;
-use serde::{Deserialize, Serialize};
+use serde::{field, Deserialize, Serialize, Value};
 use std::collections::VecDeque;
 use std::io::{Error, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -173,7 +178,13 @@ impl GenRequest {
 /// One wire response. `status` is `"ok"`, `"rejected"` (backpressure —
 /// retry after `retry_after_ms`), or `"error"` (malformed request; `message`
 /// says why).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Its JSON form does not repeat evidence tables per sample: a `tables`
+/// list holds each distinct evidence table once, and each sample names its
+/// table by index plus, for split evidence, the omitted row. The form is
+/// self-contained (it decodes without its request), and decoding checks
+/// every index and row, returning an error rather than panicking.
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenResponse {
     pub id: u64,
     pub status: String,
@@ -215,6 +226,40 @@ impl GenResponse {
 
     pub fn is_rejected(&self) -> bool {
         self.status == "rejected"
+    }
+}
+
+impl Serialize for GenResponse {
+    fn to_value(&self) -> Value {
+        let (tables, samples) = samples_to_wire(&self.samples);
+        Value::Obj(vec![
+            ("id".to_string(), self.id.to_value()),
+            ("status".to_string(), self.status.to_value()),
+            ("retry_after_ms".to_string(), self.retry_after_ms.to_value()),
+            ("message".to_string(), self.message.to_value()),
+            ("tables".to_string(), tables),
+            ("samples".to_string(), samples),
+            ("queue_ns".to_string(), self.queue_ns.to_value()),
+            ("service_ns".to_string(), self.service_ns.to_value()),
+            ("stats".to_string(), self.stats.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for GenResponse {
+    fn from_value(v: &Value) -> Result<GenResponse, serde::Error> {
+        let o = v.as_obj().ok_or_else(|| serde::Error::expected("object", v))?;
+        let required = |name: &str| v.get(name).ok_or_else(|| serde::Error::missing_field(name));
+        Ok(GenResponse {
+            id: field(o, "id")?,
+            status: field(o, "status")?,
+            retry_after_ms: field(o, "retry_after_ms")?,
+            message: field(o, "message")?,
+            samples: samples_from_wire(required("tables")?, required("samples")?)?,
+            queue_ns: field(o, "queue_ns")?,
+            service_ns: field(o, "service_ns")?,
+            stats: field(o, "stats")?,
+        })
     }
 }
 
@@ -585,6 +630,11 @@ impl Daemon {
     }
 
     fn handle_conn(self: Arc<Daemon>, mut stream: TcpStream) {
+        // Without it, Nagle holds each response until the client's delayed
+        // ACK (~40 ms on Linux).
+        if stream.set_nodelay(true).is_err() {
+            return;
+        }
         loop {
             let frame = match read_frame(&mut stream, MAX_FRAME_BYTES) {
                 Ok(Some(frame)) => frame,
@@ -705,6 +755,8 @@ impl Inner {
         };
         response.queue_ns = queue_ns;
         response.service_ns = service_ns;
+        shard.tel.time(Timer::QueueWait, Duration::from_nanos(queue_ns));
+        shard.tel.time(Timer::Service, Duration::from_nanos(service_ns));
         shard.tel.time(Timer::Request, job.enqueued.elapsed());
         // A vanished client (dropped receiver) is not a daemon error.
         let _ = job.reply.send(response);
@@ -749,12 +801,16 @@ fn worker_loop(inner: &Inner, me: usize) {
 // Wire framing and the client.
 // ---------------------------------------------------------------------------
 
-/// Writes one length-prefixed frame (4-byte big-endian length + payload).
+/// Writes one length-prefixed frame (4-byte big-endian length + payload)
+/// with a single `write_all`, so a frame never leaves as a 4-byte runt
+/// segment followed by its body.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| Error::new(ErrorKind::InvalidInput, "frame exceeds the u32 length prefix"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -903,6 +959,77 @@ mod tests {
     }
 
     #[test]
+    fn response_sends_each_table_once_and_round_trips() {
+        let daemon = Daemon::start(ServeConfig::with_shards(1))
+            .unwrap_or_else(|e| panic!("daemon start: {e}"));
+        let response = daemon.dispatch(GenRequest::generate(
+            3,
+            RequestSpec::qa(9),
+            wire_tables_with_paragraph(),
+        ));
+        daemon.shutdown();
+        assert!(response.is_ok(), "{}", response.message);
+        let json = serde_json::to_string(&response).unwrap_or_else(|e| panic!("serialize: {e}"));
+        let tree = serde_json::parse_value(&json).unwrap_or_else(|e| panic!("parse: {e}"));
+        let tables = tree.get("tables").and_then(Value::as_arr).map_or(0, <[Value]>::len);
+        // At most the two inputs and their text-only empty tables, however
+        // many samples cite them.
+        assert!(tables <= 4, "{tables} tables for {} samples", response.samples.len());
+        assert!(response.samples.len() > tables);
+        let back: GenResponse =
+            serde_json::from_str(&json).unwrap_or_else(|e| panic!("deserialize: {e}"));
+        assert_eq!(back, response);
+        assert_eq!(format!("{back:?}"), format!("{response:?}"));
+        // Views decoded against one base share it: the samples hold no
+        // more distinct base handles than the response sent tables.
+        assert!(back.samples.iter().any(|s| s.table.omitted_row().is_some()));
+        let mut bases: Vec<&tabular::SharedTable> = Vec::new();
+        for base in back.samples.iter().map(|s| s.table.base()) {
+            if !bases.iter().any(|b| tabular::SharedTable::ptr_eq(b, base)) {
+                bases.push(base);
+            }
+        }
+        assert_eq!(bases.len(), tables);
+    }
+
+    #[test]
+    fn response_decode_rejects_bad_table_index_and_row() {
+        let table = |rows: usize| {
+            let body: String = (0..rows).map(|r| format!(",[{{\"Text\":\"r{r}\"}}]")).collect();
+            format!(
+                r#"{{"title":"t","schema":{{"columns":[{{"name":"a","ty":"Text"}}]}},"rows":[{}]}}"#,
+                body.trim_start_matches(',')
+            )
+        };
+        let response = |tables: &str, sample_table: &str| {
+            format!(
+                r#"{{"id":1,"status":"ok","retry_after_ms":0,"message":"","tables":[{tables}],"samples":[{{{sample_table},"context":[],"text":"q","label":{{"Answer":"a"}},"evidence":"TableOnly","program":"None","answer_kind":"Span","topic":""}}],"queue_ns":0,"service_ns":0,"stats":null}}"#
+            )
+        };
+        let two_rows = table(2);
+        let ok = serde_json::from_str::<GenResponse>(&response(
+            &two_rows,
+            r#""table":0,"omitted_row":1"#,
+        ))
+        .unwrap_or_else(|e| panic!("a valid response must decode: {e}"));
+        assert_eq!(ok.samples[0].table.n_rows(), 1);
+        for (what, tables, sample_table) in [
+            ("index past the list", two_rows.clone(), r#""table":1"#),
+            ("index into an empty list", String::new(), r#""table":0"#),
+            ("omitted row past its base", two_rows.clone(), r#""table":0,"omitted_row":2"#),
+            ("negative index", two_rows.clone(), r#""table":-1"#),
+            ("missing index", two_rows.clone(), r#""omitted_row":0"#),
+        ] {
+            let json = response(&tables, sample_table);
+            assert!(serde_json::from_str::<GenResponse>(&json).is_err(), "{what}: {json}");
+        }
+        // A response without its table list (the pre-shared-table form)
+        // is refused too.
+        let inline = r#"{"id":1,"status":"ok","retry_after_ms":0,"message":"","samples":[],"queue_ns":0,"service_ns":0,"stats":null}"#;
+        assert!(serde_json::from_str::<GenResponse>(inline).is_err());
+    }
+
+    #[test]
     fn shard_queue_orders_by_priority() {
         let mut q = ShardQueue::default();
         let job = |id: u64, priority: u8| {
@@ -990,6 +1117,13 @@ mod tests {
             .unwrap_or_else(|| panic!("stats must carry the request histogram"));
         assert_eq!(request_hist.count, 3);
         assert!(request_hist.quantile_ns(0.99) > 0);
+        // Queue wait and service are recorded apart, one each per request
+        // (two of the three waited behind the paused workers).
+        for name in ["queue_wait", "service"] {
+            let hist = stats.report.timing(name).unwrap_or_else(|| panic!("{name} histogram"));
+            assert_eq!(hist.count, 3, "{name}");
+            assert!((1..=request_hist.total_ns).contains(&hist.total_ns), "{name}");
+        }
         daemon.shutdown();
     }
 
@@ -1032,22 +1166,112 @@ mod tests {
         daemon.shutdown();
     }
 
-    #[test]
-    fn tcp_round_trip_matches_in_process_dispatch() {
+    /// [`wire_tables`] plus a split-eligible table whose paragraph
+    /// integrates as a new row, so a response carries whole, split-view and
+    /// expanded evidence.
+    fn wire_tables_with_paragraph() -> Vec<WireTable> {
+        let mut tables = wire_tables();
+        tables.push(WireTable {
+            title: "Departments".into(),
+            rows: vec![
+                vec!["department".into(), "total deputies".into(), "budget".into()],
+                vec!["Commerce".into(), "18".into(), "500".into()],
+                vec!["Defense".into(), "42".into(), "9000".into()],
+                vec!["Treasury".into(), "30".into(), "3000".into()],
+                vec!["Interior".into(), "25".into(), "1200".into()],
+            ],
+            paragraph: Some("Energy has a total deputies of 12 and a budget of 700.".into()),
+            topic: "politics".into(),
+        });
+        tables
+    }
+
+    fn spawn_daemon(shards: usize) -> (Arc<Daemon>, SocketAddr) {
         let daemon = Arc::new(
-            Daemon::start(ServeConfig::with_shards(2))
+            Daemon::start(ServeConfig::with_shards(shards))
                 .unwrap_or_else(|e| panic!("daemon start: {e}")),
         );
         let (addr, _accept) =
             daemon.spawn_listener("127.0.0.1:0").unwrap_or_else(|e| panic!("listener: {e}"));
+        (daemon, addr)
+    }
+
+    /// Records the length of every `write` call.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        for payload in [&b""[..], b"hello", &[7u8; 70_000]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap_or_else(|e| panic!("write_frame: {e}"));
+            assert_eq!(w.writes, vec![4 + payload.len()], "{} payload bytes", payload.len());
+        }
+    }
+
+    #[test]
+    fn sequential_stats_round_trips_do_not_stall() {
+        let (daemon, addr) = spawn_daemon(1);
+        let mut client = Client::connect(addr).unwrap_or_else(|e| panic!("client connect: {e}"));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "The test bounds the wall time of sequential round trips; no generated data \
+                      depends on it."
+        )]
+        let started = Instant::now();
+        for id in 0..20 {
+            let r = client.request(&GenRequest::stats(id)).unwrap_or_else(|e| panic!("stats: {e}"));
+            assert!(r.is_ok() && r.stats.is_some(), "stats {id}: {} {}", r.status, r.message);
+        }
+        let elapsed = started.elapsed();
+        // A response held back by Nagle waits ~40 ms for the delayed ACK,
+        // so 20 stalled round trips take ~800 ms.
+        assert!(elapsed < Duration::from_millis(400), "20 stats round trips took {elapsed:?}");
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn tcp_round_trip_matches_in_process_dispatch() {
+        let (daemon, addr) = spawn_daemon(2);
         let mut client = Client::connect(addr).unwrap_or_else(|e| panic!("client connect: {e}"));
         for seed in [21, u64::MAX] {
-            let request = GenRequest::generate(5, RequestSpec::qa(seed), wire_tables());
-            let expected = daemon.dispatch(request.clone());
-            let over_wire =
-                client.request(&request).unwrap_or_else(|e| panic!("wire request: {e}"));
-            assert!(over_wire.is_ok(), "wire status: {} {}", over_wire.status, over_wire.message);
-            assert_eq!(over_wire.samples, expected.samples, "seed {seed}");
+            for spec in [RequestSpec::qa(seed), RequestSpec::verification(seed)] {
+                let task = spec.task.clone();
+                let request = GenRequest::generate(5, spec, wire_tables_with_paragraph());
+                let expected = daemon.dispatch(request.clone());
+                assert!(expected.is_ok(), "{task} seed {seed}: {}", expected.message);
+                assert!(
+                    expected.samples.iter().any(|s| s.table.omitted_row().is_some()),
+                    "{task} seed {seed}: the request must yield split evidence"
+                );
+                let over_wire =
+                    client.request(&request).unwrap_or_else(|e| panic!("wire request: {e}"));
+                assert!(
+                    over_wire.is_ok(),
+                    "wire status: {} {}",
+                    over_wire.status,
+                    over_wire.message
+                );
+                assert_eq!(over_wire.samples, expected.samples, "{task} seed {seed}");
+                assert_eq!(
+                    format!("{:?}", over_wire.samples),
+                    format!("{:?}", expected.samples),
+                    "{task} seed {seed}"
+                );
+            }
         }
         let stats =
             client.request(&GenRequest::stats(6)).unwrap_or_else(|e| panic!("stats request: {e}"));

@@ -210,13 +210,21 @@ pub enum Timer {
     NlGen = 2,
     /// End-to-end latency of one serving request (queue wait + service),
     /// recorded by the [`crate::serve`] daemon. The batch entry points
-    /// never touch this slot, so batch reports carry it with zero counts.
+    /// never touch this slot or the two below, so batch reports carry
+    /// them with zero counts.
     Request = 3,
+    /// The part of [`Timer::Request`] a serving request spent in its shard
+    /// queue before a worker took it.
+    QueueWait = 4,
+    /// The part of [`Timer::Request`] a worker spent on the request (table
+    /// parsing + synthesis).
+    Service = 5,
 }
 
-pub const N_TIMERS: usize = 4;
+pub const N_TIMERS: usize = 6;
 
-pub const TIMER_NAMES: [&str; N_TIMERS] = ["instantiate", "execute", "nl_gen", "request"];
+pub const TIMER_NAMES: [&str; N_TIMERS] =
+    ["instantiate", "execute", "nl_gen", "request", "queue_wait", "service"];
 
 /// Number of log2 latency buckets: bucket `i` counts durations in
 /// `[2^i, 2^(i+1))` nanoseconds; the last bucket absorbs the tail (~4.3 s+).
