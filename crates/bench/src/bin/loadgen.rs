@@ -19,7 +19,7 @@
 //! Flags:
 //!   --addr HOST:PORT     drive a running daemon (default: spawn one
 //!                        in-process on a loopback port)
-//!   --shards N           in-process daemon shard count (default: all cores)
+//!   --shards N           in-process daemon worker count (default: all cores)
 //!   --mode closed|open   (default closed)
 //!   --conns N            concurrent connections (default 4)
 //!   --rate R             open-loop arrivals/sec (default 200)
@@ -339,8 +339,8 @@ fn main() {
     let samples_per_sec = tally.samples as f64 / measured_secs;
     let requests_per_sec = tally.requests as f64 / measured_secs;
 
-    // Daemon-side counters over one extra connection (pool behaviour and
-    // stealing are invisible to a pure client).
+    // Daemon-side counters over one extra connection (pool behaviour is
+    // invisible to a pure client).
     let daemon_stats = Client::connect(&addr)
         .ok()
         .and_then(|mut c| c.request(&GenRequest::stats(0)).ok())
@@ -377,11 +377,10 @@ fn main() {
     );
     if let Some(stats) = &daemon_stats {
         println!(
-            "serving daemon: {} shards, pool {}/{} warm hits, {} stolen, {} completed",
+            "serving daemon: {} shards, pool {}/{} warm hits, {} completed",
             stats.shards,
             stats.pool_hits,
             stats.pool_hits + stats.pool_misses,
-            stats.requests_stolen,
             stats.requests_completed,
         );
     }
@@ -435,7 +434,6 @@ fn main() {
             Value::Obj(vec![
                 ("pool_hits".into(), Value::Int(stats.pool_hits as i64)),
                 ("pool_misses".into(), Value::Int(stats.pool_misses as i64)),
-                ("requests_stolen".into(), Value::Int(stats.requests_stolen as i64)),
                 ("requests_completed".into(), Value::Int(stats.requests_completed as i64)),
                 ("requests_rejected".into(), Value::Int(stats.requests_rejected as i64)),
             ]),

@@ -19,6 +19,7 @@
 use crate::schema::ColumnType;
 use crate::table::Table;
 use crate::value::Value;
+use rustc_hash::FxHashSet;
 
 /// Cached per-table indexes for program instantiation and execution.
 ///
@@ -155,10 +156,11 @@ impl ExecContext {
         }
 
         let mut text_pool: Vec<String> = Vec::new();
+        let mut seen: FxHashSet<&str> = FxHashSet::default();
         for row in table.rows() {
             for v in row {
                 if let Value::Text(t) = v {
-                    if !text_pool.contains(t) {
+                    if seen.insert(t.as_str()) {
                         text_pool.push(t.clone());
                     }
                 }
@@ -393,6 +395,30 @@ mod tests {
         let t = table();
         let ctx = ExecContext::new(&t);
         assert_eq!(ctx.text_pool(), &["Ada", "Oslo", "Lima", "Cleo"]);
+
+        // Texts repeated across rows and columns, with case variants that
+        // stay distinct: the pool keeps the first-seen row-major order of a
+        // naive scan.
+        let t = strings_table(&[
+            vec!["home", "away", "venue"],
+            vec!["Oslo", "Lima", "oslo"],
+            vec!["Lima", "Oslo", "Kyiv"],
+            vec!["oslo", "Kyiv", "Lima"],
+            vec!["Quito", "Quito", "OSLO"],
+        ]);
+        let mut naive: Vec<String> = Vec::new();
+        for row in t.rows() {
+            for v in row {
+                if let Value::Text(s) = v {
+                    if !naive.contains(s) {
+                        naive.push(s.clone());
+                    }
+                }
+            }
+        }
+        let ctx = ExecContext::new(&t);
+        assert_eq!(ctx.text_pool(), naive.as_slice());
+        assert_eq!(ctx.text_pool(), &["Oslo", "Lima", "oslo", "Kyiv", "Quito", "OSLO"]);
     }
 
     #[test]

@@ -12,19 +12,17 @@
 //!   input's RNG stream from `(request seed, input index)` alone. Same
 //!   request bytes ⇒ byte-identical samples, regardless of worker
 //!   interleaving, worker count, or co-running requests.
-//! * **Bounded per-shard queues with explicit backpressure.** Admission
-//!   round-robins requests across shards; a full shard rejects immediately
-//!   with a `retry_after_ms` hint instead of buffering without bound.
-//!   Within a shard, high-priority requests dequeue before normal ones.
-//! * **Work stealing at request granularity.** Each shard owns one worker;
-//!   an idle worker drains its own queue first, then steals whole requests
-//!   from other shards (a request never splits across workers — that is
-//!   what keeps interleaving away from the sample bytes).
-//! * **Warm per-shard scratch pools.** Workers check [`GenScratch`] (which
-//!   embeds the per-kind executor/kernel scratches of the near-zero-alloc
-//!   path) out of their shard's pool and back in after every request, so
-//!   steady-state requests skip cold buffer growth.
-//! * **Live telemetry.** Shard [`TelemetryBank`]s aggregate the same
+//! * **One bounded FIFO with explicit backpressure.** Every worker blocks
+//!   on one queue and takes whole requests in arrival order (a request
+//!   never splits across workers — that is what keeps interleaving away
+//!   from the sample bytes). Once `queue_bound × shards` requests wait,
+//!   admission rejects immediately with a `retry_after_ms` hint instead of
+//!   buffering without bound.
+//! * **Worker-owned warm scratch.** Each worker owns one [`GenScratch`]
+//!   (which embeds the per-kind executor/kernel scratches of the
+//!   near-zero-alloc path) for its whole life, so every request after a
+//!   worker's first skips cold buffer growth.
+//! * **Live telemetry.** Per-worker [`TelemetryBank`]s aggregate the same
 //!   funnel counters as the batch paths plus per-request histograms of
 //!   end-to-end latency ([`Timer::Request`]) and of its two parts, queue
 //!   wait ([`Timer::QueueWait`]) and service ([`Timer::Service`]);
@@ -48,7 +46,7 @@ use serde::{field, Deserialize, Serialize, Value};
 use std::collections::VecDeque;
 use std::io::{Error, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -61,14 +59,6 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 /// Hard cap on the per-request `samples_per_table` override, so one
 /// request cannot monopolize a worker for an unbounded stretch.
 pub const MAX_SAMPLES_PER_TABLE: usize = 64;
-
-/// How many warm [`GenScratch`] instances one shard pool retains.
-const POOL_CAP: usize = 2;
-
-/// How long an idle worker sleeps before re-scanning for stealable work.
-/// Submission only notifies the home shard's condvar, so this poll bounds
-/// the added latency of a steal (the home worker itself is woken exactly).
-const STEAL_POLL: Duration = Duration::from_millis(1);
 
 // ---------------------------------------------------------------------------
 // Wire types.
@@ -136,18 +126,15 @@ pub struct RequestSpec {
     /// Programs attempted per table per enabled source; `0` uses the
     /// daemon default. Capped at [`MAX_SAMPLES_PER_TABLE`].
     pub samples_per_table: usize,
-    /// `> 0` dequeues before normal-priority requests on the same shard.
-    /// Admission (and its queue bound) is priority-blind.
-    pub priority: u8,
 }
 
 impl RequestSpec {
     pub fn qa(seed: u64) -> RequestSpec {
-        RequestSpec { task: "qa".into(), seed, samples_per_table: 0, priority: 0 }
+        RequestSpec { task: "qa".into(), seed, samples_per_table: 0 }
     }
 
     pub fn verification(seed: u64) -> RequestSpec {
-        RequestSpec { task: "verification".into(), seed, samples_per_table: 0, priority: 0 }
+        RequestSpec { task: "verification".into(), seed, samples_per_table: 0 }
     }
 }
 
@@ -192,7 +179,7 @@ pub struct GenResponse {
     pub retry_after_ms: u64,
     pub message: String,
     pub samples: Vec<Sample>,
-    /// Time the request waited in its shard queue before a worker took it.
+    /// Time the request waited in the queue before a worker took it.
     pub queue_ns: u64,
     /// Time the worker spent generating (parse + synthesis).
     pub service_ns: u64,
@@ -266,19 +253,26 @@ impl Deserialize for GenResponse {
 /// A live snapshot of the daemon's counters and merged telemetry.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeStats {
+    /// Worker count ([`ServeConfig::shards`]).
     pub shards: u64,
+    /// [`ServeConfig::queue_bound`]; the queue holds `queue_bound × shards`.
     pub queue_bound: u64,
     pub requests_admitted: u64,
     pub requests_rejected: u64,
     pub requests_completed: u64,
     pub requests_failed: u64,
     pub samples_generated: u64,
+    /// Requests served on a worker's warm scratch.
     pub pool_hits: u64,
+    /// Requests served on cold scratch: each worker's first.
     pub pool_misses: u64,
+    /// Always 0: workers share one queue, so no request is stolen. The
+    /// field stays only because the repository benchmark (`perfbench`)
+    /// reads it; removing it waits for a change to that benchmark.
     pub requests_stolen: u64,
-    /// Current depth of each shard queue at snapshot time.
-    pub queue_depths: Vec<u64>,
-    /// Shard banks merged into one report; its `request` timing histogram
+    /// Requests waiting in the queue at snapshot time.
+    pub queue_depth: u64,
+    /// Worker banks merged into one report; its `request` timing histogram
     /// is the daemon-side end-to-end latency distribution.
     pub report: PipelineReport,
 }
@@ -290,8 +284,8 @@ pub struct ServeStats {
 /// Why [`Daemon::submit`] refused to queue a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The target shard's queue is at its bound: explicit backpressure.
-    /// Retry after the hinted delay; nothing was buffered.
+    /// The queue is at its bound: explicit backpressure. Retry after the
+    /// hinted delay; nothing was buffered.
     Rejected { retry_after_ms: u64 },
     /// The request can never succeed as written (unknown op or task,
     /// daemon shutting down); retrying without changes is pointless.
@@ -305,7 +299,7 @@ impl SubmitError {
             SubmitError::Rejected { retry_after_ms } => {
                 let mut r = GenResponse::base(id, "rejected");
                 r.retry_after_ms = retry_after_ms;
-                r.message = "shard queue full; retry after retry_after_ms".into();
+                r.message = "queue full; retry after retry_after_ms".into();
                 r
             }
             SubmitError::Invalid(message) => GenResponse::error(id, &message),
@@ -320,9 +314,10 @@ impl SubmitError {
 /// Daemon sizing and policy knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Shard (= worker) count.
+    /// Worker count.
     pub shards: usize,
-    /// Per-shard queue bound; admission rejects beyond it.
+    /// Queue bound per worker: admission rejects once `queue_bound ×
+    /// shards` requests are waiting.
     pub queue_bound: usize,
     /// The retry hint carried by rejection responses.
     pub retry_after_ms: u64,
@@ -330,7 +325,7 @@ pub struct ServeConfig {
     /// requests cannot override it). Defaults to off so that serving is
     /// byte-stable by default.
     pub noise: NoiseConfig,
-    /// Start with workers parked (tests fill queues deterministically, then
+    /// Start without workers (tests fill the queue deterministically, then
     /// call [`Daemon::resume`]).
     pub paused: bool,
 }
@@ -363,55 +358,17 @@ struct Job {
     reply: mpsc::Sender<GenResponse>,
 }
 
-/// One shard's dual-priority bounded queue.
+/// What the queue lock guards. The shutdown flag sits beside the jobs so
+/// that admission and a worker's exit test read it under the lock that
+/// orders every push and pop: no request is queued after the workers left.
 #[derive(Default)]
-struct ShardQueue {
-    high: VecDeque<Job>,
-    normal: VecDeque<Job>,
-}
-
-impl ShardQueue {
-    fn len(&self) -> usize {
-        self.high.len() + self.normal.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.high.is_empty() && self.normal.is_empty()
-    }
-
-    fn push(&mut self, job: Job) {
-        if job.request.spec.priority > 0 {
-            self.high.push_back(job);
-        } else {
-            self.normal.push_back(job);
-        }
-    }
-
-    fn pop(&mut self) -> Option<Job> {
-        self.high.pop_front().or_else(|| self.normal.pop_front())
-    }
-}
-
-struct Shard {
-    queue: Mutex<ShardQueue>,
-    ready: Condvar,
-    pool: Mutex<Vec<GenScratch>>,
-    tel: TelemetryBank,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            queue: Mutex::new(ShardQueue::default()),
-            ready: Condvar::new(),
-            pool: Mutex::new(Vec::new()),
-            tel: TelemetryBank::new(),
-        }
-    }
+struct Queue {
+    jobs: VecDeque<Job>,
+    shutting_down: bool,
 }
 
 /// Recovers the guard from a poisoned mutex: the protected state (a queue
-/// of jobs, a pool of scratch buffers) stays structurally sound across a
+/// of jobs, a list of worker handles) stays structurally sound across a
 /// worker panic, and stalling every other client on a poisoned lock would
 /// turn one bad request into a full outage.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -426,8 +383,11 @@ struct Inner {
     pipeline: UctrPipeline,
     qa_base: UctrConfig,
     verification_base: UctrConfig,
-    shards: Vec<Shard>,
-    next_shard: AtomicUsize,
+    queue: Mutex<Queue>,
+    /// Notified once per admitted job, and for every worker at shutdown.
+    ready: Condvar,
+    /// One bank per worker, written only by that worker.
+    banks: Vec<TelemetryBank>,
     admitted: AtomicU64,
     rejected: AtomicU64,
     completed: AtomicU64,
@@ -435,11 +395,9 @@ struct Inner {
     samples: AtomicU64,
     pool_hits: AtomicU64,
     pool_misses: AtomicU64,
-    stolen: AtomicU64,
-    shutdown: AtomicBool,
 }
 
-/// The generation daemon: sharded bounded queues in front of one shared
+/// The generation daemon: one bounded FIFO in front of one shared
 /// [`UctrPipeline`]. See the module docs for the design contract.
 pub struct Daemon {
     inner: Arc<Inner>,
@@ -447,14 +405,14 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Builds the daemon (one shared pipeline, `cfg.shards` shards) and —
+    /// Builds the daemon (one shared pipeline, `cfg.shards` workers) and —
     /// unless `cfg.paused` — spawns the workers.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Daemon> {
         let cfg = ServeConfig { shards: cfg.shards.max(1), ..cfg };
         let qa_base = UctrConfig { noise: cfg.noise, ..UctrConfig::qa() };
         let verification_base = UctrConfig { noise: cfg.noise, ..UctrConfig::verification() };
         let pipeline = UctrPipeline::new(qa_base.clone());
-        let shards = (0..cfg.shards).map(|_| Shard::new()).collect();
+        let banks = (0..cfg.shards).map(|_| TelemetryBank::new()).collect();
         let paused = cfg.paused;
         let daemon = Daemon {
             inner: Arc::new(Inner {
@@ -462,8 +420,9 @@ impl Daemon {
                 pipeline,
                 qa_base,
                 verification_base,
-                shards,
-                next_shard: AtomicUsize::new(0),
+                queue: Mutex::new(Queue::default()),
+                ready: Condvar::new(),
+                banks,
                 admitted: AtomicU64::new(0),
                 rejected: AtomicU64::new(0),
                 completed: AtomicU64::new(0),
@@ -471,8 +430,6 @@ impl Daemon {
                 samples: AtomicU64::new(0),
                 pool_hits: AtomicU64::new(0),
                 pool_misses: AtomicU64::new(0),
-                stolen: AtomicU64::new(0),
-                shutdown: AtomicBool::new(false),
             }),
             workers: Mutex::new(Vec::new()),
         };
@@ -483,17 +440,17 @@ impl Daemon {
     }
 
     /// Spawns the worker threads (no-op when they are already running).
-    /// Paused daemons use this after tests have staged their queues.
+    /// Paused daemons use this after tests have staged the queue.
     pub fn resume(&self) -> std::io::Result<()> {
         let mut workers = lock(&self.workers);
         if !workers.is_empty() {
             return Ok(());
         }
-        for me in 0..self.inner.shards.len() {
+        for me in 0..self.inner.banks.len() {
             let inner = Arc::clone(&self.inner);
             let handle = thread::Builder::new()
                 .name(format!("uctr-serve-{me}"))
-                .spawn(move || worker_loop(&inner, me))?;
+                .spawn(move || worker_loop(&inner, &inner.banks[me]))?;
             workers.push(handle);
         }
         Ok(())
@@ -504,21 +461,19 @@ impl Daemon {
     /// nothing was buffered.
     pub fn submit(&self, request: GenRequest) -> Result<mpsc::Receiver<GenResponse>, SubmitError> {
         let inner = &self.inner;
-        if inner.shutdown.load(Ordering::Acquire) {
-            return Err(SubmitError::Invalid("daemon is shutting down".into()));
-        }
         if request.op != "generate" {
             return Err(SubmitError::Invalid(format!("op `{}` cannot be queued", request.op)));
         }
         if let Err(e) = inner.request_config(&request.spec) {
             return Err(SubmitError::Invalid(e));
         }
-        let shard_ix = inner.next_shard.fetch_add(1, Ordering::Relaxed) % inner.shards.len();
-        let shard = &inner.shards[shard_ix];
         let (tx, rx) = mpsc::channel();
         {
-            let mut q = lock(&shard.queue);
-            if q.len() >= inner.cfg.queue_bound {
+            let mut q = lock(&inner.queue);
+            if q.shutting_down {
+                return Err(SubmitError::Invalid("daemon is shutting down".into()));
+            }
+            if q.jobs.len() >= inner.cfg.queue_bound.saturating_mul(inner.cfg.shards) {
                 drop(q);
                 inner.rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(SubmitError::Rejected { retry_after_ms: inner.cfg.retry_after_ms });
@@ -531,9 +486,9 @@ impl Daemon {
                           from the request seed, so wall-clock reads cannot perturb generated \
                           data."
             )]
-            q.push(Job { request, enqueued: Instant::now(), reply: tx });
+            q.jobs.push_back(Job { request, enqueued: Instant::now(), reply: tx });
         }
-        shard.ready.notify_one();
+        inner.ready.notify_one();
         inner.admitted.fetch_add(1, Ordering::Relaxed);
         Ok(rx)
     }
@@ -559,16 +514,16 @@ impl Daemon {
         }
     }
 
-    /// A live snapshot: admission/completion counters plus every shard's
+    /// A live snapshot: admission/completion counters plus every worker's
     /// telemetry merged into one [`PipelineReport`].
     pub fn stats(&self) -> ServeStats {
         let inner = &self.inner;
         let merged = TelemetryBank::new();
-        for shard in &inner.shards {
-            merged.merge(&shard.tel);
+        for bank in &inner.banks {
+            merged.merge(bank);
         }
         ServeStats {
-            shards: inner.shards.len() as u64,
+            shards: inner.cfg.shards as u64,
             queue_bound: inner.cfg.queue_bound as u64,
             requests_admitted: inner.admitted.load(Ordering::Relaxed),
             requests_rejected: inner.rejected.load(Ordering::Relaxed),
@@ -577,20 +532,18 @@ impl Daemon {
             samples_generated: inner.samples.load(Ordering::Relaxed),
             pool_hits: inner.pool_hits.load(Ordering::Relaxed),
             pool_misses: inner.pool_misses.load(Ordering::Relaxed),
-            requests_stolen: inner.stolen.load(Ordering::Relaxed),
-            queue_depths: inner.shards.iter().map(|s| lock(&s.queue).len() as u64).collect(),
-            report: merged.report(inner.shards.len()),
+            requests_stolen: 0,
+            queue_depth: lock(&inner.queue).jobs.len() as u64,
+            report: merged.report(inner.cfg.shards),
         }
     }
 
-    /// Drains the queues, stops the workers, and joins them. Requests
-    /// submitted before the call still complete; later submissions are
-    /// refused.
+    /// Drains the queue, stops the workers, and joins them. Requests
+    /// admitted before the call still complete (on a paused daemon, once
+    /// it is resumed); later submissions are refused.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        for shard in &self.inner.shards {
-            shard.ready.notify_all();
-        }
+        lock(&self.inner.queue).shutting_down = true;
+        self.inner.ready.notify_all();
         let handles = std::mem::take(&mut *lock(&self.workers));
         for handle in handles {
             let _ = handle.join();
@@ -618,7 +571,7 @@ impl Daemon {
     /// thread). One thread per connection; connections are independent.
     pub fn accept_loop(self: Arc<Daemon>, listener: TcpListener) {
         for stream in listener.incoming() {
-            if self.inner.shutdown.load(Ordering::Acquire) {
+            if lock(&self.inner.queue).shutting_down {
                 return;
             }
             let Ok(stream) = stream else { continue };
@@ -678,52 +631,22 @@ impl Inner {
         Ok(cfg)
     }
 
-    /// Pops the next job: own shard first (high before normal), then a
-    /// steal sweep over the other shards in ring order.
-    fn take_job(&self, me: usize) -> Option<Job> {
-        if let Some(job) = lock(&self.shards[me].queue).pop() {
-            return Some(job);
-        }
-        let n = self.shards.len();
-        for offset in 1..n {
-            let victim = (me + offset) % n;
-            if let Some(job) = lock(&self.shards[victim].queue).pop() {
-                self.stolen.fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// Parks the worker on its own shard's condvar for up to [`STEAL_POLL`].
-    fn idle_wait(&self, me: usize) {
-        let shard = &self.shards[me];
-        let guard = lock(&shard.queue);
-        if !guard.is_empty() {
-            return;
-        }
-        let _ = match shard.ready.wait_timeout(guard, STEAL_POLL) {
-            Ok(pair) => pair,
+    /// Blocks until a job is queued and pops the oldest. `None` only once
+    /// shutdown has begun and the queue is empty: a worker pops before it
+    /// looks at the flag, so it drains every admitted job before it exits.
+    fn next_job(&self) -> Option<Job> {
+        let idle = |q: &mut Queue| q.jobs.is_empty() && !q.shutting_down;
+        let mut q = match self.ready.wait_while(lock(&self.queue), idle) {
+            Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
+        q.jobs.pop_front()
     }
 
-    /// Runs one job to completion on worker `me` and sends the response.
-    fn process(&self, me: usize, job: Job) {
-        let shard = &self.shards[me];
+    /// Runs one job to completion on a worker's scratch and bank, and
+    /// sends the response.
+    fn process(&self, job: Job, tel: &TelemetryBank, scratch: &mut GenScratch) {
         let queue_ns = elapsed_ns(&job.enqueued);
-        // Warm scratch from this worker's shard pool (thread locality
-        // beats pairing scratch with the job's home shard).
-        let mut scratch = match lock(&shard.pool).pop() {
-            Some(scratch) => {
-                self.pool_hits.fetch_add(1, Ordering::Relaxed);
-                scratch
-            }
-            None => {
-                self.pool_misses.fetch_add(1, Ordering::Relaxed);
-                GenScratch::default()
-            }
-        };
         #[expect(
             clippy::disallowed_methods,
             reason = "Serving-latency measurement points (enqueue timestamp and service-start \
@@ -732,14 +655,8 @@ impl Inner {
                       wall-clock reads cannot perturb generated data."
         )]
         let service_started = Instant::now();
-        let outcome = self.run(&job.request, &shard.tel, &mut scratch);
+        let outcome = self.run(&job.request, tel, scratch);
         let service_ns = elapsed_ns(&service_started);
-        {
-            let mut pool = lock(&shard.pool);
-            if pool.len() < POOL_CAP {
-                pool.push(scratch);
-            }
-        }
         let mut response = match outcome {
             Ok(samples) => {
                 self.completed.fetch_add(1, Ordering::Relaxed);
@@ -755,9 +672,9 @@ impl Inner {
         };
         response.queue_ns = queue_ns;
         response.service_ns = service_ns;
-        shard.tel.time(Timer::QueueWait, Duration::from_nanos(queue_ns));
-        shard.tel.time(Timer::Service, Duration::from_nanos(service_ns));
-        shard.tel.time(Timer::Request, job.enqueued.elapsed());
+        tel.time(Timer::QueueWait, Duration::from_nanos(queue_ns));
+        tel.time(Timer::Service, Duration::from_nanos(service_ns));
+        tel.time(Timer::Request, job.enqueued.elapsed());
         // A vanished client (dropped receiver) is not a daemon error.
         let _ = job.reply.send(response);
     }
@@ -784,16 +701,16 @@ fn elapsed_ns(started: &Instant) -> u64 {
     started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
-fn worker_loop(inner: &Inner, me: usize) {
-    loop {
-        if let Some(job) = inner.take_job(me) {
-            inner.process(me, job);
-            continue;
-        }
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        inner.idle_wait(me);
+fn worker_loop(inner: &Inner, tel: &TelemetryBank) {
+    // One scratch for the worker's whole life: its first request runs on
+    // cold buffers (a pool miss), every later one on warm buffers (a hit).
+    let mut scratch = GenScratch::default();
+    let mut warm = false;
+    while let Some(job) = inner.next_job() {
+        let pool = if warm { &inner.pool_hits } else { &inner.pool_misses };
+        pool.fetch_add(1, Ordering::Relaxed);
+        inner.process(job, tel, &mut scratch);
+        warm = true;
     }
 }
 
@@ -955,6 +872,14 @@ mod tests {
             let back: GenRequest =
                 serde_json::from_str(&json).unwrap_or_else(|e| panic!("deserialize: {e}"));
             assert_eq!(back, request, "seed {seed}");
+            // A spec field this version no longer has (older clients still
+            // send one) is ignored: decoding looks fields up by name.
+            let legacy =
+                json.replace(r#""samples_per_table":0"#, r#""samples_per_table":0,"retired":1"#);
+            assert_ne!(legacy, json);
+            let back: GenRequest =
+                serde_json::from_str(&legacy).unwrap_or_else(|e| panic!("legacy request: {e}"));
+            assert_eq!(back, request, "seed {seed}");
         }
     }
 
@@ -1030,37 +955,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_queue_orders_by_priority() {
-        let mut q = ShardQueue::default();
-        let job = |id: u64, priority: u8| {
-            let (tx, _rx) = mpsc::channel();
-            let mut spec = RequestSpec::qa(1);
-            spec.priority = priority;
-            // The receiver is dropped; these jobs are never processed.
-            std::mem::forget(_rx);
-            Job {
-                request: GenRequest::generate(id, spec, Vec::new()),
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "Serving-latency measurement points (enqueue timestamp and \
-                              service-start timestamp) feed the request latency histogram and the \
-                              queue_ns/service_ns response fields; sample bytes are derived solely \
-                              from the request seed, so wall-clock reads cannot perturb generated \
-                              data."
-                )]
-                enqueued: Instant::now(),
-                reply: tx,
-            }
-        };
-        q.push(job(1, 0));
-        q.push(job(2, 1));
-        q.push(job(3, 0));
-        q.push(job(4, 1));
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|j| j.request.id).collect();
-        assert_eq!(order, vec![2, 4, 1, 3], "high priority first, FIFO within a class");
-    }
-
-    #[test]
     fn submit_validates_op_and_task() {
         let daemon = Daemon::start(ServeConfig { paused: true, ..ServeConfig::default() })
             .unwrap_or_else(|e| panic!("daemon start: {e}"));
@@ -1096,7 +990,7 @@ mod tests {
             other => panic!("expected rejection at the bound, got {other:?}"),
         }
         assert_eq!(daemon.stats().requests_rejected, 1);
-        assert_eq!(daemon.stats().queue_depths, vec![2]);
+        assert_eq!(daemon.stats().queue_depth, 2);
         daemon.resume().unwrap_or_else(|e| panic!("resume: {e}"));
         let a = recv(rx1, "first queued request");
         let b = recv(rx2, "second queued request");
@@ -1125,6 +1019,36 @@ mod tests {
             assert!((1..=request_hist.total_ns).contains(&hist.total_ns), "{name}");
         }
         daemon.shutdown();
+    }
+
+    #[test]
+    fn shutdown_serves_every_admitted_request_then_refuses() {
+        let request = |id: u64| GenRequest::generate(id, RequestSpec::qa(40 + id), wire_tables());
+        let fresh: Vec<Vec<Sample>> = {
+            let daemon = Daemon::start(ServeConfig::with_shards(1))
+                .unwrap_or_else(|e| panic!("daemon start: {e}"));
+            (0..3).map(|id| daemon.dispatch(request(id)).samples).collect()
+        };
+        let daemon =
+            Daemon::start(ServeConfig { shards: 2, paused: true, ..ServeConfig::default() })
+                .unwrap_or_else(|e| panic!("daemon start: {e}"));
+        let receivers: Vec<_> = (0..3).map(|id| daemon.submit(request(id))).collect();
+        daemon.resume().unwrap_or_else(|e| panic!("resume: {e}"));
+        daemon.shutdown();
+        for (id, rx) in receivers.into_iter().enumerate() {
+            let response = recv(rx, "request admitted before shutdown");
+            assert!(response.is_ok(), "request {id}: {}", response.message);
+            assert_eq!(response.samples, fresh[id], "request {id}");
+        }
+        assert_eq!(daemon.stats().requests_completed, 3);
+        assert!(matches!(daemon.submit(request(3)), Err(SubmitError::Invalid(_))));
+        // Idle workers block without a timeout, so a lost wake-up would hang
+        // one of these shutdowns.
+        for _ in 0..100 {
+            Daemon::start(ServeConfig::with_shards(4))
+                .unwrap_or_else(|e| panic!("daemon start: {e}"))
+                .shutdown();
+        }
     }
 
     #[test]

@@ -213,8 +213,8 @@ pub enum Timer {
     /// never touch this slot or the two below, so batch reports carry
     /// them with zero counts.
     Request = 3,
-    /// The part of [`Timer::Request`] a serving request spent in its shard
-    /// queue before a worker took it.
+    /// The part of [`Timer::Request`] a serving request spent in the queue
+    /// before a worker took it.
     QueueWait = 4,
     /// The part of [`Timer::Request`] a worker spent on the request (table
     /// parsing + synthesis).
@@ -508,7 +508,7 @@ impl TimingReport {
 
     /// Folds another snapshot into this one (bucket-wise addition; `self`
     /// keeps its name). Merging is commutative and associative over the
-    /// count/total/bucket fields, so shard snapshots can be combined in any
+    /// count/total/bucket fields, so worker snapshots can be combined in any
     /// grouping — the property the serving daemon's live stats rely on.
     pub fn merge(&mut self, other: &TimingReport) {
         self.count += other.count;

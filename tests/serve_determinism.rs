@@ -3,8 +3,8 @@
 //! The daemon's core contract (DESIGN.md §11): a request's sample bytes
 //! are a pure function of the request — the same request bytes yield
 //! byte-identical samples at every worker count, under any interleaving
-//! with co-running traffic, and whether the request was served from a
-//! cold or a warm scratch pool. Backpressure is explicit: a full shard
+//! with co-running traffic, and whether the request was served on a
+//! worker's cold or warm scratch. Backpressure is explicit: a full queue
 //! rejects at admission with a retry hint and buffers nothing.
 
 // Integration-test helpers run outside #[cfg(test)], so the clippy.toml test exemption does not reach them.
@@ -64,11 +64,6 @@ fn workload() -> Vec<GenRequest> {
     requests.push(GenRequest::generate(100, RequestSpec::qa(8), tables.clone()));
     requests.push(GenRequest::generate(101, RequestSpec::verification(7), tables.clone()));
     requests.push(GenRequest::generate(102, RequestSpec::verification(9), vec![tables[0].clone()]));
-    let mut high = RequestSpec::qa(7);
-    high.priority = 1;
-    // Same bytes as the identical group except priority: priority is a
-    // scheduling hint, outside the RNG namespace.
-    requests.push(GenRequest::generate(103, high, tables.clone()));
     requests
 }
 
@@ -103,18 +98,17 @@ fn samples_are_byte_identical_at_every_worker_count() {
         daemon.shutdown();
         out
     };
-    // The identical group (and its high-priority twin) collapse to one
-    // byte stream; the distinct requests diverge from it and each other.
+    // The identical group collapses to one byte stream; the distinct
+    // requests diverge from it and each other.
     for i in 1..IDENTICAL {
         assert_eq!(reference[0], reference[i], "identical requests must agree");
     }
-    assert_eq!(reference[0], reference[IDENTICAL + 3], "priority is outside the RNG namespace");
     assert_ne!(reference[0], reference[IDENTICAL], "seed 7 vs 8 must diverge");
     assert_ne!(reference[IDENTICAL + 1], reference[IDENTICAL + 2], "distinct claims must diverge");
 
     for workers in 1..=8 {
         let daemon = Daemon::start(ServeConfig::with_shards(workers)).unwrap();
-        // Twice per daemon: the first pass runs on cold pools, the second
+        // Twice per daemon: the first pass runs on cold scratch, the second
         // on warm recycled scratch — bytes must not notice.
         for pass in 0..2 {
             let served = serve_concurrently(&daemon, &requests);
@@ -131,63 +125,69 @@ fn samples_are_byte_identical_at_every_worker_count() {
 
 #[test]
 fn tiny_queue_bound_rejects_exactly_the_overflow() {
-    // One paused shard with room for two requests: of three-plus
-    // concurrent submissions, exactly queue_bound are admitted and the
-    // rest are rejected with the configured retry hint — deterministically,
-    // because no worker is draining the queue underneath the submitters.
-    let cfg = ServeConfig {
-        shards: 1,
-        queue_bound: 2,
-        retry_after_ms: 3,
-        paused: true,
-        ..ServeConfig::default()
-    };
-    let daemon = Arc::new(Daemon::start(cfg).unwrap());
-    let request = GenRequest::generate(0, RequestSpec::qa(5), tables());
-    let submissions = 6usize;
-    let outcomes: Vec<_> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..submissions)
-            .map(|_| {
-                let daemon = Arc::clone(&daemon);
-                let request = request.clone();
-                scope.spawn(move || daemon.submit(request))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let admitted: Vec<_> = outcomes.iter().filter(|o| o.is_ok()).collect();
-    let rejected = outcomes
-        .iter()
-        .filter(|o| matches!(o, Err(SubmitError::Rejected { retry_after_ms: 3 })))
-        .count();
-    assert_eq!(admitted.len(), 2, "exactly queue_bound submissions are admitted");
-    assert_eq!(rejected, submissions - 2, "every overflow is a retryable rejection");
-    let stats = daemon.stats();
-    assert_eq!(stats.requests_rejected, (submissions - 2) as u64);
-    assert_eq!(stats.queue_depths, vec![2], "rejections buffered nothing");
+    // A paused daemon holds queue_bound requests per worker: of more
+    // concurrent submissions than that, exactly queue_bound × workers are
+    // admitted and the rest are rejected with the configured retry hint —
+    // deterministically, because no worker is draining the queue underneath
+    // the submitters.
+    for (workers, submissions) in [(1usize, 6usize), (2, 8)] {
+        let cfg = ServeConfig {
+            shards: workers,
+            queue_bound: 2,
+            retry_after_ms: 3,
+            paused: true,
+            ..ServeConfig::default()
+        };
+        let capacity = 2 * workers;
+        let daemon = Arc::new(Daemon::start(cfg).unwrap());
+        let request = GenRequest::generate(0, RequestSpec::qa(5), tables());
+        let outcomes: Vec<_> = thread::scope(|scope| {
+            let handles: Vec<_> = (0..submissions)
+                .map(|_| {
+                    let daemon = Arc::clone(&daemon);
+                    let request = request.clone();
+                    scope.spawn(move || daemon.submit(request))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let admitted = outcomes.iter().filter(|o| o.is_ok()).count();
+        let rejected = outcomes
+            .iter()
+            .filter(|o| matches!(o, Err(SubmitError::Rejected { retry_after_ms: 3 })))
+            .count();
+        assert_eq!(admitted, capacity, "{workers} workers: queue_bound × workers are admitted");
+        assert_eq!(rejected, submissions - capacity, "{workers} workers: overflow is retryable");
+        let stats = daemon.stats();
+        assert_eq!(stats.requests_rejected, (submissions - capacity) as u64);
+        assert_eq!(stats.queue_depth, capacity as u64, "rejections buffered nothing");
 
-    // Un-pause: the admitted requests complete with identical bytes, and a
-    // rejected client's retry now succeeds and reproduces the same bytes.
-    daemon.resume().unwrap();
-    let mut replies = Vec::new();
-    for rx in outcomes.into_iter().flatten() {
-        let response = rx.recv().unwrap();
-        assert_eq!(response.status, "ok", "{}", response.message);
-        replies.push(response.samples);
+        // Un-pause: the admitted requests complete with identical bytes, and
+        // a rejected client's retry now succeeds and reproduces the same
+        // bytes.
+        daemon.resume().unwrap();
+        let mut replies = Vec::new();
+        for rx in outcomes.into_iter().flatten() {
+            let response = rx.recv().unwrap();
+            assert_eq!(response.status, "ok", "{}", response.message);
+            replies.push(response.samples);
+        }
+        for reply in &replies[1..] {
+            assert_eq!(reply, &replies[0], "queued twins must agree");
+        }
+        let retried = daemon.dispatch(request);
+        assert_eq!(retried.status, "ok", "{}", retried.message);
+        assert_eq!(retried.samples, replies[0], "a retry reproduces the rejected request's bytes");
+        assert_eq!(daemon.stats().requests_completed, capacity as u64 + 1);
+        daemon.shutdown();
     }
-    assert_eq!(replies[0], replies[1], "queued twins must agree");
-    let retried = daemon.dispatch(request);
-    assert_eq!(retried.status, "ok", "{}", retried.message);
-    assert_eq!(retried.samples, replies[0], "a retry reproduces the rejected request's bytes");
-    assert_eq!(daemon.stats().requests_completed, 3);
-    daemon.shutdown();
 }
 
 #[test]
 fn co_running_noise_does_not_perturb_a_request() {
     // A victim request served alone must match the same request served
     // while a barrage of unrelated traffic churns the same two workers,
-    // queues, and scratch pools.
+    // queue, and scratch.
     let victim = GenRequest::generate(1, RequestSpec::verification(42), tables());
     let alone = {
         let daemon = Daemon::start(ServeConfig::with_shards(2)).unwrap();
