@@ -143,11 +143,6 @@ impl AeProgram {
             .any(|s| s.args.iter().any(|a| matches!(a, AeArg::CellHole(_) | AeArg::ColumnHole(_))))
     }
 
-    /// The final step's index (programs answer with their last result).
-    pub fn final_step(&self) -> Option<usize> {
-        self.steps.len().checked_sub(1)
-    }
-
     /// All cell references in order.
     pub fn cells(&self) -> Vec<(&str, &str)> {
         self.steps

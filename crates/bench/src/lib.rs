@@ -521,11 +521,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Formats "measured (paper X)" comparison cells.
-pub fn vs_paper(measured: f64, paper: f64) -> String {
-    format!("{measured:.1} (paper {paper:.1})")
-}
-
 /// Formats a plain metric.
 pub fn fmt(x: f64) -> String {
     format!("{x:.1}")

@@ -7,7 +7,6 @@
 //! * SEM-TAB-FACTS: 3-way micro F1.
 
 use tabular::text::{normalize_answer, token_f1, tokenize};
-use tabular::Value;
 use uctr::{Sample, Verdict};
 
 /// Exact match after normalization (articles dropped, numbers canonical).
@@ -102,11 +101,6 @@ pub fn feverous_score(samples: &[Sample], predictions: &[Verdict]) -> f64 {
         }
     }
     100.0 * ok as f64 / samples.len() as f64
-}
-
-/// Quick helper: does a value appear in a denotation string.
-pub fn denotation_contains(denotation: &str, value: &Value) -> bool {
-    normalize_answer(denotation).contains(&normalize_answer(&value.to_string()))
 }
 
 #[cfg(test)]

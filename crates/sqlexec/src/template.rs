@@ -76,11 +76,6 @@ impl SqlTemplate {
         Ok(SqlTemplate { stmt: parse(text)? })
     }
 
-    /// Wraps an already parsed statement.
-    pub fn from_stmt(stmt: SelectStmt) -> SqlTemplate {
-        SqlTemplate { stmt }
-    }
-
     /// The underlying (hole-y) statement.
     pub fn stmt(&self) -> &SelectStmt {
         &self.stmt

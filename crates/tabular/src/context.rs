@@ -25,12 +25,9 @@ use rustc_hash::FxHashSet;
 ///
 /// Build once per [`Table`] with [`ExecContext::new`]; the context borrows
 /// nothing and must only be used with the table it was built from (the
-/// executors debug-assert the dimensions match). Appending one row to an
-/// already-indexed table ([`ExecContext::with_row_appended`], the
-/// table-expansion path) updates the caches incrementally instead of
-/// re-scanning — `PartialEq` exists so tests can pin the delta against a
-/// fresh scan.
-#[derive(Debug, Clone, PartialEq)]
+/// executors debug-assert the dimensions match). A table-expansion sample's
+/// expanded table (the input plus one integrated row) gets a fresh context
+/// of its own.
 pub struct ExecContext {
     n_rows: usize,
     n_cols: usize,
@@ -60,9 +57,6 @@ pub struct ExecContext {
     /// Distinct text cells in row-major scan order (the perturbation pool
     /// for refuted-claim synthesis).
     text_pool: Vec<String>,
-    /// ASCII-lowercased counterpart of `text_pool`, index-aligned — lets
-    /// case-insensitive pool filters fold the needle once and byte-compare.
-    text_pool_folded: Vec<String>,
     /// Census of inferred column types, indexed by [`ColumnType`] in
     /// declaration order (Number, Date, Bool, Text) — the table-side input
     /// to `SchemaRequirement::satisfied_by`.
@@ -71,10 +65,6 @@ pub struct ExecContext {
     /// kernel-eligible for `Value`-ordered batched ops exactly when every
     /// non-null cell is a number (see [`ExecContext::all_number`]).
     number_cells: Vec<usize>,
-    /// Per column: `(row, ASCII-lowercased text)` for every `Value::Text`
-    /// cell, in row order — the pre-case-folded pool behind the batched
-    /// text-equality filter kernels.
-    folded: Vec<Vec<(usize, String)>>,
 }
 
 fn type_index(ty: ColumnType) -> usize {
@@ -86,14 +76,6 @@ fn type_index(ty: ColumnType) -> usize {
     }
 }
 
-/// Whether two tables infer the same column types — the precondition for
-/// the single-row delta constructor, since every schema-derived cache
-/// (`numeric_cols`, `row_name_col`, `type_counts`) follows the types.
-fn schema_types_match(a: &Table, b: &Table) -> bool {
-    let (ca, cb) = (a.schema().columns(), b.schema().columns());
-    ca.len() == cb.len() && ca.iter().zip(cb).all(|(x, y)| x.ty == y.ty)
-}
-
 impl ExecContext {
     /// Scans `table` once and builds every index.
     pub fn new(table: &Table) -> ExecContext {
@@ -102,22 +84,18 @@ impl ExecContext {
         let mut non_null = Vec::with_capacity(n_cols);
         let mut numeric = Vec::with_capacity(n_cols);
         let mut number_cells = Vec::with_capacity(n_cols);
-        let mut folded = Vec::with_capacity(n_cols);
         let mut grid = vec![None; n_rows * n_cols];
         for ci in 0..n_cols {
             let mut vals = Vec::new();
             let mut nums = Vec::new();
             let mut numbers = 0usize;
-            let mut lowers: Vec<(usize, String)> = Vec::new();
             for ri in 0..n_rows {
                 let Some(v) = table.cell(ri, ci) else { continue };
                 if !v.is_null() {
                     vals.push(v.clone());
                 }
-                match v {
-                    Value::Number(_) => numbers += 1,
-                    Value::Text(t) => lowers.push((ri, t.to_ascii_lowercase())),
-                    _ => {}
+                if matches!(v, Value::Number(_)) {
+                    numbers += 1;
                 }
                 if let Some(n) = v.as_number() {
                     grid[ri * n_cols + ci] = Some(n);
@@ -127,7 +105,6 @@ impl ExecContext {
             non_null.push(vals);
             numeric.push(nums);
             number_cells.push(numbers);
-            folded.push(lowers);
         }
 
         let numeric_cols = table.schema().columns_of_type(ColumnType::Number);
@@ -166,7 +143,6 @@ impl ExecContext {
                 }
             }
         }
-        let text_pool_folded = text_pool.iter().map(|t| t.to_ascii_lowercase()).collect();
 
         ExecContext {
             n_rows,
@@ -179,65 +155,18 @@ impl ExecContext {
             name_lower,
             addressable,
             text_pool,
-            text_pool_folded,
             type_counts,
             number_cells,
-            folded,
         }
     }
 
-    /// Context for `expanded` = the table this context was built from
-    /// (`original`) plus one appended row, updating every cache in place of
-    /// a full rescan. The appended row sits at the end of each row-ordered
-    /// cache, so the delta is pure appends. Falls back to a full
-    /// [`ExecContext::new`] scan when the append changed any inferred
-    /// column type (table expansion re-infers types), since every
-    /// schema-derived cache would shift.
-    pub fn with_row_appended(&self, original: &Table, expanded: &Table) -> ExecContext {
-        debug_assert_eq!(self.n_rows, original.n_rows(), "context/table mismatch");
-        if expanded.n_rows() != self.n_rows + 1
-            || expanded.n_cols() != self.n_cols
-            || !schema_types_match(original, expanded)
-        {
-            return ExecContext::new(expanded);
-        }
-        let mut ctx = self.clone();
-        let ri = self.n_rows;
-        ctx.n_rows += 1;
-        ctx.grid.resize(ctx.n_rows * ctx.n_cols, None);
-        for ci in 0..ctx.n_cols {
-            let Some(v) = expanded.cell(ri, ci) else { continue };
-            if !v.is_null() {
-                ctx.non_null[ci].push(v.clone());
-            }
-            match v {
-                Value::Number(_) => ctx.number_cells[ci] += 1,
-                Value::Text(t) => ctx.folded[ci].push((ri, t.to_ascii_lowercase())),
-                _ => {}
-            }
-            if let Some(n) = v.as_number() {
-                ctx.grid[ri * ctx.n_cols + ci] = Some(n);
-                ctx.numeric[ci].push((ri, n));
-            }
-        }
-        let name_cell = expanded.cell(ri, self.row_name_col);
-        ctx.name_lower.push(name_cell.map(|v| v.to_string().to_ascii_lowercase()));
-        if name_cell.is_some_and(|v| !v.is_null()) {
-            for ci in 0..ctx.n_cols {
-                if ci != self.row_name_col && ctx.grid[ri * ctx.n_cols + ci].is_some() {
-                    ctx.addressable.push((ri, ci));
-                }
-            }
-        }
-        for v in expanded.row(ri).unwrap_or(&[]) {
-            if let Value::Text(t) = v {
-                if !ctx.text_pool.contains(t) {
-                    ctx.text_pool.push(t.clone());
-                    ctx.text_pool_folded.push(t.to_ascii_lowercase());
-                }
-            }
-        }
-        ctx
+    /// The context of `expanded` (this context's table plus one appended
+    /// row): a fresh [`ExecContext::new`] scan, which is what the pipeline
+    /// builds for it. The method stays only because the repository
+    /// benchmark (`perfbench`) calls it; removing it waits for a change to
+    /// that benchmark.
+    pub fn with_row_appended(&self, _original: &Table, expanded: &Table) -> ExecContext {
+        ExecContext::new(expanded)
     }
 
     /// Dimensions of the table this context was built from.
@@ -295,12 +224,6 @@ impl ExecContext {
         &self.text_pool
     }
 
-    /// ASCII-lowercased counterpart of [`ExecContext::text_pool`],
-    /// index-aligned.
-    pub fn text_pool_folded(&self) -> &[String] {
-        &self.text_pool_folded
-    }
-
     /// Whether every non-null cell of the column is a `Value::Number` (and
     /// there is at least one) — the eligibility gate for batched kernels
     /// whose per-cell counterpart orders or equates whole `Value`s.
@@ -309,13 +232,6 @@ impl ExecContext {
             (Some(&numbers), Some(vals)) => numbers > 0 && numbers == vals.len(),
             _ => false,
         }
-    }
-
-    /// `(row, ASCII-lowercased text)` for every text cell of the column, in
-    /// row order — the pre-folded pool behind batched text-equality
-    /// filters.
-    pub fn folded_text(&self, col: usize) -> &[(usize, String)] {
-        self.folded.get(col).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// How many columns schema inference assigned the given type.
@@ -449,57 +365,5 @@ mod tests {
 
     fn strings_table(rows: &[Vec<&str>]) -> Table {
         Table::from_strings("t", rows).unwrap_or_else(|e| panic!("test table: {e}"))
-    }
-
-    #[test]
-    fn row_appended_delta_matches_fresh_scan() {
-        let header = vec!["name", "score", "city", "when"];
-        let base = [
-            vec!["Ada", "91", "Oslo", "1990-05-01"],
-            vec!["-", "84", "Lima", "n/a"],
-            vec!["Cleo", "n/a", "Oslo", "2001-08-23"],
-        ];
-        // New text, repeated text, a null name cell, and an all-null row
-        // each stress a different cache's append arm.
-        let extra_rows = [
-            vec!["Bo", "77", "Kyiv", "1999-01-02"],
-            vec!["Ada", "70", "Oslo", "2000-01-01"],
-            vec!["-", "55", "Lima", "n/a"],
-            vec!["-", "n/a", "-", "n/a"],
-        ];
-        for extra in &extra_rows {
-            let mut rows = vec![header.clone()];
-            rows.extend(base.iter().cloned());
-            let original = strings_table(&rows);
-            rows.push(extra.clone());
-            let expanded = strings_table(&rows);
-            assert_eq!(
-                original.schema().columns().len(),
-                expanded.schema().columns().len(),
-                "append case should keep the column count: {extra:?}"
-            );
-            let ctx = ExecContext::new(&original);
-            assert_eq!(
-                ctx.with_row_appended(&original, &expanded),
-                ExecContext::new(&expanded),
-                "appended {extra:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn row_appended_falls_back_when_types_flip() {
-        let original = strings_table(&[vec!["name", "score"], vec!["Ada", "91"]]);
-        // The appended row drops the score column below the numeric
-        // majority threshold, turning it into Text.
-        let expanded =
-            strings_table(&[vec!["name", "score"], vec!["Ada", "91"], vec!["Bo", "withdrew"]]);
-        assert_ne!(
-            original.schema().column(1).map(|c| c.ty),
-            expanded.schema().column(1).map(|c| c.ty),
-            "test premise: the append must flip the column type"
-        );
-        let ctx = ExecContext::new(&original);
-        assert_eq!(ctx.with_row_appended(&original, &expanded), ExecContext::new(&expanded));
     }
 }

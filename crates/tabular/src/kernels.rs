@@ -1,11 +1,11 @@
 //! Batched column kernels shared by the three program executors.
 //!
-//! The [`crate::ExecContext`] already stores each column's parsed numbers
-//! densely (`numeric_pairs` / `numeric_values`); the executors historically
-//! still walked tables cell-by-cell through `Value` dispatch. The kernels
-//! here are the batched counterparts: tight sequential loops over `&[f64]`
-//! slices and `(row, f64)` pair lists that the optimizer can keep in
-//! registers, plus a [`KernelScratch`] pool of reusable row-index /
+//! The [`crate::ExecContext`] already stores every cell's parsed number
+//! (`numeric_pairs` per column, `number_at` per cell); the executors
+//! historically still walked tables cell-by-cell through `Value` dispatch.
+//! The kernels here are the batched counterparts: tight sequential loops
+//! over `&[f64]` slices and `(row, f64)` pair lists that the optimizer can
+//! keep in registers, plus a [`KernelScratch`] pool of reusable row-index /
 //! numeric / key buffers so the hot generation loop stops allocating
 //! per-expression views.
 //!
@@ -23,16 +23,14 @@
 //! runs) live with each executor; the parity property tests pin the two
 //! paths equal on adversarial tables.
 
-use crate::value::Value;
 use std::cmp::Ordering;
 
 /// Reusable buffers for the kernel paths, one per generation worker.
 ///
 /// Holds a pool of row-index buffers (executor "views"), a numeric gather
-/// buffer, a keyed-sort buffer for arg-superlatives, a `Value` buffer for
-/// SQL aggregates and a case-folding buffer for text comparisons. A
-/// default-constructed scratch is always valid; buffers are cleared on
-/// acquisition, never read across uses.
+/// buffer, a keyed-sort buffer for arg-superlatives and a highlighted-cell
+/// accumulator. A default-constructed scratch is always valid; buffers are
+/// cleared on acquisition, never read across uses.
 #[derive(Debug, Clone, Default)]
 pub struct KernelScratch {
     rows_pool: Vec<Vec<usize>>,
@@ -40,10 +38,6 @@ pub struct KernelScratch {
     pub nums: Vec<f64>,
     /// Keyed-sort buffer for nth-arg-superlatives.
     pub keys: Vec<(f64, usize)>,
-    /// Cell buffer for SQL aggregate evaluation.
-    pub cells: Vec<Value>,
-    /// Case-folding buffer for text comparison kernels.
-    pub fold: String,
     /// Highlighted-cell accumulator. Dedup happens once at the end of an
     /// evaluation (sort + dedup), which yields the same sorted set the
     /// executors historically collected through a hash set.
@@ -155,27 +149,6 @@ pub fn sort_total(nums: &mut [f64]) {
     nums.sort_by(f64::total_cmp);
 }
 
-/// Appends every `(row, folded)` text-pool entry whose folded bytes equal
-/// `needle` (already case-folded) to `out`.
-#[inline]
-pub fn select_text_eq(folded: &[(usize, String)], needle: &str, out: &mut Vec<usize>) {
-    for (ri, cell) in folded {
-        if cell.as_str() == needle {
-            out.push(*ri);
-        }
-    }
-}
-
-/// ASCII-lowercases `s` into `buf` without allocating (clears `buf` first).
-#[inline]
-pub fn fold_ascii_lower(s: &str, buf: &mut String) {
-    buf.clear();
-    buf.push_str(s);
-    // Safety-free in-place fold: ASCII lowercasing never changes byte
-    // length and `make_ascii_lowercase` works on the raw bytes.
-    buf[..].make_ascii_lowercase();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,14 +201,5 @@ mod tests {
         let rows = scratch.take_rows();
         assert!(rows.is_empty());
         assert_eq!(rows.capacity(), cap);
-    }
-
-    #[test]
-    fn fold_ascii_lower_reuses_buffer() {
-        let mut buf = String::new();
-        fold_ascii_lower("MiXeD Case 42", &mut buf);
-        assert_eq!(buf, "mixed case 42");
-        fold_ascii_lower("YES", &mut buf);
-        assert_eq!(buf, "yes");
     }
 }

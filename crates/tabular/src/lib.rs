@@ -40,5 +40,5 @@ pub use kernels::KernelScratch;
 pub use requirement::{SchemaRequirement, TemplateAnalysis, TemplateIssue};
 pub use schema::{infer_column_type, Column, ColumnType, Schema};
 pub use shared::SharedTable;
-pub use table::{Table, TableBuilder, TableError};
+pub use table::{Table, TableError};
 pub use value::{format_number, nearly_equal, Date, Value};

@@ -1,11 +1,11 @@
 //! The relational table type used across the workspace.
 //!
 //! A [`Table`] is a titled, schema-typed grid of [`Value`]s stored row-major.
-//! It provides the row/column/projection operations that the program
-//! executors, the Table-To-Text / Text-To-Table operators, and the reasoning
-//! models all build on.
+//! It provides the row/column operations that the program executors, the
+//! Table-To-Text / Text-To-Table operators, and the reasoning models all
+//! build on.
 
-use crate::schema::{infer_column_type, Column, ColumnType, Schema};
+use crate::schema::{infer_column_type, Column, Schema};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -15,10 +15,6 @@ use std::fmt;
 pub enum TableError {
     /// A row had a different arity than the schema.
     RowArity { expected: usize, got: usize },
-    /// A referenced column does not exist.
-    UnknownColumn(String),
-    /// A referenced row index is out of bounds.
-    RowOutOfBounds(usize),
 }
 
 impl fmt::Display for TableError {
@@ -27,8 +23,6 @@ impl fmt::Display for TableError {
             TableError::RowArity { expected, got } => {
                 write!(f, "row has {got} cells but schema has {expected} columns")
             }
-            TableError::UnknownColumn(name) => write!(f, "unknown column: {name}"),
-            TableError::RowOutOfBounds(i) => write!(f, "row index {i} out of bounds"),
         }
     }
 }
@@ -143,59 +137,10 @@ impl Table {
         Ok(())
     }
 
-    /// Removes and returns the row at `idx`.
-    pub fn remove_row(&mut self, idx: usize) -> Result<Vec<Value>, TableError> {
-        if idx >= self.rows.len() {
-            return Err(TableError::RowOutOfBounds(idx));
-        }
-        Ok(self.rows.remove(idx))
-    }
-
     /// A new table containing only the rows whose indexes are in `keep`
     /// (order preserved, duplicates allowed).
     pub fn select_rows(&self, keep: &[usize]) -> Table {
         let rows = keep.iter().filter_map(|&i| self.rows.get(i).cloned()).collect();
-        Table { title: self.title.clone(), schema: self.schema.clone(), rows }
-    }
-
-    /// A new table with rows satisfying `pred`.
-    pub fn filter_rows(&self, mut pred: impl FnMut(&[Value]) -> bool) -> Table {
-        let rows = self.rows.iter().filter(|r| pred(r)).cloned().collect();
-        Table { title: self.title.clone(), schema: self.schema.clone(), rows }
-    }
-
-    /// Projects onto a subset of columns (by index, order preserved).
-    pub fn project(&self, cols: &[usize]) -> Table {
-        let schema =
-            Schema::new(cols.iter().filter_map(|&c| self.schema.column(c).cloned()).collect());
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| cols.iter().filter_map(|&c| r.get(c).cloned()).collect())
-            .collect();
-        Table { title: self.title.clone(), schema, rows }
-    }
-
-    /// Stable-sorts rows by a column; `descending` flips the order.
-    /// Null cells always sort last regardless of direction, matching SQL
-    /// `ORDER BY ... NULLS LAST` semantics that the paper's templates assume.
-    pub fn sort_by_column(&self, col: usize, descending: bool) -> Table {
-        let mut rows = self.rows.clone();
-        rows.sort_by(|a, b| {
-            let (x, y) = (&a[col], &b[col]);
-            match (x.is_null(), y.is_null()) {
-                (true, true) => std::cmp::Ordering::Equal,
-                (true, false) => std::cmp::Ordering::Greater,
-                (false, true) => std::cmp::Ordering::Less,
-                (false, false) => {
-                    if descending {
-                        y.cmp(x)
-                    } else {
-                        x.cmp(y)
-                    }
-                }
-            }
-        });
         Table { title: self.title.clone(), schema: self.schema.clone(), rows }
     }
 
@@ -317,26 +262,6 @@ impl Table {
         seen
     }
 
-    /// Vertically concatenates another table with an identical schema
-    /// (column names compared case-insensitively). This is the integration
-    /// step of the Text-To-Table operator (paper §IV-A).
-    pub fn concat_rows(&self, other: &Table) -> Result<Table, TableError> {
-        if other.schema.len() != self.schema.len() {
-            return Err(TableError::RowArity {
-                expected: self.schema.len(),
-                got: other.schema.len(),
-            });
-        }
-        for (a, b) in self.schema.columns().iter().zip(other.schema.columns()) {
-            if !a.name.eq_ignore_ascii_case(&b.name) {
-                return Err(TableError::UnknownColumn(b.name.clone()));
-            }
-        }
-        let mut rows = self.rows.clone();
-        rows.extend(other.rows.iter().cloned());
-        Ok(Table { title: self.title.clone(), schema: self.schema.clone(), rows })
-    }
-
     /// Re-infers every column's type from the current values. Needed after
     /// bulk edits (e.g. table expansion may append rows of a new type mix).
     pub fn reinfer_types(&mut self) {
@@ -346,32 +271,6 @@ impl Table {
             cols.push(Column::new(c.name.clone(), infer_column_type(&vals)));
         }
         self.schema = Schema::new(cols);
-    }
-
-    /// Linearizes the table to a token-friendly string:
-    /// `title | col: v ; col: v [ROW] ...` — the serialization the reasoning
-    /// models consume (paper cites linearization methods \[24\], \[18\]).
-    pub fn linearize(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::with_capacity(64 * (self.rows.len() + 1));
-        out.push_str(&self.title);
-        for row in &self.rows {
-            out.push_str(" [ROW]");
-            for (i, v) in row.iter().enumerate() {
-                if v.is_null() {
-                    continue;
-                }
-                out.push(' ');
-                out.push_str(self.column_name(i).unwrap_or(""));
-                out.push_str(": ");
-                // Render the cell straight into the buffer — `Display` is
-                // the same rendering `to_string` produced, minus the
-                // intermediate allocation per cell.
-                let _ = write!(out, "{v}");
-                out.push(';');
-            }
-        }
-        out
     }
 }
 
@@ -388,43 +287,10 @@ impl fmt::Display for Table {
     }
 }
 
-/// Convenience builder for tests and examples.
-#[derive(Debug, Default)]
-pub struct TableBuilder {
-    title: String,
-    columns: Vec<Column>,
-    rows: Vec<Vec<Value>>,
-}
-
-impl TableBuilder {
-    pub fn new(title: impl Into<String>) -> TableBuilder {
-        TableBuilder { title: title.into(), ..Default::default() }
-    }
-
-    pub fn column(mut self, name: impl Into<String>, ty: ColumnType) -> TableBuilder {
-        self.columns.push(Column::new(name, ty));
-        self
-    }
-
-    pub fn row(mut self, cells: Vec<Value>) -> TableBuilder {
-        self.rows.push(cells);
-        self
-    }
-
-    /// Row of raw strings, parsed with type sniffing.
-    pub fn row_str(mut self, cells: &[&str]) -> TableBuilder {
-        self.rows.push(cells.iter().map(|c| Value::parse(c)).collect());
-        self
-    }
-
-    pub fn build(self) -> Result<Table, TableError> {
-        Table::new(self.title, Schema::new(self.columns), self.rows)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::ColumnType;
 
     fn sample() -> Table {
         Table::from_strings(
@@ -481,34 +347,12 @@ mod tests {
     }
 
     #[test]
-    fn sort_with_nulls_last() {
-        let t = Table::from_strings("t", &[vec!["x"], vec!["5"], vec![""], vec!["1"], vec!["3"]])
-            .unwrap_or_else(|e| panic!("test table: {e:?}"));
-        let asc = t.sort_by_column(0, false);
-        let vals: Vec<String> = asc.rows().iter().map(|r| r[0].to_string()).collect();
-        assert_eq!(vals, vec!["1", "3", "5", ""]);
-        let desc = t.sort_by_column(0, true);
-        let vals: Vec<String> = desc.rows().iter().map(|r| r[0].to_string()).collect();
-        assert_eq!(vals, vec!["5", "3", "1", ""]);
-    }
-
-    #[test]
-    fn project_and_select() {
+    fn select_rows_keeps_the_given_order() {
         let t = sample();
-        let p = t.project(&[1]);
-        assert_eq!(p.n_cols(), 1);
-        assert_eq!(p.column_name(0), Some("total deputies"));
         let s = t.select_rows(&[2, 0]);
         assert_eq!(s.n_rows(), 2);
         let c = s.cell(0, 0).unwrap_or_else(|| panic!("cell 0,0"));
         assert_eq!(c.to_string(), "Treasury");
-    }
-
-    #[test]
-    fn filter_rows_predicate() {
-        let t = sample();
-        let big = t.filter_rows(|r| r[1].as_number().is_some_and(|n| n > 20.0));
-        assert_eq!(big.n_rows(), 2);
     }
 
     #[test]
@@ -564,36 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn concat_requires_matching_schema() {
-        let a = sample();
-        let b = sample();
-        let joined = a.concat_rows(&b).unwrap_or_else(|e| panic!("concat: {e:?}"));
-        assert_eq!(joined.n_rows(), 6);
-        let mismatched = a.project(&[0, 1]);
-        assert!(a.concat_rows(&mismatched).is_err());
-    }
-
-    #[test]
-    fn linearize_contains_headers_and_values() {
-        let t = sample();
-        let lin = t.linearize();
-        assert!(lin.contains("Departments"));
-        assert!(lin.contains("[ROW]"));
-        assert!(lin.contains("department: Commerce;"));
-        assert!(lin.contains("total deputies: 42;"));
-    }
-
-    #[test]
-    fn linearize_skips_nulls() {
-        let t = Table::from_strings("t", &[vec!["a", "b"], vec!["x", ""], vec!["", "2"]])
-            .unwrap_or_else(|e| panic!("test table: {e:?}"));
-        let lin = t.linearize();
-        assert!(lin.contains("a: x;"));
-        assert!(!lin.contains("b: ;"), "{lin}");
-        assert!(lin.contains("b: 2;"));
-    }
-
-    #[test]
     fn select_rows_allows_duplicates_and_ignores_oob() {
         let t = sample();
         let s = t.select_rows(&[0, 0, 99]);
@@ -602,24 +416,10 @@ mod tests {
     }
 
     #[test]
-    fn builder_roundtrip() {
-        let t = TableBuilder::new("b")
-            .column("name", ColumnType::Text)
-            .column("score", ColumnType::Number)
-            .row_str(&["x", "1"])
-            .row_str(&["y", "2"])
-            .build()
-            .unwrap_or_else(|e| panic!("build: {e:?}"));
-        assert_eq!(t.n_rows(), 2);
-        assert_eq!(t.cell(1, 1), Some(&Value::Number(2.0)));
-    }
-
-    #[test]
     fn reinfer_types_after_edit() {
         let mut t = Table::from_strings("t", &[vec!["v"], vec!["hello"]])
             .unwrap_or_else(|e| panic!("test table: {e:?}"));
         assert_eq!(column_type(&t, 0), ColumnType::Text);
-        t.remove_row(0).unwrap_or_else(|e| panic!("remove_row: {e:?}"));
         t.push_row(vec![Value::Number(1.0)]).unwrap_or_else(|e| panic!("push_row: {e:?}"));
         t.push_row(vec![Value::Number(2.0)]).unwrap_or_else(|e| panic!("push_row: {e:?}"));
         t.reinfer_types();

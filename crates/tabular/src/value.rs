@@ -192,14 +192,6 @@ impl Value {
         }
     }
 
-    /// Returns the text content for `Text` values.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// True if the value is `Null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)

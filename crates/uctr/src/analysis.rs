@@ -90,24 +90,6 @@ impl AnalyzedTemplate {
         !self.degeneracies.is_empty()
     }
 
-    /// Degeneracy convictions as kind/signature-tagged diagnostics,
-    /// mirroring [`Self::into_diagnostics`] for the audit pipeline.
-    pub fn degeneracy_diagnostics(&self) -> TemplateDiagnostics {
-        TemplateDiagnostics {
-            diagnostics: self
-                .degeneracies
-                .iter()
-                .map(|issue| TemplateDiagnostic {
-                    kind: self.kind,
-                    template: self.signature.clone(),
-                    code: issue.code,
-                    locus: issue.locus.clone(),
-                    message: issue.message.clone(),
-                })
-                .collect(),
-        }
-    }
-
     /// Converts the issue list into kind/signature-tagged diagnostics
     /// (empty when clean).
     pub fn into_diagnostics(self) -> TemplateDiagnostics {

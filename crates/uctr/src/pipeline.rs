@@ -392,13 +392,9 @@ impl UctrPipeline {
             if let Some(paragraph) = &input.paragraph {
                 // The paragraph integration is deterministic (no RNG), so
                 // hoist it — and the expanded table's execution context and
-                // feasible template set — out of the attempt loop. The
-                // expanded table is the input table plus one integrated
-                // row, so the context is a single-row delta of `ctx`, not a
-                // fresh scan.
+                // feasible template set — out of the attempt loop.
                 let expanded = text_to_table(table, paragraph);
-                let expanded_ctx =
-                    expanded.as_ref().map(|e| ctx.with_row_appended(table, &e.expanded));
+                let expanded_ctx = expanded.as_ref().map(|e| ExecContext::new(&e.expanded));
                 let expanded_feasible = expanded_ctx.as_ref().map(|e| self.bank.feasible_set(e));
                 // The evidence context (the paragraph split into sentences)
                 // is likewise deterministic per input: split once, clone per

@@ -92,15 +92,6 @@ pub enum ProgramKind {
 }
 
 impl ProgramKind {
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            ProgramKind::Sql(_) => "sql",
-            ProgramKind::Logic(_) => "logic",
-            ProgramKind::Arith(_) => "arith",
-            ProgramKind::None => "none",
-        }
-    }
-
     /// The serialized program, regardless of kind (`None` for programless
     /// text-only samples).
     pub fn program_text(&self) -> Option<&str> {

@@ -45,7 +45,7 @@ use nlgen::NoiseConfig;
 use serde::{field, Deserialize, Serialize, Value};
 use std::collections::VecDeque;
 use std::io::{Error, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
@@ -321,10 +321,6 @@ pub struct ServeConfig {
     pub queue_bound: usize,
     /// The retry hint carried by rejection responses.
     pub retry_after_ms: u64,
-    /// Generation-noise setting of the shared NL generator (pipeline-level:
-    /// requests cannot override it). Defaults to off so that serving is
-    /// byte-stable by default.
-    pub noise: NoiseConfig,
     /// Start without workers (tests fill the queue deterministically, then
     /// call [`Daemon::resume`]).
     pub paused: bool,
@@ -332,13 +328,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
-        ServeConfig {
-            shards: 2,
-            queue_bound: 64,
-            retry_after_ms: 5,
-            noise: NoiseConfig::off(),
-            paused: false,
-        }
+        ServeConfig { shards: 2, queue_bound: 64, retry_after_ms: 5, paused: false }
     }
 }
 
@@ -402,6 +392,10 @@ struct Inner {
 pub struct Daemon {
     inner: Arc<Inner>,
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
+    /// Local address of each running [`Daemon::accept_loop`]. A loop sees
+    /// the shutdown flag only when `accept` returns, so
+    /// [`Daemon::shutdown`] connects to each address once to wake it.
+    listening: Mutex<Vec<SocketAddr>>,
 }
 
 impl Daemon {
@@ -409,8 +403,10 @@ impl Daemon {
     /// unless `cfg.paused` — spawns the workers.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Daemon> {
         let cfg = ServeConfig { shards: cfg.shards.max(1), ..cfg };
-        let qa_base = UctrConfig { noise: cfg.noise, ..UctrConfig::qa() };
-        let verification_base = UctrConfig { noise: cfg.noise, ..UctrConfig::verification() };
+        // Generation noise stays off so that serving is byte-stable.
+        let qa_base = UctrConfig { noise: NoiseConfig::off(), ..UctrConfig::qa() };
+        let verification_base =
+            UctrConfig { noise: NoiseConfig::off(), ..UctrConfig::verification() };
         let pipeline = UctrPipeline::new(qa_base.clone());
         let banks = (0..cfg.shards).map(|_| TelemetryBank::new()).collect();
         let paused = cfg.paused;
@@ -432,6 +428,7 @@ impl Daemon {
                 pool_misses: AtomicU64::new(0),
             }),
             workers: Mutex::new(Vec::new()),
+            listening: Mutex::new(Vec::new()),
         };
         if !paused {
             daemon.resume()?;
@@ -538,12 +535,24 @@ impl Daemon {
         }
     }
 
-    /// Drains the queue, stops the workers, and joins them. Requests
-    /// admitted before the call still complete (on a paused daemon, once
-    /// it is resumed); later submissions are refused.
+    /// Drains the queue, stops the workers and the accept loops, and joins
+    /// the workers. Requests admitted before the call still complete (on a
+    /// paused daemon, once it is resumed); later submissions are refused.
     pub fn shutdown(&self) {
         lock(&self.inner.queue).shutting_down = true;
         self.inner.ready.notify_all();
+        let listening = lock(&self.listening).clone();
+        for mut addr in listening {
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            // The loop wakes on the connection, sees the flag and exits; a
+            // loop that already left refuses it, which is just as good.
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+        }
         let handles = std::mem::take(&mut *lock(&self.workers));
         for handle in handles {
             let _ = handle.join();
@@ -569,16 +578,26 @@ impl Daemon {
 
     /// Blocking accept loop (the `uctr-served` bin runs this on its main
     /// thread). One thread per connection; connections are independent.
+    /// Returns once [`Daemon::shutdown`] has been called.
     pub fn accept_loop(self: Arc<Daemon>, listener: TcpListener) {
-        for stream in listener.incoming() {
-            if lock(&self.inner.queue).shutting_down {
-                return;
+        let local = listener.local_addr().ok();
+        lock(&self.listening).extend(local);
+        // The address is listed before the flag is first read: a shutdown
+        // that set the flag earlier is seen here, and a later one connects.
+        let shutting_down = || lock(&self.inner.queue).shutting_down;
+        while !shutting_down() {
+            let Ok((stream, _)) = listener.accept() else { continue };
+            if shutting_down() {
+                break;
             }
-            let Ok(stream) = stream else { continue };
             let daemon = Arc::clone(&self);
             let _ = thread::Builder::new()
                 .name("uctr-serve-conn".into())
                 .spawn(move || daemon.handle_conn(stream));
+        }
+        let mut listening = lock(&self.listening);
+        if let Some(at) = listening.iter().position(|a| Some(*a) == local) {
+            listening.swap_remove(at);
         }
     }
 
@@ -976,7 +995,6 @@ mod tests {
             queue_bound: 2,
             retry_after_ms: 7,
             paused: true,
-            ..ServeConfig::default()
         })
         .unwrap_or_else(|e| panic!("daemon start: {e}"));
         let request = GenRequest::generate(1, RequestSpec::qa(5), wire_tables());
@@ -1048,6 +1066,31 @@ mod tests {
             Daemon::start(ServeConfig::with_shards(4))
                 .unwrap_or_else(|e| panic!("daemon start: {e}"))
                 .shutdown();
+        }
+    }
+
+    #[test]
+    fn shutdown_stops_the_accept_loop_and_frees_the_daemon() {
+        // The unspecified address is woken through loopback.
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let daemon = Arc::new(
+                Daemon::start(ServeConfig::with_shards(1))
+                    .unwrap_or_else(|e| panic!("daemon start: {e}")),
+            );
+            let (_, accept) =
+                daemon.spawn_listener(bind).unwrap_or_else(|e| panic!("listener {bind}: {e}"));
+            daemon.shutdown();
+            let (tx, rx) = mpsc::channel();
+            let joiner = thread::spawn(move || {
+                let _ = tx.send(accept.join().is_ok());
+            });
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(5)),
+                Ok(true),
+                "{bind}: the accept loop must return after shutdown"
+            );
+            let _ = joiner.join();
+            assert_eq!(Arc::strong_count(&daemon), 1, "{bind}: the accept loop kept the daemon");
         }
     }
 

@@ -614,11 +614,6 @@ impl PipelineReport {
         self.kinds.iter().map(|k| (k.kind.as_str(), k.accepted)).collect()
     }
 
-    /// Accepted counts keyed by source name (the live Table II composition).
-    pub fn accepted_by_source(&self) -> FxHashMap<&str, u64> {
-        self.sources.iter().map(|s| (s.source.as_str(), s.accepted)).collect()
-    }
-
     /// Total discards keyed by reason name, summed over kinds.
     pub fn discards_by_reason(&self) -> FxHashMap<&str, u64> {
         let mut out: FxHashMap<&str, u64> = FxHashMap::default();

@@ -1,32 +1,37 @@
-//! Allocation-budget regression test for the generation hot path.
+//! Allocation-budget regression tests for the generation hot path.
 //!
 //! A counting global allocator measures how many heap allocations one
 //! sequential pipeline run performs per generated sample, plus the peak
-//! live-heap growth over the counted window. The count budget below is a
-//! ratchet: it was recorded at ~10% above the measured cost of the
-//! scratch-buffer hot path, so a change that re-introduces per-sample
-//! clones (e.g. rebuilding candidate vectors or `ExecContext` caches
-//! inside the attempt loop) fails here before it shows up as a bench
+//! live-heap growth over the counted window; and how many one
+//! `ExecContext::new` performs on a wide table. The count budgets below
+//! are ratchets: each was recorded at ~10% above the measured cost, so a
+//! change that re-introduces per-sample clones (e.g. rebuilding candidate
+//! vectors or `ExecContext` caches inside the attempt loop), or a context
+//! cache that allocates per cell, fails here before it shows up as a bench
 //! regression. Peak bytes are reported alongside the count in the failure
 //! message (and under `ALLOC_BUDGET_PRINT=1 ... -- --nocapture`) but are
 //! not gated: peak live heap scales with the retained sample vector, so an
 //! absolute byte ratchet would fire on workload-size tweaks rather than
-//! hot-path regressions. If you *lowered* the allocation cost, re-record
-//! the budget by running this test with `ALLOC_BUDGET_PRINT=1` and pinning
-//! ~10% above the printed figure.
+//! hot-path regressions. If you *lowered* an allocation cost, re-record
+//! its budget by running these tests with `ALLOC_BUDGET_PRINT=1` and
+//! pinning ~10% above the printed figure.
 
 // Integration-test helpers run outside #[cfg(test)], so the clippy.toml test exemption does not reach them.
 #![allow(clippy::panic)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use nlgen::NoiseConfig;
-use tabular::Table;
+use tabular::{ExecContext, Table};
 use uctr::{TableWithContext, UctrConfig, UctrPipeline};
 
 /// Maximum allocations per generated sample (see module docs to re-record).
-const MAX_ALLOCS_PER_SAMPLE: u64 = 44; // measured 40/sample (1900 / 48), +10%
+const MAX_ALLOCS_PER_SAMPLE: u64 = 43; // measured 39/sample (1839 / 48), +10%
+
+/// Maximum allocations of one `ExecContext::new` over [`wide_table`].
+const MAX_CONTEXT_ALLOCS: u64 = 11_340; // measured 10,308, +10%
 
 struct CountingAlloc;
 
@@ -82,6 +87,27 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// The counters are process-wide, so each test holds this lock for its
+/// whole body: no test allocates inside another's counted window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f` in a counted window: its result, its allocation count, and its
+/// peak live-heap growth in bytes.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    ALLOCS.store(0, Ordering::SeqCst);
+    LIVE_BYTES.store(0, Ordering::SeqCst);
+    PEAK_BYTES.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    let out = f();
+    COUNTING.store(false, Ordering::SeqCst);
+    let peak = PEAK_BYTES.load(Ordering::SeqCst).max(0) as u64;
+    (out, ALLOCS.load(Ordering::SeqCst), peak)
+}
+
 fn inputs() -> Vec<TableWithContext> {
     let teams = Table::from_strings(
         "Teams",
@@ -122,8 +148,33 @@ fn inputs() -> Vec<TableWithContext> {
     ]
 }
 
+/// A 2,000 × 14 table shaped like the benchmark's wide tables: an entity
+/// name, a region, then 12 numeric columns with about one empty cell in 16.
+/// The content is a fixed formula of the row and column.
+fn wide_table() -> Table {
+    const REGIONS: [&str; 5] = ["North", "South", "East", "West", "Central"];
+    let mut header = vec!["name".to_string(), "region".to_string()];
+    header.extend((0..12).map(|c| format!("metric {c}")));
+    let mut grid = vec![header];
+    for r in 0..2_000usize {
+        let mut row = vec![format!("entity {r}"), REGIONS[r % REGIONS.len()].to_string()];
+        row.extend((0..12usize).map(|c| {
+            if (r * 12 + c) % 16 == 0 {
+                String::new()
+            } else {
+                ((r * 7_919 + c * 104_729) % 10_000).to_string()
+            }
+        }));
+        grid.push(row);
+    }
+    let grid: Vec<Vec<&str>> =
+        grid.iter().map(|row| row.iter().map(String::as_str).collect()).collect();
+    Table::from_strings("wide", &grid).unwrap_or_else(|e| panic!("wide table: {e}"))
+}
+
 #[test]
 fn allocations_per_sample_stay_within_budget() {
+    let _serial = serial();
     let cfg = UctrConfig { noise: NoiseConfig::off(), ..UctrConfig::qa() };
     let pipeline = UctrPipeline::new(cfg);
     let data = inputs();
@@ -133,14 +184,7 @@ fn allocations_per_sample_stay_within_budget() {
     let warm = pipeline.generate(&data);
     assert!(!warm.is_empty(), "warm-up produced no samples");
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    LIVE_BYTES.store(0, Ordering::SeqCst);
-    PEAK_BYTES.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    let samples = pipeline.generate(&data);
-    COUNTING.store(false, Ordering::SeqCst);
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-    let peak = PEAK_BYTES.load(Ordering::SeqCst).max(0) as u64;
+    let (samples, allocs, peak) = counted(|| pipeline.generate(&data));
 
     let n = samples.len() as u64;
     assert!(n > 0, "counted run produced no samples");
@@ -157,5 +201,22 @@ fn allocations_per_sample_stay_within_budget() {
         "allocation budget exceeded: {per_sample} allocations per sample \
          (budget {MAX_ALLOCS_PER_SAMPLE}), peak live heap {peak} bytes \
          ({peak_per_sample} bytes/sample); see module docs for how to re-record"
+    );
+}
+
+#[test]
+fn context_build_allocations_stay_within_budget() {
+    let _serial = serial();
+    let table = wide_table();
+    let (ctx, allocs, peak) = counted(|| ExecContext::new(&table));
+    assert_eq!((ctx.n_rows(), ctx.n_cols()), (2_000, 14));
+    if std::env::var_os("ALLOC_BUDGET_PRINT").is_some() {
+        eprintln!("context build: {allocs} allocations, peak live heap {peak} bytes");
+    }
+    assert!(
+        allocs <= MAX_CONTEXT_ALLOCS,
+        "context build allocated {allocs} times on a 2,000 x 14 table (budget \
+         {MAX_CONTEXT_ALLOCS}), peak live heap {peak} bytes; see module docs for how to \
+         re-record"
     );
 }

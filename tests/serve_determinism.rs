@@ -131,13 +131,7 @@ fn tiny_queue_bound_rejects_exactly_the_overflow() {
     // deterministically, because no worker is draining the queue underneath
     // the submitters.
     for (workers, submissions) in [(1usize, 6usize), (2, 8)] {
-        let cfg = ServeConfig {
-            shards: workers,
-            queue_bound: 2,
-            retry_after_ms: 3,
-            paused: true,
-            ..ServeConfig::default()
-        };
+        let cfg = ServeConfig { shards: workers, queue_bound: 2, retry_after_ms: 3, paused: true };
         let capacity = 2 * workers;
         let daemon = Arc::new(Daemon::start(cfg).unwrap());
         let request = GenRequest::generate(0, RequestSpec::qa(5), tables());
