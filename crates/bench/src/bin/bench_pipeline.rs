@@ -70,15 +70,13 @@ struct Measurement {
     samples_per_sec: f64,
 }
 
-fn measure(
-    pipelines: &[UctrPipeline],
-    inputs: &[TableWithContext],
-    threads: usize,
-    repeats: usize,
-) -> Measurement {
-    let mut accepted = 0u64;
-    let mut best_secs = f64::INFINITY;
-    for rep in 0..repeats.max(1) {
+impl Measurement {
+    fn new(threads: usize) -> Measurement {
+        Measurement { threads, accepted: 0, best_secs: f64::INFINITY, samples_per_sec: 0.0 }
+    }
+
+    /// Runs one timed repeat: every pipeline once over `inputs`.
+    fn repeat(&mut self, pipelines: &[UctrPipeline], inputs: &[TableWithContext]) {
         #[expect(
             clippy::disallowed_methods,
             reason = "Throughput benchmark runner; wall-clock timing is the measurement itself and \
@@ -87,19 +85,32 @@ fn measure(
         let started = Instant::now();
         let mut total = 0u64;
         for pipeline in pipelines {
-            let (samples, report) = pipeline.generate_parallel_with_report(inputs, threads);
+            let (samples, report) = pipeline.generate_parallel_with_report(inputs, self.threads);
             total += samples.len() as u64;
             assert_eq!(samples.len() as u64, report.accepted(), "accepted counter mismatch");
         }
         let secs = started.elapsed().as_secs_f64().max(1e-9);
-        if rep == 0 {
-            accepted = total;
+        if self.best_secs.is_infinite() {
+            self.accepted = total;
         } else {
-            assert_eq!(total, accepted, "repeat produced a different sample count");
+            assert_eq!(total, self.accepted, "repeat produced a different sample count");
         }
-        best_secs = best_secs.min(secs);
+        self.best_secs = self.best_secs.min(secs);
+        self.samples_per_sec = self.accepted as f64 / self.best_secs;
     }
-    Measurement { threads, accepted, best_secs, samples_per_sec: accepted as f64 / best_secs }
+}
+
+fn measure(
+    pipelines: &[UctrPipeline],
+    inputs: &[TableWithContext],
+    threads: usize,
+    repeats: usize,
+) -> Measurement {
+    let mut m = Measurement::new(threads);
+    for _ in 0..repeats.max(1) {
+        m.repeat(pipelines, inputs);
+    }
+    m
 }
 
 fn measurement_json(m: &Measurement) -> Value {
@@ -176,17 +187,26 @@ fn main() {
     // Untimed warmup pass (page in tables, templates, allocator arenas).
     let _ = measure(&pipelines, &inputs, 1, 1);
 
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
-    let single = measure(&pipelines, &inputs, 1, repeats);
-    let alloc_delta = ALLOCS.load(Ordering::Relaxed) - allocs_before;
-    // Allocations per accepted sample, averaged over every single-thread
-    // repeat (each repeat accepts `single.accepted`). Warmup is excluded, so
-    // one-time lazy setup does not pollute the per-sample figure.
+    // The builtin and mined single-thread repeats alternate, so a slow
+    // stretch of the host slows both sides of the mined-gap ratio rather
+    // than deciding it.
+    let mut single = Measurement::new(1);
+    let mut mined = Measurement::new(1);
+    let mut alloc_delta = 0;
+    for _ in 0..repeats.max(1) {
+        let allocs_before = ALLOCS.load(Ordering::Relaxed);
+        single.repeat(&pipelines, &inputs);
+        alloc_delta += ALLOCS.load(Ordering::Relaxed) - allocs_before;
+        mined.repeat(&mined_pipelines, &inputs);
+    }
+    // Allocations per accepted sample, averaged over every builtin
+    // single-thread repeat (each repeat accepts `single.accepted`). Warmup
+    // is excluded, so one-time lazy setup does not pollute the per-sample
+    // figure.
     let samples_timed = (single.accepted * repeats.max(1) as u64).max(1);
     let allocs_per_sample = alloc_delta as f64 / samples_timed as f64;
 
     let sat = measure(&pipelines, &inputs, saturated, repeats);
-    let mined = measure(&mined_pipelines, &inputs, 1, repeats);
 
     // Large-table stress tier: a handful of 10k+-row wide tables where
     // per-sample table clones and whole-column scans dominate. Repeats are

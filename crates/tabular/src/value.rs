@@ -302,7 +302,9 @@ impl std::hash::Hash for Value {
         match self {
             Value::Null => {}
             Value::Bool(b) => b.hash(state),
-            Value::Number(n) => n.to_bits().hash(state),
+            // `==` equates 0.0 and -0.0; adding 0.0 maps -0.0 to 0.0 and
+            // leaves every other finite value's bits alone.
+            Value::Number(n) => (n + 0.0).to_bits().hash(state),
             Value::Date(d) => d.hash(state),
             Value::Text(s) => s.hash(state),
         }
@@ -433,6 +435,21 @@ mod tests {
         assert!(Value::number(f64::NAN).is_null());
         assert!(Value::number(f64::INFINITY).is_null());
         assert_eq!(Value::number(1.5), Value::Number(1.5));
+    }
+
+    #[test]
+    fn signed_zeros_hash_like_they_compare() {
+        use std::hash::{Hash, Hasher};
+        let hash = |v: &Value| {
+            let mut h = rustc_hash::FxHasher::default();
+            v.hash(&mut h);
+            h.finish()
+        };
+        let zero = Value::parse("0");
+        for v in [Value::parse("-0"), Value::parse("(0)"), Value::number(-0.0)] {
+            assert_eq!(v, zero);
+            assert_eq!(hash(&v), hash(&zero), "{v:?}");
+        }
     }
 
     #[test]

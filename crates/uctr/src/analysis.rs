@@ -8,7 +8,7 @@
 //! one kind-tagged view:
 //!
 //! * [`AnalyzedTemplate`] — kind + dedup signature + requirement + issues,
-//!   obtained from any [`ProgramTemplate`] via [`AnalyzedTemplate::of`] or
+//!   obtained from any [`AnyTemplate`] via [`AnalyzedTemplate::of`] or
 //!   from surface text via [`analyze_text`];
 //! * [`TemplateDiagnostics`] — the structured error type
 //!   [`crate::TemplateBank::try_add`] and
@@ -23,7 +23,7 @@
 //! defect, report a too-weak requirement) but never over-approximate.
 
 use crate::mining::MergeRecord;
-use crate::program::{AnyTemplate, GenScratch, ProgramTemplate};
+use crate::program::{AnyTemplate, GenScratch};
 use crate::sample::{AnswerKind, Label};
 use crate::telemetry::KindSlot;
 use crate::templates::TemplateBank;
@@ -64,8 +64,8 @@ pub struct AnalyzedTemplate {
 }
 
 impl AnalyzedTemplate {
-    /// Analyzes any program template through the trait layer.
-    pub fn of(template: &dyn ProgramTemplate) -> AnalyzedTemplate {
+    /// Analyzes a program template of any kind.
+    pub fn of(template: &AnyTemplate) -> AnalyzedTemplate {
         let TemplateAnalysis { issues, requirement, degeneracies, summary, survival } =
             template.analyze();
         AnalyzedTemplate {
@@ -207,7 +207,7 @@ pub fn parse_any(kind: KindSlot, text: &str) -> Result<AnyTemplate, TemplateDiag
 /// audits can report malformed and ill-typed templates uniformly.
 pub fn analyze_text(kind: KindSlot, text: &str) -> AnalyzedTemplate {
     match parse_any(kind, text) {
-        Ok(t) => AnalyzedTemplate::of(t.as_program()),
+        Ok(t) => AnalyzedTemplate::of(&t),
         Err(d) => AnalyzedTemplate {
             kind,
             signature: d.template,
@@ -284,7 +284,7 @@ fn run_once(
     scratch: &mut GenScratch,
 ) -> Option<RunOutput> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut inst = t.as_program().try_instantiate(table, ctx, &mut rng, scratch).ok()?;
+    let mut inst = t.try_instantiate(table, ctx, &mut rng, scratch).ok()?;
     if !inst.pre_executed() {
         inst.execute(table, ctx, scratch).ok()?;
     }
@@ -416,7 +416,7 @@ impl EquivalenceReport {
             if let Some(k) = pruned_per_kind.get_mut(m.kind as usize) {
                 *k += 1;
             }
-            classes[m.representative].pruned.push(m.pruned.as_program().signature());
+            classes[m.representative].pruned.push(m.pruned.signature());
             let witness = verify_merge(&m.pruned, &bank.templates()[m.representative], seeds);
             if witness.verified() {
                 verified += 1;
@@ -424,14 +424,14 @@ impl EquivalenceReport {
                 failures.push(format!(
                     "{}: {} => {}: {}",
                     m.kind.name(),
-                    m.pruned.as_program().signature(),
-                    bank.templates()[m.representative].as_program().signature(),
+                    m.pruned.signature(),
+                    bank.templates()[m.representative].signature(),
                     witness.mismatch.unwrap_or_else(|| "no productive witness cell".to_string()),
                 ));
             }
         }
         let analyses: Vec<AnalyzedTemplate> =
-            bank.templates().iter().map(|t| AnalyzedTemplate::of(t.as_program())).collect();
+            bank.templates().iter().map(AnalyzedTemplate::of).collect();
         let mut subsumption_edges = 0usize;
         for (i, a) in analyses.iter().enumerate() {
             for (j, b) in analyses.iter().enumerate() {
@@ -480,18 +480,21 @@ mod tests {
     }
 
     #[test]
-    fn trait_analyze_matches_per_crate_analyzers() {
+    fn any_template_analyze_matches_per_crate_analyzers() {
         let sql = SqlTemplate::parse("select c1 from w order by c2_number desc limit 1")
             .unwrap_or_else(|e| panic!("sql: {e}"));
-        assert_eq!(ProgramTemplate::analyze(&sql), sqlexec::analysis::analyze(&sql));
-        assert_eq!(ProgramTemplate::canonicalize(&sql), sqlexec::canon::canonical_form(&sql));
+        let any = AnyTemplate::Sql(sql.clone());
+        assert_eq!(any.analyze(), sqlexec::analysis::analyze(&sql));
+        assert_eq!(any.canonicalize(), sqlexec::canon::canonical_form(&sql));
         let lf = LfTemplate::parse("eq { max { all_rows ; c1 } ; val1 }")
             .unwrap_or_else(|e| panic!("lf: {e}"));
-        assert_eq!(ProgramTemplate::analyze(&lf), logicforms::analysis::analyze(&lf));
-        assert_eq!(ProgramTemplate::canonicalize(&lf), logicforms::canon::canonical_form(&lf));
+        let any = AnyTemplate::Logic(lf.clone());
+        assert_eq!(any.analyze(), logicforms::analysis::analyze(&lf));
+        assert_eq!(any.canonicalize(), logicforms::canon::canonical_form(&lf));
         let ae = AeTemplate::parse("table_sum( c1 )").unwrap_or_else(|e| panic!("ae: {e}"));
-        assert_eq!(ProgramTemplate::analyze(&ae), arithexpr::analysis::analyze(&ae));
-        assert_eq!(ProgramTemplate::canonicalize(&ae), arithexpr::canon::canonical_form(&ae));
+        let any = AnyTemplate::Arith(ae.clone());
+        assert_eq!(any.analyze(), arithexpr::analysis::analyze(&ae));
+        assert_eq!(any.canonicalize(), arithexpr::canon::canonical_form(&ae));
     }
 
     fn arith(text: &str) -> AnyTemplate {

@@ -9,8 +9,7 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use uctr::serve::{Daemon, ServeConfig};
 
-const USAGE: &str = "usage: uctr-served [--addr HOST:PORT] [--shards N] \
-                     [--queue-bound N] [--retry-after-ms MS]";
+const USAGE: &str = "usage: uctr-served [--addr HOST:PORT] [--shards N] [--queue-bound N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,7 +29,6 @@ fn main() {
             "--addr" => addr = take("HOST:PORT"),
             "--shards" => cfg.shards = parse(flag, &take("count")),
             "--queue-bound" => cfg.queue_bound = parse(flag, &take("count")),
-            "--retry-after-ms" => cfg.retry_after_ms = parse(flag, &take("duration")),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;

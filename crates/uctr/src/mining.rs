@@ -18,7 +18,8 @@
 //!   tables, plus concrete logical-form claims obtained by instantiating
 //!   [`crate::autogen`] proposals.
 //!
-//! Mining also enforces a per-kind [`CostBudget`]: the pipeline samples
+//! Mining also enforces a per-kind cost cap ([`SQL_MAX_WHERE_ATOMS`],
+//! [`ARITH_MAX_STEPS`], [`LOGIC_MAX_OPS`]): the pipeline samples
 //! templates uniformly within a kind, so a bank's throughput is the *mean*
 //! per-attempt cost of its templates, and the miner is the only place that
 //! mean can be controlled. Concrete programs whose instantiation cost is
@@ -61,7 +62,7 @@ pub enum MineOutcome {
     /// constant output, always-true/false claim, or a provably empty
     /// result set — it can never produce useful training signal.
     Degenerate,
-    /// Parsed fine but exceeds the miner's per-kind [`CostBudget`].
+    /// Parsed fine but exceeds the miner's per-kind cost cap.
     OverBudget,
     /// The concrete program text does not parse in its DSL.
     ParseFailed,
@@ -126,42 +127,23 @@ impl MinerStats {
     }
 }
 
-/// Per-kind instantiation-cost caps applied during mining.
-///
-/// The costs were measured per shape class against the builtin bank (see
-/// DESIGN.md): SQL attempt cost grows with every extra WHERE atom (a 2-cond
-/// tree costs ~1.8× a single atom), arithmetic with every extra step, and a
-/// logical form's instantiation cost is roughly linear in its operator
-/// count (every `op { ... }` brace pair is evaluated once while siblings
-/// instantiate and once more when the claim is finished). The defaults keep
-/// the synthetic corpus inside the bench gate's regression tolerance while
-/// the heavy shapes stay covered by the builtin templates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostBudget {
-    /// Maximum comparison atoms in a SQL WHERE tree.
-    pub sql_max_where_atoms: usize,
-    /// Maximum steps in an arithmetic program.
-    pub arith_max_steps: usize,
-    /// Maximum operator applications in a logical form.
-    pub logic_max_ops: usize,
-}
+// Per-kind instantiation-cost caps applied during mining.
+//
+// The costs were measured per shape class against the builtin bank (see
+// DESIGN.md): SQL attempt cost grows with every extra WHERE atom (a 2-cond
+// tree costs ~1.8× a single atom), arithmetic with every extra step, and a
+// logical form's instantiation cost is roughly linear in its operator
+// count (every `op { ... }` brace pair is evaluated once while siblings
+// instantiate and once more when the claim is finished). The caps keep
+// the synthetic corpus inside the bench gate's regression tolerance while
+// the heavy shapes stay covered by the builtin templates.
 
-impl Default for CostBudget {
-    fn default() -> CostBudget {
-        CostBudget { sql_max_where_atoms: 1, arith_max_steps: 2, logic_max_ops: 2 }
-    }
-}
-
-impl CostBudget {
-    /// No caps: every well-typed shape is admitted regardless of cost.
-    pub fn unbounded() -> CostBudget {
-        CostBudget {
-            sql_max_where_atoms: usize::MAX,
-            arith_max_steps: usize::MAX,
-            logic_max_ops: usize::MAX,
-        }
-    }
-}
+/// Maximum comparison atoms in a mined SQL WHERE tree.
+pub const SQL_MAX_WHERE_ATOMS: usize = 1;
+/// Maximum steps in a mined arithmetic program.
+pub const ARITH_MAX_STEPS: usize = 2;
+/// Maximum operator applications in a mined logical form.
+pub const LOGIC_MAX_OPS: usize = 2;
 
 /// Comparison atoms in a WHERE condition tree.
 fn sql_where_atoms(cond: &sqlexec::Cond) -> usize {
@@ -201,7 +183,6 @@ pub struct MergeRecord {
 pub struct Miner {
     bank: TemplateBank,
     stats: MinerStats,
-    budget: CostBudget,
     merges: Vec<MergeRecord>,
 }
 
@@ -218,12 +199,6 @@ impl Miner {
         Miner { bank, ..Miner::default() }
     }
 
-    /// Replaces the cost budget (defaults to [`CostBudget::default`]).
-    pub fn with_budget(mut self, budget: CostBudget) -> Miner {
-        self.budget = budget;
-        self
-    }
-
     /// Mines one concrete program of `kind` from its surface text. `table`
     /// supplies the schema that types the lifted column holes (only SQL
     /// abstraction consults it).
@@ -232,7 +207,7 @@ impl Miner {
             KindSlot::Sql => match sqlexec::parse(text) {
                 Ok(stmt) => {
                     let atoms = stmt.where_clause.as_ref().map_or(0, sql_where_atoms);
-                    if atoms > self.budget.sql_max_where_atoms {
+                    if atoms > SQL_MAX_WHERE_ATOMS {
                         self.stats.bump(kind, MineOutcome::OverBudget);
                         return MineOutcome::OverBudget;
                     }
@@ -245,7 +220,7 @@ impl Miner {
             },
             KindSlot::Logic => match logicforms::parse(text) {
                 Ok(expr) => {
-                    if logic_ops(&expr) > self.budget.logic_max_ops {
+                    if logic_ops(&expr) > LOGIC_MAX_OPS {
                         self.stats.bump(kind, MineOutcome::OverBudget);
                         return MineOutcome::OverBudget;
                     }
@@ -258,7 +233,7 @@ impl Miner {
             },
             KindSlot::Arith => match arithexpr::parse(text) {
                 Ok(program) => {
-                    if program.steps.len() > self.budget.arith_max_steps {
+                    if program.steps.len() > ARITH_MAX_STEPS {
                         self.stats.bump(kind, MineOutcome::OverBudget);
                         return MineOutcome::OverBudget;
                     }
@@ -279,7 +254,7 @@ impl Miner {
         // would only ever mint useless samples. The check is pure — it
         // consumes no RNG — so mining stays deterministic per seed.
         {
-            let analysis = abstracted.as_program().analyze();
+            let analysis = abstracted.analyze();
             if analysis.issues.is_empty() && !analysis.degeneracies.is_empty() {
                 self.stats.bump(kind, MineOutcome::Degenerate);
                 return MineOutcome::Degenerate;
@@ -411,8 +386,7 @@ impl Miner {
             );
         }
         for t in self.bank.templates() {
-            let p = t.as_program();
-            let _ = writeln!(out, "{}: {}", p.kind().name(), p.signature());
+            let _ = writeln!(out, "{}: {}", t.kind().name(), t.signature());
         }
         out
     }
@@ -420,9 +394,9 @@ impl Miner {
 
 /// How many auto-generated logic proposals the synthetic corpus instantiates
 /// and re-mines. Deliberately above the shallow-shape capacity of the
-/// grammar: the [`CostBudget`] turns away deep proposals, so overshooting
-/// the target is how the miner exhausts the space of claims cheap enough
-/// to admit.
+/// grammar: the [`LOGIC_MAX_OPS`] cap turns away deep proposals, so
+/// overshooting the target is how the miner exhausts the space of claims
+/// cheap enough to admit.
 pub const LOGIC_TARGET: usize = 800;
 
 /// The default seed of the synthetic corpus (and of `xtask mine`).
@@ -485,10 +459,10 @@ pub fn fin_probe_table() -> Table {
 /// select-item shapes × where shapes × order/limit tails. Abstraction
 /// collapses value choices, so each emitted query is one *shape*; the
 /// bank's signature dedup drops the collisions that remain. Every shape
-/// keeps its WHERE tree to a single atom — the [`CostBudget`] turns away
-/// multi-atom trees, whose attempt cost would drag the whole bank below
-/// the CI throughput gate, and the builtin templates already cover the
-/// conjunctive shapes.
+/// keeps its WHERE tree to a single atom — the [`SQL_MAX_WHERE_ATOMS`] cap
+/// turns away multi-atom trees, whose attempt cost would drag the whole
+/// bank below the CI throughput gate, and the builtin templates already
+/// cover the conjunctive shapes.
 fn sql_seed_programs() -> Vec<String> {
     let selects = [
         "[name]",
@@ -568,8 +542,8 @@ fn sql_seed_programs() -> Vec<String> {
 }
 
 /// The enumerated concrete logical-form seed corpus over
-/// [`sql_probe_table`]: every claim shape expressible within the default
-/// [`CostBudget`]'s two-application cap — scalar comparators over
+/// [`sql_probe_table`]: every claim shape expressible within the
+/// two-application [`LOGIC_MAX_OPS`] cap — scalar comparators over
 /// aggregations of the whole table, uniqueness claims over one filter, and
 /// the `all_*`/`most_*` column-quantifier family, plain and over a
 /// `filter_all` view. Deeper claim shapes (the classic
@@ -632,7 +606,7 @@ fn logic_seed_programs() -> Vec<String> {
 
 /// The enumerated concrete arithmetic seed corpus over
 /// [`fin_probe_table`]: FinQA-style step programs of one or two steps —
-/// the [`CostBudget`] caps chains at two, so three-step shapes stay with
+/// [`ARITH_MAX_STEPS`] caps chains at two, so three-step shapes stay with
 /// the builtin templates. `greater` yields a truth value, so it only ever
 /// terminates a chain. Constants survive abstraction, so each constant
 /// choice is its own shape.
@@ -709,7 +683,7 @@ mod tests {
                 &table
             ),
             MineOutcome::OverBudget,
-            "two WHERE atoms exceed the default cost budget"
+            "two WHERE atoms exceed the SQL cost cap"
         );
         assert_eq!(
             miner.mine_program(KindSlot::Sql, "select count ( from w", &table),
@@ -727,7 +701,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_budget_caps_each_kind_and_can_be_lifted() {
+    fn cost_caps_turn_away_deep_shapes_of_each_kind() {
         let sql_probe = sql_probe_table();
         let fin_probe = fin_probe_table();
         let three_step = "table_sum( 2019 ) , table_sum( 2018 ) , subtract( #0 , #1 )";
@@ -745,14 +719,8 @@ mod tests {
         assert_eq!(
             capped.mine_program(KindSlot::Logic, deep_claim, &sql_probe),
             MineOutcome::OverBudget,
-            "three nested applications exceed the default logic cap of two"
+            "three nested applications exceed the logic cap of two"
         );
-        let mut unbounded = Miner::new().with_budget(CostBudget::unbounded());
-        assert_eq!(
-            unbounded.mine_program(KindSlot::Arith, three_step, &fin_probe),
-            MineOutcome::Mined
-        );
-        assert_eq!(unbounded.stats().kind(KindSlot::Arith).over_budget, 0);
     }
 
     #[test]
@@ -806,7 +774,7 @@ mod tests {
         );
         // Clean by construction: everything admitted passed the analyzer.
         for t in miner.bank().templates() {
-            let analysis = t.as_program().analyze();
+            let analysis = t.analyze();
             assert!(analysis.issues.is_empty(), "mined template with issues: {t:?}");
         }
     }

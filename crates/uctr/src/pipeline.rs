@@ -630,9 +630,9 @@ impl UctrPipeline {
     /// Samples a program kind per the config and drives one template
     /// through the generic funnel: Attempted → instantiate → Instantiated →
     /// execute → Executed → verbalize. Every kind-specific behavior lives
-    /// behind [`crate::program::ProgramTemplate`]; this is the only place
-    /// the telemetry funnel is driven. Returns (text, label, program,
-    /// answer kind, highlighted cells).
+    /// in [`crate::program::AnyTemplate`] and [`crate::program::Program`];
+    /// this is the only place the telemetry funnel is driven. Returns
+    /// (text, label, program, answer kind, highlighted cells).
     #[allow(clippy::type_complexity, clippy::too_many_arguments)]
     fn run_program(
         &self,

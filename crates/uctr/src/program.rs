@@ -1,26 +1,25 @@
-//! The unified program layer: one trait-object interface over the three
+//! The unified program layer: one closed enum per stage over the three
 //! executor crates (paper §II-C's reasoning-program types).
 //!
 //! Before this layer existed the pipeline had one hand-written driver per
 //! program kind, each repeating the same telemetry funnel.
-//! [`ProgramTemplate`] and [`InstantiatedProgram`] factor that shape out:
+//! [`AnyTemplate`] and [`Program`] factor that shape out:
 //!
-//! * a [`ProgramTemplate`] can **instantiate** itself against a table
+//! * an [`AnyTemplate`] can **instantiate** itself against a table
 //!   (sampling holes from the table via a shared [`ExecContext`]),
-//! * the resulting [`InstantiatedProgram`] can **execute** (unless the
-//!   executor already ran during instantiation — see
-//!   [`InstantiatedProgram::pre_executed`]), **verbalize** through the
-//!   [`NlGenerator`], and finally surrender its [`ProgramOutput`]: the gold
-//!   label, the serialized program, the answer kind and the highlighted
-//!   cells that downstream sample builders (table splitting / expansion)
-//!   need.
+//! * the resulting [`Program`] can **execute** (unless the executor
+//!   already ran during instantiation — see [`Program::pre_executed`]),
+//!   **verbalize** through the [`NlGenerator`], and finally surrender its
+//!   [`ProgramOutput`]: the gold label, the serialized program, the answer
+//!   kind and the highlighted cells that downstream sample builders (table
+//!   splitting / expansion) need.
 //!
 //! Every fallible step reports a unified [`Discard`] reason, so the
 //! telemetry funnel (Attempted → Instantiated → Executed → Accepted) is
 //! driven once, generically, in `pipeline::run_program`.
 //!
-//! Adding a fourth program kind means implementing these two traits plus a
-//! [`KindSlot`] — see `DESIGN.md` for the walkthrough.
+//! Adding a fourth program kind means adding a variant to both enums plus
+//! a [`KindSlot`] — see `DESIGN.md` for the walkthrough.
 
 use crate::sample::{AnswerKind, Label, ProgramKind, Verdict};
 use crate::telemetry::{Discard, KindSlot};
@@ -82,330 +81,8 @@ pub struct ProgramOutput {
     pub highlighted: Vec<(usize, usize)>,
 }
 
-/// A program template of any kind, instantiable against a table.
-///
-/// Implemented by [`sqlexec::SqlTemplate`], [`logicforms::LfTemplate`] and
-/// [`arithexpr::AeTemplate`]; the pipeline only sees `dyn ProgramTemplate`.
-pub trait ProgramTemplate: Send + Sync {
-    /// The telemetry slot this template's attempts are counted under.
-    fn kind(&self) -> KindSlot;
-
-    /// The dedup signature (unprefixed — the bank prefixes by kind so that
-    /// signatures never collide across kinds).
-    fn signature(&self) -> String;
-
-    /// Statically typechecks the template without a table and computes the
-    /// weakest [`tabular::SchemaRequirement`] a table must satisfy for
-    /// [`ProgramTemplate::try_instantiate`] to have any chance of
-    /// succeeding. Soundness contract: a reported issue means
-    /// instantiation fails on every table under every RNG stream; an
-    /// unsatisfied requirement means it fails on that table under every
-    /// RNG stream (see `crate::analysis`).
-    fn analyze(&self) -> TemplateAnalysis;
-
-    /// The canonical form (unprefixed, like [`ProgramTemplate::signature`]):
-    /// holes alpha-renamed into first-use order, commutative operands
-    /// sorted, executor-faithful identities applied. Soundness contract:
-    /// two same-kind templates with equal canonical forms produce
-    /// *identical* outputs under identical RNG streams on every table —
-    /// the per-crate `canon` modules only apply rewrites that provably
-    /// preserve the instantiation draw stream, and `crate::analysis`'s
-    /// differential harness re-verifies every merge the miner performs.
-    fn canonicalize(&self) -> String;
-
-    /// Samples the template's holes from `table`, returning a runnable
-    /// program. All table scans go through the shared `ctx` caches and all
-    /// per-attempt buffers come from `scratch`. The RNG draw sequence is
-    /// part of the pipeline's determinism contract: implementations must
-    /// consume draws exactly as the pre-trait per-kind drivers did.
-    fn try_instantiate(
-        &self,
-        table: &Table,
-        ctx: &ExecContext,
-        rng: &mut StdRng,
-        scratch: &mut GenScratch,
-    ) -> Result<Box<dyn InstantiatedProgram>, Discard>;
-}
-
-/// A fully-instantiated program: executable, verbalizable, and finally
-/// convertible into a [`ProgramOutput`].
-pub trait InstantiatedProgram {
-    /// True when instantiation already executed the program (arithmetic
-    /// templates execute while sampling, to validate the binding). The
-    /// pipeline then skips [`InstantiatedProgram::execute`] and its timer.
-    fn pre_executed(&self) -> bool {
-        false
-    }
-
-    /// Executes against the table, storing the result internally. Includes
-    /// the paper's §IV-C result filters (empty results / empty answers are
-    /// discards, not successes). Kernel buffers come from `scratch`.
-    fn execute(
-        &mut self,
-        table: &Table,
-        ctx: &ExecContext,
-        scratch: &mut GenScratch,
-    ) -> Result<(), Discard>;
-
-    /// Verbalizes the program into a question / claim. Candidate realization
-    /// and n-gram scoring run inside `scratch`'s NL buffers.
-    fn verbalize(
-        &self,
-        generator: &NlGenerator,
-        rng: &mut StdRng,
-        scratch: &mut GenScratch,
-    ) -> String;
-
-    /// Surrenders the run's output. Called once, after a successful
-    /// execute; the implementation may leave itself empty behind.
-    fn output(&mut self) -> ProgramOutput;
-}
-
-// --- SQL ---------------------------------------------------------------
-
-struct SqlProgram {
-    stmt: SelectStmt,
-    answer: String,
-    highlighted: Vec<(usize, usize)>,
-}
-
-impl ProgramTemplate for SqlTemplate {
-    fn kind(&self) -> KindSlot {
-        KindSlot::Sql
-    }
-
-    fn signature(&self) -> String {
-        SqlTemplate::signature(self)
-    }
-
-    fn analyze(&self) -> TemplateAnalysis {
-        sqlexec::analysis::analyze(self)
-    }
-
-    fn canonicalize(&self) -> String {
-        sqlexec::canon::canonical_form(self)
-    }
-
-    fn try_instantiate(
-        &self,
-        table: &Table,
-        ctx: &ExecContext,
-        rng: &mut StdRng,
-        scratch: &mut GenScratch,
-    ) -> Result<Box<dyn InstantiatedProgram>, Discard> {
-        let stmt = SqlTemplate::try_instantiate(self, table, ctx, rng, &mut scratch.sql)
-            .map_err(Discard::from)?;
-        Ok(Box::new(SqlProgram { stmt, answer: String::new(), highlighted: Vec::new() }))
-    }
-}
-
-impl InstantiatedProgram for SqlProgram {
-    fn execute(
-        &mut self,
-        table: &Table,
-        _ctx: &ExecContext,
-        scratch: &mut GenScratch,
-    ) -> Result<(), Discard> {
-        let result =
-            sqlexec::execute(&self.stmt, table, &mut scratch.sql.kern).map_err(Discard::from)?;
-        if result.is_empty() {
-            // paper §IV-C: discard empty-result programs
-            return Err(Discard::EmptyResult);
-        }
-        let answer = result.answer_text();
-        if answer.is_empty() {
-            return Err(Discard::EmptyAnswer);
-        }
-        self.answer = answer;
-        self.highlighted = result.highlighted;
-        Ok(())
-    }
-
-    fn verbalize(
-        &self,
-        generator: &NlGenerator,
-        rng: &mut StdRng,
-        scratch: &mut GenScratch,
-    ) -> String {
-        generator.verbalize_with(ProgramRef::Sql(&self.stmt), rng, &mut scratch.nl)
-    }
-
-    fn output(&mut self) -> ProgramOutput {
-        let answer_kind = if self.stmt.items.iter().any(|i| {
-            matches!(i, sqlexec::SelectItem::Aggregate { func: sqlexec::AggFunc::Count, .. })
-        }) {
-            AnswerKind::Count
-        } else if self.stmt.items.iter().any(|i| {
-            matches!(
-                i,
-                sqlexec::SelectItem::Aggregate { .. }
-                    | sqlexec::SelectItem::Expr(sqlexec::Expr::Binary { .. })
-            )
-        }) {
-            AnswerKind::Arithmetic
-        } else {
-            AnswerKind::Span
-        };
-        ProgramOutput {
-            label: Label::Answer(std::mem::take(&mut self.answer)),
-            program: ProgramKind::Sql(render(&self.stmt, 96)),
-            answer_kind,
-            highlighted: std::mem::take(&mut self.highlighted),
-        }
-    }
-}
-
-// --- Logical forms -----------------------------------------------------
-
-struct LogicProgram {
-    expr: LfExpr,
-    truth: bool,
-    highlighted: Vec<(usize, usize)>,
-}
-
-impl ProgramTemplate for LfTemplate {
-    fn kind(&self) -> KindSlot {
-        KindSlot::Logic
-    }
-
-    fn signature(&self) -> String {
-        LfTemplate::signature(self)
-    }
-
-    fn analyze(&self) -> TemplateAnalysis {
-        logicforms::analysis::analyze(self)
-    }
-
-    fn canonicalize(&self) -> String {
-        logicforms::canon::canonical_form(self)
-    }
-
-    fn try_instantiate(
-        &self,
-        table: &Table,
-        ctx: &ExecContext,
-        rng: &mut StdRng,
-        scratch: &mut GenScratch,
-    ) -> Result<Box<dyn InstantiatedProgram>, Discard> {
-        // Truth-targeted sampling: flip the target first, then sample. The
-        // draw order (gen_bool before the template's own draws) is part of
-        // the determinism contract.
-        let desired = rng.gen_bool(0.5);
-        let claim = LfTemplate::try_instantiate(self, table, ctx, rng, desired, &mut scratch.lf)
-            .map_err(Discard::from)?;
-        Ok(Box::new(LogicProgram { expr: claim.expr, truth: claim.truth, highlighted: Vec::new() }))
-    }
-}
-
-impl InstantiatedProgram for LogicProgram {
-    fn execute(
-        &mut self,
-        table: &Table,
-        ctx: &ExecContext,
-        scratch: &mut GenScratch,
-    ) -> Result<(), Discard> {
-        let outcome = logicforms::evaluate(&self.expr, table, ctx, &mut scratch.lf.kern)
-            .map_err(Discard::from)?;
-        self.highlighted = outcome.highlighted;
-        Ok(())
-    }
-
-    fn verbalize(
-        &self,
-        generator: &NlGenerator,
-        rng: &mut StdRng,
-        scratch: &mut GenScratch,
-    ) -> String {
-        generator.verbalize_with(ProgramRef::Logic(&self.expr), rng, &mut scratch.nl)
-    }
-
-    fn output(&mut self) -> ProgramOutput {
-        let verdict = if self.truth { Verdict::Supported } else { Verdict::Refuted };
-        ProgramOutput {
-            label: Label::Verdict(verdict),
-            program: ProgramKind::Logic(render(&self.expr, 96)),
-            answer_kind: AnswerKind::NotApplicable,
-            highlighted: std::mem::take(&mut self.highlighted),
-        }
-    }
-}
-
-// --- Arithmetic --------------------------------------------------------
-
-struct ArithProgram {
-    program: AeProgram,
-    outcome: AeOutcome,
-}
-
-impl ProgramTemplate for AeTemplate {
-    fn kind(&self) -> KindSlot {
-        KindSlot::Arith
-    }
-
-    fn signature(&self) -> String {
-        AeTemplate::signature(self)
-    }
-
-    fn analyze(&self) -> TemplateAnalysis {
-        arithexpr::analysis::analyze(self)
-    }
-
-    fn canonicalize(&self) -> String {
-        arithexpr::canon::canonical_form(self)
-    }
-
-    fn try_instantiate(
-        &self,
-        table: &Table,
-        ctx: &ExecContext,
-        rng: &mut StdRng,
-        scratch: &mut GenScratch,
-    ) -> Result<Box<dyn InstantiatedProgram>, Discard> {
-        let inst = AeTemplate::try_instantiate(self, table, ctx, rng, &mut scratch.ae)
-            .map_err(Discard::from)?;
-        Ok(Box::new(ArithProgram { program: inst.program, outcome: inst.outcome }))
-    }
-}
-
-impl InstantiatedProgram for ArithProgram {
-    /// Arithmetic instantiation executes internally to validate the cell
-    /// binding, so a successful instantiation is also an execution.
-    fn pre_executed(&self) -> bool {
-        true
-    }
-
-    fn execute(
-        &mut self,
-        _table: &Table,
-        _ctx: &ExecContext,
-        _scratch: &mut GenScratch,
-    ) -> Result<(), Discard> {
-        Ok(())
-    }
-
-    fn verbalize(
-        &self,
-        generator: &NlGenerator,
-        rng: &mut StdRng,
-        scratch: &mut GenScratch,
-    ) -> String {
-        generator.verbalize_with(ProgramRef::Arith(&self.program), rng, &mut scratch.nl)
-    }
-
-    fn output(&mut self) -> ProgramOutput {
-        ProgramOutput {
-            label: Label::Answer(render(&self.outcome.answer, 16)),
-            program: ProgramKind::Arith(render(&self.program, 96)),
-            answer_kind: AnswerKind::Arithmetic,
-            highlighted: std::mem::take(&mut self.outcome.highlighted),
-        }
-    }
-}
-
-// --- The kind-erased template ------------------------------------------
-
-/// A template of any kind, stored by value in the unified
-/// [`crate::TemplateBank`].
+/// A program template of any kind, stored by value in the unified
+/// [`crate::TemplateBank`] and instantiable against a table.
 #[derive(Debug, Clone)]
 pub enum AnyTemplate {
     Sql(SqlTemplate),
@@ -414,17 +91,204 @@ pub enum AnyTemplate {
 }
 
 impl AnyTemplate {
-    /// The trait-object view the pipeline runs against.
-    pub fn as_program(&self) -> &dyn ProgramTemplate {
+    /// The telemetry slot this template's attempts are counted under.
+    pub fn kind(&self) -> KindSlot {
         match self {
-            AnyTemplate::Sql(t) => t,
-            AnyTemplate::Logic(t) => t,
-            AnyTemplate::Arith(t) => t,
+            AnyTemplate::Sql(_) => KindSlot::Sql,
+            AnyTemplate::Logic(_) => KindSlot::Logic,
+            AnyTemplate::Arith(_) => KindSlot::Arith,
         }
     }
 
-    pub fn kind(&self) -> KindSlot {
-        self.as_program().kind()
+    /// The dedup signature (unprefixed — the bank prefixes by kind so that
+    /// signatures never collide across kinds).
+    pub fn signature(&self) -> String {
+        match self {
+            AnyTemplate::Sql(t) => t.signature(),
+            AnyTemplate::Logic(t) => t.signature(),
+            AnyTemplate::Arith(t) => t.signature(),
+        }
+    }
+
+    /// Statically typechecks the template without a table and computes the
+    /// weakest [`tabular::SchemaRequirement`] a table must satisfy for
+    /// [`AnyTemplate::try_instantiate`] to have any chance of succeeding.
+    /// Soundness contract: a reported issue means instantiation fails on
+    /// every table under every RNG stream; an unsatisfied requirement means
+    /// it fails on that table under every RNG stream (see
+    /// `crate::analysis`).
+    pub fn analyze(&self) -> TemplateAnalysis {
+        match self {
+            AnyTemplate::Sql(t) => sqlexec::analysis::analyze(t),
+            AnyTemplate::Logic(t) => logicforms::analysis::analyze(t),
+            AnyTemplate::Arith(t) => arithexpr::analysis::analyze(t),
+        }
+    }
+
+    /// The canonical form (unprefixed, like [`AnyTemplate::signature`]):
+    /// holes alpha-renamed into first-use order, commutative operands
+    /// sorted, executor-faithful identities applied. Soundness contract:
+    /// two same-kind templates with equal canonical forms produce
+    /// *identical* outputs under identical RNG streams on every table —
+    /// the per-crate `canon` modules only apply rewrites that provably
+    /// preserve the instantiation draw stream, and `crate::analysis`'s
+    /// differential harness re-verifies every merge the miner performs.
+    pub fn canonicalize(&self) -> String {
+        match self {
+            AnyTemplate::Sql(t) => sqlexec::canon::canonical_form(t),
+            AnyTemplate::Logic(t) => logicforms::canon::canonical_form(t),
+            AnyTemplate::Arith(t) => arithexpr::canon::canonical_form(t),
+        }
+    }
+
+    /// Samples the template's holes from `table`, returning a runnable
+    /// program. All table scans go through the shared `ctx` caches and all
+    /// per-attempt buffers come from `scratch`. The RNG draw sequence is
+    /// part of the pipeline's determinism contract: each arm must consume
+    /// draws exactly as the original per-kind drivers did.
+    pub fn try_instantiate(
+        &self,
+        table: &Table,
+        ctx: &ExecContext,
+        rng: &mut StdRng,
+        scratch: &mut GenScratch,
+    ) -> Result<Program, Discard> {
+        match self {
+            AnyTemplate::Sql(t) => {
+                let stmt = t.try_instantiate(table, ctx, rng, &mut scratch.sql)?;
+                Ok(Program::Sql { stmt, answer: String::new(), highlighted: Vec::new() })
+            }
+            AnyTemplate::Logic(t) => {
+                // Truth-targeted sampling: flip the target first, then
+                // sample. The draw order (gen_bool before the template's
+                // own draws) is part of the determinism contract.
+                let desired = rng.gen_bool(0.5);
+                let claim = t.try_instantiate(table, ctx, rng, desired, &mut scratch.lf)?;
+                Ok(Program::Logic { expr: claim.expr, truth: claim.truth, highlighted: Vec::new() })
+            }
+            AnyTemplate::Arith(t) => {
+                let inst = t.try_instantiate(table, ctx, rng, &mut scratch.ae)?;
+                Ok(Program::Arith { program: inst.program, outcome: inst.outcome })
+            }
+        }
+    }
+}
+
+/// A fully-instantiated program: executable, verbalizable, and finally
+/// convertible into a [`ProgramOutput`].
+#[derive(Debug)]
+pub enum Program {
+    /// A SQL query; `answer` and `highlighted` are filled by
+    /// [`Program::execute`].
+    Sql { stmt: SelectStmt, answer: String, highlighted: Vec<(usize, usize)> },
+    /// A logical-form claim whose truth value instantiation targeted;
+    /// `highlighted` is filled by [`Program::execute`].
+    Logic { expr: LfExpr, truth: bool, highlighted: Vec<(usize, usize)> },
+    /// An arithmetic program, executed during instantiation.
+    Arith { program: AeProgram, outcome: AeOutcome },
+}
+
+impl Program {
+    /// True when instantiation already executed the program (arithmetic
+    /// templates execute while sampling, to validate the binding). The
+    /// pipeline then skips [`Program::execute`] and its timer.
+    pub fn pre_executed(&self) -> bool {
+        matches!(self, Program::Arith { .. })
+    }
+
+    /// Executes against the table, storing the result internally. Includes
+    /// the paper's §IV-C result filters (empty results / empty answers are
+    /// discards, not successes). Kernel buffers come from `scratch`.
+    pub fn execute(
+        &mut self,
+        table: &Table,
+        ctx: &ExecContext,
+        scratch: &mut GenScratch,
+    ) -> Result<(), Discard> {
+        match self {
+            Program::Sql { stmt, answer, highlighted } => {
+                let result = sqlexec::execute(stmt, table, &mut scratch.sql.kern)?;
+                if result.is_empty() {
+                    // paper §IV-C: discard empty-result programs
+                    return Err(Discard::EmptyResult);
+                }
+                let text = result.answer_text();
+                if text.is_empty() {
+                    return Err(Discard::EmptyAnswer);
+                }
+                *answer = text;
+                *highlighted = result.highlighted;
+            }
+            Program::Logic { expr, highlighted, .. } => {
+                *highlighted =
+                    logicforms::evaluate(expr, table, ctx, &mut scratch.lf.kern)?.highlighted;
+            }
+            Program::Arith { .. } => {}
+        }
+        Ok(())
+    }
+
+    /// Verbalizes the program into a question / claim. Candidate realization
+    /// and n-gram scoring run inside `scratch`'s NL buffers.
+    pub fn verbalize(
+        &self,
+        generator: &NlGenerator,
+        rng: &mut StdRng,
+        scratch: &mut GenScratch,
+    ) -> String {
+        let program = match self {
+            Program::Sql { stmt, .. } => ProgramRef::Sql(stmt),
+            Program::Logic { expr, .. } => ProgramRef::Logic(expr),
+            Program::Arith { program, .. } => ProgramRef::Arith(program),
+        };
+        generator.verbalize_with(program, rng, &mut scratch.nl)
+    }
+
+    /// Surrenders the run's output, after a successful execute.
+    pub fn output(self) -> ProgramOutput {
+        match self {
+            Program::Sql { stmt, answer, highlighted } => {
+                let answer_kind = if stmt.items.iter().any(|i| {
+                    matches!(
+                        i,
+                        sqlexec::SelectItem::Aggregate { func: sqlexec::AggFunc::Count, .. }
+                    )
+                }) {
+                    AnswerKind::Count
+                } else if stmt.items.iter().any(|i| {
+                    matches!(
+                        i,
+                        sqlexec::SelectItem::Aggregate { .. }
+                            | sqlexec::SelectItem::Expr(sqlexec::Expr::Binary { .. })
+                    )
+                }) {
+                    AnswerKind::Arithmetic
+                } else {
+                    AnswerKind::Span
+                };
+                ProgramOutput {
+                    label: Label::Answer(answer),
+                    program: ProgramKind::Sql(render(&stmt, 96)),
+                    answer_kind,
+                    highlighted,
+                }
+            }
+            Program::Logic { expr, truth, highlighted } => {
+                let verdict = if truth { Verdict::Supported } else { Verdict::Refuted };
+                ProgramOutput {
+                    label: Label::Verdict(verdict),
+                    program: ProgramKind::Logic(render(&expr, 96)),
+                    answer_kind: AnswerKind::NotApplicable,
+                    highlighted,
+                }
+            }
+            Program::Arith { program, outcome } => ProgramOutput {
+                label: Label::Answer(render(&outcome.answer, 16)),
+                program: ProgramKind::Arith(render(&program, 96)),
+                answer_kind: AnswerKind::Arithmetic,
+                highlighted: outcome.highlighted,
+            },
+        }
     }
 }
 
@@ -446,26 +310,22 @@ mod tests {
         .unwrap_or_else(|e| panic!("test table: {e}"))
     }
 
-    fn instantiate(
-        tpl: &dyn ProgramTemplate,
-        t: &Table,
-        ctx: &ExecContext,
-        rng: &mut StdRng,
-    ) -> Box<dyn InstantiatedProgram> {
+    fn instantiate(tpl: &AnyTemplate, t: &Table, ctx: &ExecContext, rng: &mut StdRng) -> Program {
         tpl.try_instantiate(t, ctx, rng, &mut GenScratch::default())
             .unwrap_or_else(|e| panic!("instantiate: {e:?}"))
     }
 
     #[test]
-    fn sql_template_runs_end_to_end_through_the_trait() {
+    fn sql_template_runs_end_to_end_through_the_enum() {
         let t = table();
         let ctx = ExecContext::new(&t);
-        let tpl = SqlTemplate::parse("select c1 from w where c2 = val1")
-            .unwrap_or_else(|e| panic!("parse: {e}"));
-        let dyn_tpl: &dyn ProgramTemplate = &tpl;
-        assert_eq!(dyn_tpl.kind(), KindSlot::Sql);
+        let tpl = AnyTemplate::Sql(
+            SqlTemplate::parse("select c1 from w where c2 = val1")
+                .unwrap_or_else(|e| panic!("parse: {e}")),
+        );
+        assert_eq!(tpl.kind(), KindSlot::Sql);
         let mut rng = StdRng::seed_from_u64(7);
-        let mut inst = instantiate(dyn_tpl, &t, &ctx, &mut rng);
+        let mut inst = instantiate(&tpl, &t, &ctx, &mut rng);
         assert!(!inst.pre_executed());
         inst.execute(&t, &ctx, &mut GenScratch::default())
             .unwrap_or_else(|e| panic!("execute: {e:?}"));
@@ -480,12 +340,13 @@ mod tests {
     fn logic_template_reports_verdict_labels() {
         let t = table();
         let ctx = ExecContext::new(&t);
-        let tpl = LfTemplate::parse("eq { max { all_rows ; c1 } ; val1 }")
-            .unwrap_or_else(|e| panic!("parse: {e}"));
-        let dyn_tpl: &dyn ProgramTemplate = &tpl;
-        assert_eq!(dyn_tpl.kind(), KindSlot::Logic);
+        let tpl = AnyTemplate::Logic(
+            LfTemplate::parse("eq { max { all_rows ; c1 } ; val1 }")
+                .unwrap_or_else(|e| panic!("parse: {e}")),
+        );
+        assert_eq!(tpl.kind(), KindSlot::Logic);
         let mut rng = StdRng::seed_from_u64(3);
-        let mut inst = instantiate(dyn_tpl, &t, &ctx, &mut rng);
+        let mut inst = instantiate(&tpl, &t, &ctx, &mut rng);
         inst.execute(&t, &ctx, &mut GenScratch::default())
             .unwrap_or_else(|e| panic!("execute: {e:?}"));
         let out = inst.output();
@@ -499,11 +360,12 @@ mod tests {
     fn arith_template_is_pre_executed() {
         let t = table();
         let ctx = ExecContext::new(&t);
-        let tpl = AeTemplate::parse("table_sum( c1 )").unwrap_or_else(|e| panic!("parse: {e}"));
-        let dyn_tpl: &dyn ProgramTemplate = &tpl;
-        assert_eq!(dyn_tpl.kind(), KindSlot::Arith);
+        let tpl = AnyTemplate::Arith(
+            AeTemplate::parse("table_sum( c1 )").unwrap_or_else(|e| panic!("parse: {e}")),
+        );
+        assert_eq!(tpl.kind(), KindSlot::Arith);
         let mut rng = StdRng::seed_from_u64(5);
-        let mut inst = instantiate(dyn_tpl, &t, &ctx, &mut rng);
+        let inst = instantiate(&tpl, &t, &ctx, &mut rng);
         assert!(inst.pre_executed());
         let out = inst.output();
         assert!(matches!(out.program, ProgramKind::Arith(_)));
@@ -517,19 +379,12 @@ mod tests {
         let t = Table::from_strings("t", &[vec!["a", "b"], vec!["x", "y"]])
             .unwrap_or_else(|e| panic!("test table: {e}"));
         let ctx = ExecContext::new(&t);
-        let tpl = AeTemplate::parse("table_sum( c1 )").unwrap_or_else(|e| panic!("parse: {e}"));
+        let tpl = AnyTemplate::Arith(
+            AeTemplate::parse("table_sum( c1 )").unwrap_or_else(|e| panic!("parse: {e}")),
+        );
         let mut rng = StdRng::seed_from_u64(1);
-        let err = match ProgramTemplate::try_instantiate(
-            &tpl,
-            &t,
-            &ctx,
-            &mut rng,
-            &mut GenScratch::default(),
-        ) {
-            Err(e) => e,
-            Ok(_) => panic!("instantiation should fail on a numberless table"),
-        };
-        assert_eq!(err, Discard::ColumnMismatch);
+        let err = tpl.try_instantiate(&t, &ctx, &mut rng, &mut GenScratch::default()).err();
+        assert_eq!(err, Some(Discard::ColumnMismatch));
     }
 
     #[test]

@@ -311,6 +311,9 @@ impl SubmitError {
 // Daemon configuration.
 // ---------------------------------------------------------------------------
 
+/// The retry hint, in milliseconds, that every rejection carries.
+pub const RETRY_AFTER_MS: u64 = 5;
+
 /// Daemon sizing and policy knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -319,8 +322,6 @@ pub struct ServeConfig {
     /// Queue bound per worker: admission rejects once `queue_bound ×
     /// shards` requests are waiting.
     pub queue_bound: usize,
-    /// The retry hint carried by rejection responses.
-    pub retry_after_ms: u64,
     /// Start without workers (tests fill the queue deterministically, then
     /// call [`Daemon::resume`]).
     pub paused: bool,
@@ -328,7 +329,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
-        ServeConfig { shards: 2, queue_bound: 64, retry_after_ms: 5, paused: false }
+        ServeConfig { shards: 2, queue_bound: 64, paused: false }
     }
 }
 
@@ -473,7 +474,7 @@ impl Daemon {
             if q.jobs.len() >= inner.cfg.queue_bound.saturating_mul(inner.cfg.shards) {
                 drop(q);
                 inner.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::Rejected { retry_after_ms: inner.cfg.retry_after_ms });
+                return Err(SubmitError::Rejected { retry_after_ms: RETRY_AFTER_MS });
             }
             #[expect(
                 clippy::disallowed_methods,
@@ -990,21 +991,18 @@ mod tests {
 
     #[test]
     fn backpressure_rejects_at_the_bound_and_drains_after_resume() {
-        let daemon = Daemon::start(ServeConfig {
-            shards: 1,
-            queue_bound: 2,
-            retry_after_ms: 7,
-            paused: true,
-        })
-        .unwrap_or_else(|e| panic!("daemon start: {e}"));
+        let daemon = Daemon::start(ServeConfig { shards: 1, queue_bound: 2, paused: true })
+            .unwrap_or_else(|e| panic!("daemon start: {e}"));
         let request = GenRequest::generate(1, RequestSpec::qa(5), wire_tables());
         let rx1 = daemon.submit(request.clone());
         let rx2 = daemon.submit(request.clone());
         assert!(rx1.is_ok() && rx2.is_ok(), "bound admits exactly queue_bound requests");
         // Third submission hits the bound: immediate rejection with the
-        // configured retry hint, nothing buffered.
+        // retry hint, nothing buffered.
         match daemon.submit(request.clone()) {
-            Err(SubmitError::Rejected { retry_after_ms }) => assert_eq!(retry_after_ms, 7),
+            Err(SubmitError::Rejected { retry_after_ms }) => {
+                assert_eq!(retry_after_ms, RETRY_AFTER_MS)
+            }
             other => panic!("expected rejection at the bound, got {other:?}"),
         }
         assert_eq!(daemon.stats().requests_rejected, 1);

@@ -14,7 +14,7 @@
 //! paper enumerates (§II-C).
 
 use crate::analysis::{parse_any, AnalyzedTemplate, TemplateDiagnostics};
-use crate::program::{AnyTemplate, ProgramTemplate};
+use crate::program::AnyTemplate;
 use crate::telemetry::KindSlot;
 use arithexpr::AeTemplate;
 use logicforms::LfTemplate;
@@ -159,7 +159,7 @@ impl TemplateBank {
         &mut self,
         t: AnyTemplate,
     ) -> Result<AddOutcome, TemplateDiagnostics> {
-        let analyzed = AnalyzedTemplate::of(t.as_program());
+        let analyzed = AnalyzedTemplate::of(&t);
         if !analyzed.is_clean() {
             return Err(analyzed.into_diagnostics());
         }
@@ -167,7 +167,7 @@ impl TemplateBank {
         if self.signatures.contains(&sig) {
             return Ok(AddOutcome::DuplicateSignature);
         }
-        let key = format!("{}:{}", kind_prefix(analyzed.kind), t.as_program().canonicalize());
+        let key = format!("{}:{}", kind_prefix(analyzed.kind), t.canonicalize());
         if let Some(&rep) = self.canon.get(&key) {
             // The representative inherits the slot this template would have
             // taken: the stratum keeps one entry per surviving admission
@@ -244,29 +244,16 @@ impl TemplateBank {
         self.add_arith(arithexpr::abstract_program(program))
     }
 
-    /// Samples a template of `kind` uniformly over the sampling slots, as
-    /// a trait object — a representative carrying equivalence weight is
-    /// drawn once per slot, so the distribution matches the unpruned bank.
-    /// `None` when the bank holds no template of that kind (or `kind` is
-    /// [`KindSlot::None`]). Consumes exactly one `gen_range` draw when
-    /// templates of the kind exist — the same stream a `slice::choose`
-    /// over a dedicated per-kind vector would consume.
-    pub fn choose(&self, kind: KindSlot, rng: &mut impl Rng) -> Option<&dyn ProgramTemplate> {
-        self.choose_with_requirement(kind, rng).map(|(t, _)| t)
-    }
-
-    /// Like [`TemplateBank::choose`], but also returns the chosen
-    /// template's precomputed [`SchemaRequirement`] so the pipeline can
-    /// prefilter infeasible (template, table) pairs without re-analyzing.
-    /// Identical RNG stream to `choose`: exactly one `gen_range` draw when
-    /// the stratum is non-empty, none otherwise.
-    pub fn choose_with_requirement(
-        &self,
-        kind: KindSlot,
-        rng: &mut impl Rng,
-    ) -> Option<(&dyn ProgramTemplate, &SchemaRequirement)> {
+    /// Samples a template of `kind` uniformly over the sampling slots — a
+    /// representative carrying equivalence weight is drawn once per slot,
+    /// so the distribution matches the unpruned bank. `None` when the bank
+    /// holds no template of that kind (or `kind` is [`KindSlot::None`]).
+    /// Consumes exactly one `gen_range` draw when templates of the kind
+    /// exist — the same stream a `slice::choose` over a dedicated per-kind
+    /// vector would consume.
+    pub fn choose(&self, kind: KindSlot, rng: &mut impl Rng) -> Option<&AnyTemplate> {
         let stratum = self.by_kind.get(kind as usize)?;
-        stratum.choose(rng).map(|&i| (self.templates[i].as_program(), &self.requirements[i]))
+        stratum.choose(rng).map(|&i| &self.templates[i])
     }
 
     /// The feasible template set of `ctx`: for each kind, the
@@ -332,7 +319,7 @@ impl TemplateBank {
     /// the deduplicated store, not the sampling slots, so a representative
     /// carrying equivalence weight still appears exactly once.
     fn of_kind(&self, kind: KindSlot) -> impl Iterator<Item = &AnyTemplate> {
-        self.templates.iter().filter(move |t| t.as_program().kind() == kind)
+        self.templates.iter().filter(move |t| t.kind() == kind)
     }
 
     /// The SQL templates, in insertion order.
@@ -384,15 +371,6 @@ impl TemplateBank {
         &self.canon_keys
     }
 
-    /// The index of the admitted template canonically equivalent to `t`
-    /// (its class representative), if any. Pure — consults no RNG — so
-    /// mining gated on it stays deterministic per seed.
-    pub fn equivalent_of(&self, t: &AnyTemplate) -> Option<usize> {
-        let p = t.as_program();
-        let key = format!("{}:{}", kind_prefix(p.kind()), p.canonicalize());
-        self.canon.get(&key).copied()
-    }
-
     pub fn len(&self) -> usize {
         self.templates.len()
     }
@@ -422,9 +400,9 @@ impl<'a> FeasibleSet<'a> {
     /// Consumes exactly one `gen_range` draw when the feasible stratum is
     /// non-empty, none otherwise — when the whole stratum is feasible this
     /// is the same RNG stream as [`TemplateBank::choose`].
-    pub fn choose(&self, kind: KindSlot, rng: &mut impl Rng) -> Option<&'a dyn ProgramTemplate> {
+    pub fn choose(&self, kind: KindSlot, rng: &mut impl Rng) -> Option<&'a AnyTemplate> {
         let feasible = self.by_kind.get(kind as usize)?;
-        feasible.choose(rng).map(|&i| self.bank.templates[i].as_program())
+        feasible.choose(rng).map(|&i| &self.bank.templates[i])
     }
 
     /// The feasible sampling slots of `kind`, in bank slot order — may
@@ -614,7 +592,7 @@ mod tests {
             assert!(
                 keys[..i].iter().all(|other| other != k),
                 "builtin template {i} ({}) shares canonical key {k}",
-                bank.templates()[i].as_program().signature()
+                bank.templates()[i].signature()
             );
         }
     }
@@ -634,12 +612,11 @@ mod tests {
             "exact re-add reports a signature duplicate, not an equivalence"
         );
         assert_eq!(
-            bank.try_add_classified(AnyTemplate::Sql(flipped.clone())),
+            bank.try_add_classified(AnyTemplate::Sql(flipped)),
             Ok(AddOutcome::EquivalentTo(0)),
             "orientation-flipped comparison merges into its representative"
         );
         assert_eq!(bank.len(), 1, "equivalents never enter the bank");
-        assert_eq!(bank.equivalent_of(&AnyTemplate::Sql(flipped)), Some(0));
         // The infallible wrapper folds both duplicate flavors into false.
         assert!(!bank.add_sql(sql("select c1 from w where val3 = c7")));
         assert_eq!(bank.canonical_keys().len(), 1);
@@ -774,23 +751,14 @@ mod tests {
     }
 
     #[test]
-    fn choose_with_requirement_draws_the_same_stream_as_choose() {
+    fn no_builtin_requirement_is_trivial() {
         let bank = TemplateBank::builtin();
-        let mut a = StdRng::seed_from_u64(17);
-        let mut b = StdRng::seed_from_u64(17);
-        for kind in [KindSlot::Sql, KindSlot::Logic, KindSlot::Arith] {
-            for _ in 0..16 {
-                let plain = bank.choose(kind, &mut a).map(|t| t.signature());
-                let with_req = bank.choose_with_requirement(kind, &mut b);
-                assert_eq!(plain, with_req.map(|(t, _)| t.signature()));
-                let (_, req) = with_req.unwrap_or_else(|| panic!("builtin bank is non-empty"));
-                // Every builtin template binds at least one hole, so its
-                // requirement is never the trivial bottom element.
-                assert!(!req.is_trivial());
-            }
+        assert_eq!(bank.requirements().len(), bank.len());
+        for (t, req) in bank.templates().iter().zip(bank.requirements()) {
+            // Every builtin template binds at least one hole, so its
+            // requirement is never the trivial bottom element.
+            assert!(!req.is_trivial(), "{}", t.signature());
         }
-        // Identical residual streams: the next draws agree.
-        assert_eq!(a.gen_range(0..u64::MAX), b.gen_range(0..u64::MAX));
     }
 
     #[test]
@@ -866,7 +834,7 @@ mod tests {
         assert!(feasible.is_empty(KindSlot::Arith), "no arith template fits a numberless table");
         for kind in [KindSlot::Sql, KindSlot::Logic, KindSlot::Arith] {
             let brute: Vec<usize> = (0..bank.len())
-                .filter(|&i| bank.templates()[i].as_program().kind() == kind)
+                .filter(|&i| bank.templates()[i].kind() == kind)
                 .filter(|&i| bank.requirements()[i].satisfied_by(&ctx))
                 .collect();
             assert_eq!(feasible.indices(kind), brute.as_slice(), "kind {kind:?}");
@@ -881,10 +849,7 @@ mod tests {
             let i = bank
                 .templates()
                 .iter()
-                .position(|b| {
-                    b.as_program().kind() == KindSlot::Sql
-                        && b.as_program().signature() == t.signature()
-                })
+                .position(|b| b.kind() == KindSlot::Sql && b.signature() == t.signature())
                 .unwrap_or_else(|| panic!("chosen template is in the bank"));
             assert!(bank.requirements()[i].satisfied_by(&ctx));
         }

@@ -356,7 +356,7 @@ fn run_equiv(opts: &EquivOpts) -> Result<bool, String> {
     let miner = mine_corpus(opts.seed);
     let report = uctr::analysis::EquivalenceReport::over(miner.bank(), miner.merges(), opts.seeds);
     let rep_signatures: Vec<String> =
-        miner.bank().templates().iter().map(|t| t.as_program().signature()).collect();
+        miner.bank().templates().iter().map(|t| t.signature()).collect();
 
     if !opts.quiet {
         for class in report.classes.iter().filter(|c| !c.pruned.is_empty()) {

@@ -265,7 +265,7 @@ fn check_requirement(
     if a.requirement.satisfied_by(ctx) {
         return;
     }
-    let sig = any.as_program().signature();
+    let sig = any.signature();
     let mut rng = StdRng::seed_from_u64(seed);
     let failed = match any {
         AnyTemplate::Sql(t) => {
@@ -291,13 +291,13 @@ fn check_requirement(
 fn sweep(bank: &TemplateBank, tables: &[Table], seeds: u64) {
     let ctxs: Vec<ExecContext> = tables.iter().map(ExecContext::new).collect();
     for any in bank.templates() {
-        let a = any.as_program().analyze();
+        let a = any.analyze();
         assert!(a.issues.is_empty(), "bank template with issues: {:?}", a.issues);
         assert!(
             (0.0..=1.0).contains(&a.survival),
             "survival {} out of range for `{}`",
             a.survival,
-            any.as_program().signature()
+            any.signature()
         );
         for (table, ctx) in tables.iter().zip(&ctxs) {
             for seed in 0..seeds {
@@ -326,11 +326,11 @@ fn mined_templates_are_abstractly_sound() {
 #[test]
 fn builtin_bank_is_degeneracy_free() {
     for any in TemplateBank::builtin().templates() {
-        let a = any.as_program().analyze();
+        let a = any.analyze();
         assert!(
             a.degeneracies.is_empty(),
             "builtin `{}` convicted: {:?}",
-            any.as_program().signature(),
+            any.signature(),
             a.degeneracies
         );
     }
@@ -368,7 +368,7 @@ fn survival_model_is_calibrated_against_the_pipeline_funnel() {
             .templates()
             .iter()
             .filter(|t| t.kind() == kind)
-            .map(|t| t.as_program().analyze().survival)
+            .map(|t| t.analyze().survival)
             .collect();
         let mean = survivals.iter().sum::<f64>() / survivals.len() as f64;
         let Some(k) = report.kinds.iter().find(|k| k.kind == kind.name()) else { continue };

@@ -1,6 +1,6 @@
 //! Golden fixed-seed pipeline output (refactor guard).
 //!
-//! The program-layer refactor (ProgramTemplate trait + ExecContext) must be
+//! The program-layer refactor (a unified program layer + ExecContext) must be
 //! behavior-preserving: for a fixed seed and fixed inputs, the generated
 //! samples and the deterministic telemetry counters must be *identical* to
 //! the pre-refactor pipeline. These digests were captured from the
@@ -164,13 +164,13 @@ fn tightened_requirements_never_drop_a_golden_sample() {
     // builtin template ever gain a tightened requirement, this fails
     // before the digests silently shift.
     for any in uctr::TemplateBank::builtin().templates() {
-        let a = any.as_program().analyze();
+        let a = any.analyze();
         assert_eq!(
             a.requirement.min_col_numeric_values,
             0,
             "builtin `{}` gained a tightened numeric-values requirement; golden digests \
              must be re-captured deliberately",
-            any.as_program().signature()
+            any.signature()
         );
         // And the tightened requirement still admits every golden table.
         for input in inputs() {
@@ -178,7 +178,7 @@ fn tightened_requirements_never_drop_a_golden_sample() {
             assert!(
                 a.requirement.satisfied_by(&ctx),
                 "builtin `{}` is no longer feasible on golden table `{}`",
-                any.as_program().signature(),
+                any.signature(),
                 input.table.title
             );
         }

@@ -363,9 +363,8 @@ fn schema_prefilter_skips_only_deterministic_failures() {
     for table in &tables {
         let ctx = ExecContext::new(table);
         for (any, req) in bank.templates().iter().zip(bank.requirements()) {
-            let tpl = any.as_program();
             // The stored requirement is exactly what the analyzer computes.
-            assert_eq!(*req, tpl.analyze().requirement, "stale bank requirement");
+            assert_eq!(*req, any.analyze().requirement, "stale bank requirement");
             if req.satisfied_by(&ctx) {
                 passed_pairs += 1;
                 continue; // the prefilter would let this pair through
@@ -374,10 +373,10 @@ fn schema_prefilter_skips_only_deterministic_failures() {
             for seed in 0..32u64 {
                 let mut rng = StdRng::seed_from_u64(seed * 9973 + 17);
                 assert!(
-                    tpl.try_instantiate(table, &ctx, &mut rng, &mut uctr::GenScratch::default())
+                    any.try_instantiate(table, &ctx, &mut rng, &mut uctr::GenScratch::default())
                         .is_err(),
                     "prefilter would skip `{}` on a {}x{} table, but seed {seed} instantiated it",
-                    tpl.signature(),
+                    any.signature(),
                     table.n_rows(),
                     table.n_cols(),
                 );
@@ -438,9 +437,7 @@ fn feasible_set_matches_brute_force_requirement_scan() {
                     .templates()
                     .iter()
                     .enumerate()
-                    .filter(|(i, t)| {
-                        t.as_program().kind() == kind && bank.requirements()[*i].satisfied_by(&ctx)
-                    })
+                    .filter(|(i, t)| t.kind() == kind && bank.requirements()[*i].satisfied_by(&ctx))
                     .map(|(i, _)| i)
                     .collect();
                 assert_eq!(
@@ -476,9 +473,7 @@ fn feasible_set_matches_brute_force_requirement_scan() {
                         if let Some(t) = feasible.choose(kind, &mut rng) {
                             let sig = t.signature();
                             assert!(
-                                brute
-                                    .iter()
-                                    .any(|&i| bank.templates()[i].as_program().signature() == sig),
+                                brute.iter().any(|&i| bank.templates()[i].signature() == sig),
                                 "chose an infeasible template on `{name}`"
                             );
                         } else {

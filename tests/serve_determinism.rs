@@ -12,7 +12,9 @@
 
 use std::sync::Arc;
 use std::thread;
-use uctr::serve::{Daemon, GenRequest, RequestSpec, ServeConfig, SubmitError, WireTable};
+use uctr::serve::{
+    Daemon, GenRequest, RequestSpec, ServeConfig, SubmitError, WireTable, RETRY_AFTER_MS,
+};
 use uctr::Sample;
 
 /// A small heterogeneous table set (hand-rolled rather than zoo-imported:
@@ -127,11 +129,11 @@ fn samples_are_byte_identical_at_every_worker_count() {
 fn tiny_queue_bound_rejects_exactly_the_overflow() {
     // A paused daemon holds queue_bound requests per worker: of more
     // concurrent submissions than that, exactly queue_bound × workers are
-    // admitted and the rest are rejected with the configured retry hint —
+    // admitted and the rest are rejected with the retry hint —
     // deterministically, because no worker is draining the queue underneath
     // the submitters.
     for (workers, submissions) in [(1usize, 6usize), (2, 8)] {
-        let cfg = ServeConfig { shards: workers, queue_bound: 2, retry_after_ms: 3, paused: true };
+        let cfg = ServeConfig { shards: workers, queue_bound: 2, paused: true };
         let capacity = 2 * workers;
         let daemon = Arc::new(Daemon::start(cfg).unwrap());
         let request = GenRequest::generate(0, RequestSpec::qa(5), tables());
@@ -148,7 +150,7 @@ fn tiny_queue_bound_rejects_exactly_the_overflow() {
         let admitted = outcomes.iter().filter(|o| o.is_ok()).count();
         let rejected = outcomes
             .iter()
-            .filter(|o| matches!(o, Err(SubmitError::Rejected { retry_after_ms: 3 })))
+            .filter(|o| matches!(o, Err(SubmitError::Rejected { retry_after_ms: RETRY_AFTER_MS })))
             .count();
         assert_eq!(admitted, capacity, "{workers} workers: queue_bound × workers are admitted");
         assert_eq!(rejected, submissions - capacity, "{workers} workers: overflow is retryable");
