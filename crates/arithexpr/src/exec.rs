@@ -6,7 +6,7 @@
 //! final step's value. `greater` steps produce yes/no answers.
 
 use crate::ast::{AeArg, AeOp, AeProgram};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use tabular::{format_number, kernels, ColumnType, ExecContext, KernelScratch, Table, Value};
 
 /// The answer of an arithmetic program.
@@ -98,14 +98,23 @@ fn locate_cell(
     let ci = table.column_index(col).ok_or_else(|| AeError::UnknownColumn(col.to_string()))?;
     let target = Value::parse(row);
     let ri = match ctx {
-        // Same first-match scan, but the row-name renderings come from the
-        // context's lowercase cache instead of a `to_string` per row.
+        // Same first-match scan, but a text name cell is compared as it
+        // stands and any other cell is rendered into one reused buffer
+        // instead of a `to_string` per row.
         Some(ctx) => {
             let name_col = ctx.row_name_column();
+            let mut rendered = String::new();
             (0..table.n_rows()).find(|&ri| {
                 table.cell(ri, name_col).is_some_and(|v| {
                     v.loosely_equals(&target)
-                        || ctx.name_lower(ri).is_some_and(|n| n.eq_ignore_ascii_case(row))
+                        || match v {
+                            Value::Text(t) => t.eq_ignore_ascii_case(row),
+                            _ => {
+                                rendered.clear();
+                                let _ = write!(rendered, "{v}");
+                                rendered.eq_ignore_ascii_case(row)
+                            }
+                        }
                 })
             })
         }

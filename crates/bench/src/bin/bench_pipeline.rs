@@ -12,11 +12,6 @@
 //!   --check-floor PATH   one-sided throughput ratchet: fail when a rate
 //!                        regresses > `bench_max_throughput_regression`
 //!                        below the recorded baselines in the floor file
-//!   --repeats N          best-of-N timing repeats (default 5)
-//!   --scale N            zoo scale multiplier (default 4 = 72 inputs)
-//!   --stress-scale N     stress-tier zoo scale (default 1 = two 10k+-row
-//!                        wide tables; stress repeats are capped at 2)
-//!   --threads N          override the saturated thread count
 
 // Reporting binary: stdout lines are the product.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
@@ -59,6 +54,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Best-of-N timing repeats per configuration.
+const REPEATS: usize = 5;
+/// Ragged zoo scale multiplier (72 inputs).
+const SCALE: usize = 4;
+/// Stress-tier zoo scale: two 10k+-row wide tables.
+const STRESS_SCALE: usize = 1;
+/// Stress-tier repeats: each pass is orders of magnitude slower per input
+/// than the ragged zoo, and the floor is one-sided with a wide margin.
+const STRESS_REPEATS: usize = 2;
 
 /// One timed configuration: accepted samples/sec at a fixed thread count,
 /// best of `repeats` runs (the max rate — wall-clock noise only ever slows
@@ -107,7 +112,7 @@ fn measure(
     repeats: usize,
 ) -> Measurement {
     let mut m = Measurement::new(threads);
-    for _ in 0..repeats.max(1) {
+    for _ in 0..repeats {
         m.repeat(pipelines, inputs);
     }
     m
@@ -154,19 +159,13 @@ fn cpus_online(visible: usize) -> usize {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parse_usize = |name: &str, default: usize| -> usize {
-        flag_value(&args, name).map(|v| v.parse().expect("numeric flag")).unwrap_or(default)
-    };
-    let repeats = parse_usize("--repeats", 5);
-    let scale = parse_usize("--scale", 4);
-    let stress_scale = parse_usize("--stress-scale", 1);
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // "Saturated" = every visible core; on a single-core host still use two
     // workers so the parallel scheduler (claiming, merging, reordering) is
     // the code under measurement, not the sequential fallback.
-    let saturated = parse_usize("--threads", cpus.max(2));
+    let saturated = cpus.max(2);
 
-    let inputs = zoo::ragged_zoo(scale);
+    let inputs = zoo::ragged_zoo(SCALE);
     // QA (sql+arith) and verification (logic) passes over the same zoo, so
     // the measurement covers all three executors and all four sources.
     let pipelines =
@@ -193,7 +192,7 @@ fn main() {
     let mut single = Measurement::new(1);
     let mut mined = Measurement::new(1);
     let mut alloc_delta = 0;
-    for _ in 0..repeats.max(1) {
+    for _ in 0..REPEATS {
         let allocs_before = ALLOCS.load(Ordering::Relaxed);
         single.repeat(&pipelines, &inputs);
         alloc_delta += ALLOCS.load(Ordering::Relaxed) - allocs_before;
@@ -203,21 +202,19 @@ fn main() {
     // single-thread repeat (each repeat accepts `single.accepted`). Warmup
     // is excluded, so one-time lazy setup does not pollute the per-sample
     // figure.
-    let samples_timed = (single.accepted * repeats.max(1) as u64).max(1);
+    let samples_timed = (single.accepted * REPEATS as u64).max(1);
     let allocs_per_sample = alloc_delta as f64 / samples_timed as f64;
 
-    let sat = measure(&pipelines, &inputs, saturated, repeats);
+    let sat = measure(&pipelines, &inputs, saturated, REPEATS);
 
     // Large-table stress tier: a handful of 10k+-row wide tables where
-    // per-sample table clones and whole-column scans dominate. Repeats are
-    // capped at 2 — each pass is orders of magnitude slower per input than
-    // the ragged zoo, and the floor is one-sided with a wide margin anyway.
-    let stress_inputs = zoo::stress_zoo(stress_scale);
-    let stress = measure(&pipelines, &stress_inputs, 1, repeats.clamp(1, 2));
+    // per-sample table clones and whole-column scans dominate.
+    let stress_inputs = zoo::stress_zoo(STRESS_SCALE);
+    let stress = measure(&pipelines, &stress_inputs, 1, STRESS_REPEATS);
 
     let online = cpus_online(cpus);
     println!(
-        "bench zoo: {} inputs (scale {scale}), {} accepted samples/pass, \
+        "bench zoo: {} inputs (scale {SCALE}), {} accepted samples/pass, \
          {cpus} cpu(s) visible, {online} online",
         inputs.len(),
         single.accepted,
@@ -280,8 +277,8 @@ fn main() {
     ];
     let json = Value::Obj(vec![
         ("zoo_inputs".into(), Value::Int(inputs.len() as i64)),
-        ("zoo_scale".into(), Value::Int(scale as i64)),
-        ("repeats".into(), Value::Int(repeats as i64)),
+        ("zoo_scale".into(), Value::Int(SCALE as i64)),
+        ("repeats".into(), Value::Int(REPEATS as i64)),
         ("cpus_visible".into(), Value::Int(cpus as i64)),
         ("cpus_online".into(), Value::Int(online as i64)),
         ("allocs_per_sample".into(), Value::Float(allocs_per_sample)),
@@ -289,7 +286,7 @@ fn main() {
         ("saturated".into(), measurement_json(&sat)),
         ("stress".into(), {
             let Value::Obj(mut fields) = measurement_json(&stress) else { unreachable!() };
-            fields.insert(0, ("zoo_scale".into(), Value::Int(stress_scale as i64)));
+            fields.insert(0, ("zoo_scale".into(), Value::Int(STRESS_SCALE as i64)));
             fields.insert(1, ("zoo_inputs".into(), Value::Int(stress_inputs.len() as i64)));
             Value::Obj(fields)
         }),
@@ -306,7 +303,7 @@ fn main() {
         match floor.check_bench_throughput(
             single.samples_per_sec,
             sat.samples_per_sec,
-            Some(stress.samples_per_sec),
+            stress.samples_per_sec,
         ) {
             Ok(()) => println!("bench throughput gate passed (floor: {path})"),
             Err(msg) => {
@@ -318,26 +315,17 @@ fn main() {
         // may cost at most the committed gap fraction vs the builtin
         // single-thread rate measured moments ago on the same machine. An
         // absolute floor would re-measure the runner; this ratio measures
-        // the index. The gap tolerance is calibrated separately from the
-        // absolute-floor margin (`bench_mined_max_gap`) because the ratio
-        // of two back-to-back measurements is itself host-sensitive.
-        let max_regression =
-            floor.bench_mined_max_gap.or(floor.bench_max_throughput_regression).unwrap_or(0.15);
-        let mined_floor = single.samples_per_sec * (1.0 - max_regression);
-        if mined.samples_per_sec < mined_floor {
-            eprintln!(
-                "bench throughput gate FAILED: mined-bank rate {:.0}/s fell more than \
-                 {:.0}% below the builtin single-thread rate {:.0}/s (floor: {path})",
-                mined.samples_per_sec,
-                max_regression * 100.0,
-                single.samples_per_sec,
-            );
-            std::process::exit(1);
+        // the index.
+        match floor.check_mined_gap(mined.samples_per_sec, single.samples_per_sec) {
+            Ok(()) => println!(
+                "bench throughput gate passed for the mined bank ({:.0}/s vs builtin {:.0}/s)",
+                mined.samples_per_sec, single.samples_per_sec,
+            ),
+            Err(msg) => {
+                eprintln!("bench throughput gate FAILED: {msg} (floor: {path})");
+                std::process::exit(1);
+            }
         }
-        println!(
-            "bench throughput gate passed for the mined bank ({:.0}/s vs builtin {:.0}/s)",
-            mined.samples_per_sec, single.samples_per_sec,
-        );
         // Absolute ceiling on steady-state allocations per sample: the
         // counting-allocator measurement has no wall-clock in it, so any
         // increase is a real allocation regression, not runner noise.

@@ -15,7 +15,7 @@
 
 use bench::{
     check_floor, composition_row, flag_value, prefilter_line, print_table, reports_to_json,
-    throughput_line, AcceptanceFloor,
+    AcceptanceFloor,
 };
 use corpora::{feverous_like, semtab_like, tatqa_like, wikisql_like, Benchmark, CorpusConfig};
 use uctr::{AnswerKind, Dataset, PipelineReport, UctrConfig, UctrPipeline};
@@ -111,19 +111,12 @@ fn main() {
 
     // Synthesis telemetry: rerun UCTR over each benchmark's unlabeled
     // tables and report the generation funnel from live counters.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "Throughput timer in a reporting binary; prints rows/sec for humans and is not \
-                  part of the generation path."
-    )]
-    let started = std::time::Instant::now();
     let reports: Vec<(String, PipelineReport)> = vec![
         ("feverous-like".into(), synthesize(&feverous, UctrConfig::verification())),
         ("tatqa-like".into(), synthesize(&tatqa, UctrConfig::qa())),
         ("wikisql-like".into(), synthesize(&wikisql, UctrConfig::qa())),
         ("semtabfacts-like".into(), synthesize(&semtab, UctrConfig::verification())),
     ];
-    let elapsed = started.elapsed();
     let rows: Vec<Vec<String>> = reports.iter().map(|(name, r)| composition_row(name, r)).collect();
     print_table(
         "Synthesis telemetry — live PipelineReport counters per benchmark",
@@ -134,8 +127,6 @@ fn main() {
         println!("\n[{name}] {}", r.summary().trim_end());
     }
 
-    // Pipeline throughput across all four runs; the delta against the
-    // committed baseline is informative only (never gates CI).
     let floor = flag_value(&args, "--check-floor").map(|path| match AcceptanceFloor::load(&path) {
         Ok(f) => (path, f),
         Err(e) => {
@@ -143,9 +134,7 @@ fn main() {
             std::process::exit(2);
         }
     });
-    let total_accepted: u64 = reports.iter().map(|(_, r)| r.accepted()).sum();
-    println!("\n{}", throughput_line(total_accepted, elapsed, floor.as_ref().map(|(_, f)| f)));
-    println!("{}", prefilter_line(&reports));
+    println!("\n{}", prefilter_line(&reports));
 
     if let Some(path) = flag_value(&args, "--report-json") {
         if let Err(e) = std::fs::write(&path, reports_to_json(&reports)) {

@@ -6,7 +6,7 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use corpora::annotator;
-use nlgen::{NlGenerator, NoiseConfig};
+use nlgen::{NlGenerator, NlScratch, NoiseConfig, ProgramRef};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -14,6 +14,7 @@ fn main() {
     let generator = NlGenerator::new().with_noise(NoiseConfig::off());
     let noisy = NlGenerator::new().with_noise(NoiseConfig { sentence_rate: 1.0 });
     let mut rng = StdRng::seed_from_u64(9);
+    let mut scratch = NlScratch::default();
 
     println!("=== Table IX — generated text from programs ===\n");
 
@@ -22,7 +23,8 @@ fn main() {
     let stmt = sqlexec::parse(sql).unwrap();
     println!("Type: SQL Query");
     println!("  Program:   {stmt}");
-    println!("  Generated: {}", generator.sql_question(&stmt, &mut rng).text);
+    let text = generator.verbalize(ProgramRef::Sql(&stmt), &mut rng, &mut scratch);
+    println!("  Generated: {text}");
     println!("  Gold-style: {}", annotator::human_sql_question(&stmt, &mut rng));
     println!("  (paper generated: \"Which department has the most total deputies?\")\n");
 
@@ -31,7 +33,8 @@ fn main() {
     let expr = logicforms::parse(lf).unwrap();
     println!("Type: Logical Form");
     println!("  Program:   {expr}");
-    println!("  Generated: {}", generator.logic_claim(&expr, &mut rng).text);
+    let text = generator.verbalize(ProgramRef::Logic(&expr), &mut rng, &mut scratch);
+    println!("  Generated: {text}");
     println!("  Gold-style: {}", annotator::human_logic_claim(&expr, &mut rng));
     println!("  (paper generated: \"There are 3 basic printer settings that can be used ...\")\n");
 
@@ -40,7 +43,8 @@ fn main() {
     let program = arithexpr::parse(ae).unwrap();
     println!("Type: Arithmetic Expression");
     println!("  Program:   {program}");
-    println!("  Generated: {}", generator.arith_question(&program, &mut rng).text);
+    let text = generator.verbalize(ProgramRef::Arith(&program), &mut rng, &mut scratch);
+    println!("  Generated: {text}");
     println!("  Gold-style: {}", annotator::human_arith_question(&program, &mut rng));
     println!("  (paper generated: \"By what percentage did stockholders' equity decrease from 2018 to 2019?\")\n");
 
@@ -48,7 +52,6 @@ fn main() {
     println!("Noise-channel examples (paper §V-F: generated text sometimes loses or");
     println!("garbles information):");
     for _ in 0..3 {
-        let out = noisy.sql_question(&stmt, &mut rng);
-        println!("  {}", out.text);
+        println!("  {}", noisy.verbalize(ProgramRef::Sql(&stmt), &mut rng, &mut scratch));
     }
 }

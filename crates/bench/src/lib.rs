@@ -217,23 +217,24 @@ pub fn reports_to_json(reports: &[(String, PipelineReport)]) -> String {
 /// regenerates the synthesis reports and fails the build when any run drops
 /// below these thresholds — a regression gate on the generation funnel, not
 /// just on unit tests.
+///
+/// Only the two funnel fields are required to parse, because
+/// `tab2_dataset_stats` reads nothing else. Every `bench_*` gate instead
+/// requires its own keys when it runs: a gate whose baseline, ceiling or
+/// margin is missing (or not a positive number) fails and names the key,
+/// so a deleted or misspelled key cannot disarm it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceptanceFloor {
     /// Minimum accepted-samples / source-attempts ratio per run.
     pub min_acceptance_rate: f64,
     /// Minimum absolute number of accepted samples per run.
     pub min_accepted: u64,
-    /// Optional recorded pipeline throughput (accepted samples per second)
-    /// of the commit the floor was last calibrated on. Purely informative:
-    /// CI prints the delta against it in the job summary but never fails
-    /// on it (wall-clock on shared runners is too noisy for a gate).
-    pub baseline_pipeline_samples_per_sec: Option<f64>,
     /// Recorded `bench_pipeline` single-thread throughput (samples/sec on
-    /// the ragged table zoo) at the last calibration. Unlike the smoke-run
-    /// baseline above, this one *gates*: `bench_pipeline --check-floor`
-    /// fails when the measured rate regresses more than
-    /// `bench_max_throughput_regression` below it (one-sided — being
-    /// faster never fails; recalibrate to ratchet the floor up).
+    /// the ragged table zoo) at the last calibration.
+    /// `bench_pipeline --check-floor` fails when the measured rate
+    /// regresses more than `bench_max_throughput_regression` below it
+    /// (one-sided — being faster never fails; recalibrate to ratchet the
+    /// floor up).
     pub bench_single_thread_samples_per_sec: Option<f64>,
     /// Recorded `bench_pipeline` saturated-thread throughput. Same
     /// one-sided gate as the single-thread baseline.
@@ -244,13 +245,12 @@ pub struct AcceptanceFloor {
     /// inside attempt loops) show up here long before the small-table zoo
     /// notices them.
     pub bench_stress_samples_per_sec: Option<f64>,
-    /// Allowed fractional throughput regression before the bench gate
-    /// fails (defaults to 0.15 when absent — best-of-N repeats absorb most
-    /// runner noise, the 15% margin absorbs the rest).
+    /// Allowed fractional throughput regression before the bench and
+    /// serving throughput gates fail (best-of-N repeats absorb most runner
+    /// noise, the margin absorbs the rest).
     pub bench_max_throughput_regression: Option<f64>,
     /// Allowed fractional gap of the mined-bank rate below the builtin
-    /// single-thread rate measured in the same `bench_pipeline` process
-    /// (falls back to `bench_max_throughput_regression` when absent).
+    /// single-thread rate measured in the same `bench_pipeline` process.
     /// Calibrated separately because the *ratio* of two back-to-back
     /// best-of-N measurements is itself host-sensitive: the same commit
     /// measures −12% on an idle box and −19% under co-running load, so the
@@ -265,9 +265,9 @@ pub struct AcceptanceFloor {
     /// may exceed this by at most `bench_serving_max_p99_regression`;
     /// being faster never fails.
     pub bench_serving_p99_ms: Option<f64>,
-    /// Allowed fractional p99 increase before the serving gate fails
-    /// (defaults to 1.0 — i.e. 2× — when absent; tail latency on shared
-    /// runners is far noisier than throughput).
+    /// Allowed fractional p99 increase before the serving gate fails (1.0
+    /// is 2×; tail latency on shared runners is far noisier than
+    /// throughput).
     pub bench_serving_max_p99_regression: Option<f64>,
     /// Ceiling on `bench_pipeline` steady-state allocations per accepted
     /// sample (counting-allocator measurement over the ragged zoo,
@@ -286,11 +286,9 @@ impl AcceptanceFloor {
             .ok_or("missing `min_acceptance_rate`")?;
         let accepted =
             v.get("min_accepted").and_then(Value::as_i64).ok_or("missing `min_accepted`")?;
-        let baseline = v.get("baseline_pipeline_samples_per_sec").and_then(Value::as_f64);
         Ok(AcceptanceFloor {
             min_acceptance_rate: rate,
             min_accepted: accepted as u64,
-            baseline_pipeline_samples_per_sec: baseline,
             bench_single_thread_samples_per_sec: v
                 .get("bench_single_thread_samples_per_sec")
                 .and_then(Value::as_f64),
@@ -342,24 +340,32 @@ impl AcceptanceFloor {
     }
 
     /// One-sided throughput ratchet for `bench_pipeline`: each measured
-    /// rate may fall at most `bench_max_throughput_regression` (default
-    /// 15%) below its recorded baseline. Running faster than the baseline
-    /// always passes; missing baselines skip the check (so the gate can be
-    /// introduced before the first calibration lands).
+    /// rate may fall at most `bench_max_throughput_regression` below its
+    /// recorded baseline. Running faster than the baseline always passes.
     pub fn check_bench_throughput(
         &self,
         single: f64,
         saturated: f64,
-        stress: Option<f64>,
+        stress: f64,
     ) -> Result<(), String> {
-        let max_regression = self.bench_max_throughput_regression.unwrap_or(0.15);
-        for (label, measured, baseline) in [
-            ("single-thread", Some(single), self.bench_single_thread_samples_per_sec),
-            ("saturated", Some(saturated), self.bench_saturated_samples_per_sec),
-            ("stress", stress, self.bench_stress_samples_per_sec),
+        let max_regression =
+            required(self.bench_max_throughput_regression, "bench_max_throughput_regression")?;
+        for (label, measured, baseline, key) in [
+            (
+                "single-thread",
+                single,
+                self.bench_single_thread_samples_per_sec,
+                "bench_single_thread_samples_per_sec",
+            ),
+            (
+                "saturated",
+                saturated,
+                self.bench_saturated_samples_per_sec,
+                "bench_saturated_samples_per_sec",
+            ),
+            ("stress", stress, self.bench_stress_samples_per_sec, "bench_stress_samples_per_sec"),
         ] {
-            let Some(measured) = measured else { continue };
-            let Some(baseline) = baseline.filter(|b| *b > 0.0) else { continue };
+            let baseline = required(baseline, key)?;
             let floor = baseline * (1.0 - max_regression);
             if measured < floor {
                 return Err(format!(
@@ -372,33 +378,51 @@ impl AcceptanceFloor {
         Ok(())
     }
 
+    /// Relative gate on the mined bank: its rate may fall at most
+    /// `bench_mined_max_gap` below the builtin single-thread rate measured
+    /// in the same process, so the ratio measures the template index
+    /// rather than the runner.
+    pub fn check_mined_gap(&self, mined: f64, builtin: f64) -> Result<(), String> {
+        let max_gap = required(self.bench_mined_max_gap, "bench_mined_max_gap")?;
+        let floor = builtin * (1.0 - max_gap);
+        if mined < floor {
+            return Err(format!(
+                "mined-bank rate {mined:.0}/s fell more than {:.0}% below the builtin \
+                 single-thread rate {builtin:.0}/s",
+                max_gap * 100.0
+            ));
+        }
+        Ok(())
+    }
+
     /// One-sided serving gate for `loadgen --check-floor`: sustained
     /// throughput may regress at most `bench_max_throughput_regression`
     /// below its baseline, and p99 latency may rise at most
-    /// `bench_serving_max_p99_regression` (default 1.0, i.e. 2×) above
-    /// its baseline. Faster/lower always passes; missing baselines skip.
+    /// `bench_serving_max_p99_regression` above its baseline. Faster and
+    /// lower always pass.
     pub fn check_serving(&self, samples_per_sec: f64, p99_ms: f64) -> Result<(), String> {
-        let max_regression = self.bench_max_throughput_regression.unwrap_or(0.15);
-        if let Some(baseline) = self.bench_serving_samples_per_sec.filter(|b| *b > 0.0) {
-            let floor = baseline * (1.0 - max_regression);
-            if samples_per_sec < floor {
-                return Err(format!(
-                    "serving throughput {samples_per_sec:.0}/sec regressed more than \
-                     {:.0}% below baseline {baseline:.0}/sec (floor {floor:.0}/sec)",
-                    max_regression * 100.0
-                ));
-            }
+        let max_regression =
+            required(self.bench_max_throughput_regression, "bench_max_throughput_regression")?;
+        let baseline =
+            required(self.bench_serving_samples_per_sec, "bench_serving_samples_per_sec")?;
+        let floor = baseline * (1.0 - max_regression);
+        if samples_per_sec < floor {
+            return Err(format!(
+                "serving throughput {samples_per_sec:.0}/sec regressed more than \
+                 {:.0}% below baseline {baseline:.0}/sec (floor {floor:.0}/sec)",
+                max_regression * 100.0
+            ));
         }
-        let p99_headroom = self.bench_serving_max_p99_regression.unwrap_or(1.0);
-        if let Some(baseline) = self.bench_serving_p99_ms.filter(|b| *b > 0.0) {
-            let ceiling = baseline * (1.0 + p99_headroom);
-            if p99_ms > ceiling {
-                return Err(format!(
-                    "serving p99 latency {p99_ms:.2}ms rose more than {:.0}% above \
-                     baseline {baseline:.2}ms (ceiling {ceiling:.2}ms)",
-                    p99_headroom * 100.0
-                ));
-            }
+        let p99_headroom =
+            required(self.bench_serving_max_p99_regression, "bench_serving_max_p99_regression")?;
+        let baseline = required(self.bench_serving_p99_ms, "bench_serving_p99_ms")?;
+        let ceiling = baseline * (1.0 + p99_headroom);
+        if p99_ms > ceiling {
+            return Err(format!(
+                "serving p99 latency {p99_ms:.2}ms rose more than {:.0}% above \
+                 baseline {baseline:.2}ms (ceiling {ceiling:.2}ms)",
+                p99_headroom * 100.0
+            ));
         }
         Ok(())
     }
@@ -408,16 +432,22 @@ impl AcceptanceFloor {
     /// measurement), so unlike the throughput gates this one has no noise
     /// margin.
     pub fn check_bench_allocs(&self, allocs_per_sample: f64) -> Result<(), String> {
-        if let Some(ceiling) = self.bench_max_allocs_per_sample.filter(|c| *c > 0.0) {
-            if allocs_per_sample > ceiling {
-                return Err(format!(
-                    "steady-state allocations {allocs_per_sample:.1}/sample exceed the \
-                     recorded ceiling {ceiling:.1}/sample"
-                ));
-            }
+        let ceiling = required(self.bench_max_allocs_per_sample, "bench_max_allocs_per_sample")?;
+        if allocs_per_sample > ceiling {
+            return Err(format!(
+                "steady-state allocations {allocs_per_sample:.1}/sample exceed the \
+                 recorded ceiling {ceiling:.1}/sample"
+            ));
         }
         Ok(())
     }
+}
+
+/// A gate's recorded value, or the error naming the floor key it lacks.
+fn required(value: Option<f64>, key: &str) -> Result<f64, String> {
+    value
+        .filter(|v| v.is_finite() && *v > 0.0)
+        .ok_or_else(|| format!("the floor file has no positive `{key}`"))
 }
 
 /// Formats one `bench_pipeline` throughput line (printed to stdout and
@@ -428,28 +458,6 @@ pub fn bench_throughput_line(label: &str, rate: f64, baseline: Option<f64>) -> S
     if let Some(base) = baseline.filter(|b| *b > 0.0) {
         let delta = (rate - base) / base * 100.0;
         line.push_str(&format!(" ({delta:+.1}% vs recorded baseline {base:.0}/sec)"));
-    }
-    line
-}
-
-/// Formats the pipeline-throughput line the CI smoke run prints and appends
-/// to the job summary: measured accepted-samples/sec, plus the delta
-/// against the floor file's recorded baseline when one is present.
-pub fn throughput_line(
-    accepted: u64,
-    elapsed: std::time::Duration,
-    floor: Option<&AcceptanceFloor>,
-) -> String {
-    let secs = elapsed.as_secs_f64().max(1e-9);
-    let rate = accepted as f64 / secs;
-    let mut line = format!(
-        "pipeline throughput: {accepted} accepted samples in {secs:.2}s = {rate:.0} samples/sec"
-    );
-    if let Some(base) = floor.and_then(|f| f.baseline_pipeline_samples_per_sec) {
-        if base > 0.0 {
-            let delta = (rate - base) / base * 100.0;
-            line.push_str(&format!(" ({delta:+.1}% vs recorded baseline {base:.0}/sec)"));
-        }
     }
     line
 }
@@ -591,72 +599,61 @@ mod tests {
         assert_eq!(augment_union(&synth, &big_gold).len(), 300);
     }
 
+    /// A floor with only the funnel fields: every `bench_*` gate lacks
+    /// its keys.
+    fn bare_floor() -> AcceptanceFloor {
+        AcceptanceFloor::parse(r#"{"min_acceptance_rate": 0.5, "min_accepted": 10}"#)
+            .expect("bare floor parses")
+    }
+
     #[test]
-    fn acceptance_floor_parses_with_and_without_baseline() {
-        let bare = AcceptanceFloor::parse(r#"{"min_acceptance_rate": 0.5, "min_accepted": 10}"#)
-            .expect("bare floor parses");
-        assert_eq!(bare.baseline_pipeline_samples_per_sec, None);
-        let with = AcceptanceFloor::parse(
-            r#"{"min_acceptance_rate": 0.5, "min_accepted": 10,
-                "baseline_pipeline_samples_per_sec": 1250.0}"#,
-        )
-        .expect("floor with baseline parses");
-        assert_eq!(with.baseline_pipeline_samples_per_sec, Some(1250.0));
+    fn acceptance_floor_requires_the_funnel_fields() {
+        assert_eq!(bare_floor().min_accepted, 10);
         assert!(AcceptanceFloor::parse(r#"{"min_accepted": 10}"#).is_err());
-    }
-
-    fn floor_with_baseline(baseline: Option<f64>) -> AcceptanceFloor {
-        AcceptanceFloor {
-            min_acceptance_rate: 0.5,
-            min_accepted: 10,
-            baseline_pipeline_samples_per_sec: baseline,
-            bench_single_thread_samples_per_sec: None,
-            bench_saturated_samples_per_sec: None,
-            bench_stress_samples_per_sec: None,
-            bench_max_throughput_regression: None,
-            bench_mined_max_gap: None,
-            bench_serving_samples_per_sec: None,
-            bench_serving_p99_ms: None,
-            bench_serving_max_p99_regression: None,
-            bench_max_allocs_per_sample: None,
-        }
-    }
-
-    #[test]
-    fn throughput_line_reports_delta_against_baseline() {
-        let floor = floor_with_baseline(Some(100.0));
-        let line = throughput_line(220, std::time::Duration::from_secs(2), Some(&floor));
-        assert!(line.contains("110 samples/sec"), "{line}");
-        assert!(line.contains("+10.0%"), "{line}");
-        let bare = throughput_line(220, std::time::Duration::from_secs(2), None);
-        assert!(!bare.contains('%'), "{bare}");
     }
 
     #[test]
     fn bench_throughput_ratchet_is_one_sided() {
-        let mut floor = floor_with_baseline(None);
+        // No baselines or margin: the gate fails and names a missing key.
+        let err = bare_floor().check_bench_throughput(1.0, 1.0, 1.0).unwrap_err();
+        assert!(err.contains("`bench_max_throughput_regression`"), "{err}");
+        let mut floor = bare_floor();
+        floor.bench_max_throughput_regression = Some(0.15);
         floor.bench_single_thread_samples_per_sec = Some(1000.0);
         floor.bench_saturated_samples_per_sec = Some(4000.0);
-        // Within the 15% default margin (and faster) passes.
-        assert!(floor.check_bench_throughput(900.0, 4000.0, None).is_ok());
-        assert!(floor.check_bench_throughput(5000.0, 9000.0, None).is_ok());
-        // More than 15% below either baseline fails.
-        let err = floor.check_bench_throughput(1000.0, 3000.0, None).unwrap_err();
-        assert!(err.contains("saturated"), "{err}");
-        assert!(floor.check_bench_throughput(500.0, 4000.0, None).is_err());
-        // The stress tier gates only when both a baseline and a measurement
-        // exist; a committed baseline with no measurement is skipped.
+        // A committed margin without the stress baseline still fails.
+        let err = floor.check_bench_throughput(1000.0, 4000.0, 200.0).unwrap_err();
+        assert!(err.contains("`bench_stress_samples_per_sec`"), "{err}");
         floor.bench_stress_samples_per_sec = Some(200.0);
-        assert!(floor.check_bench_throughput(1000.0, 4000.0, None).is_ok());
-        assert!(floor.check_bench_throughput(1000.0, 4000.0, Some(190.0)).is_ok());
-        let err = floor.check_bench_throughput(1000.0, 4000.0, Some(100.0)).unwrap_err();
+        // Within the 15% margin (and faster) passes.
+        assert!(floor.check_bench_throughput(900.0, 4000.0, 200.0).is_ok());
+        assert!(floor.check_bench_throughput(5000.0, 9000.0, 900.0).is_ok());
+        // More than 15% below any baseline fails.
+        let err = floor.check_bench_throughput(1000.0, 3000.0, 200.0).unwrap_err();
+        assert!(err.contains("saturated"), "{err}");
+        assert!(floor.check_bench_throughput(500.0, 4000.0, 200.0).is_err());
+        assert!(floor.check_bench_throughput(1000.0, 4000.0, 190.0).is_ok());
+        let err = floor.check_bench_throughput(1000.0, 4000.0, 100.0).unwrap_err();
         assert!(err.contains("stress"), "{err}");
-        floor.bench_stress_samples_per_sec = None;
         // A tighter committed margin tightens the gate.
         floor.bench_max_throughput_regression = Some(0.05);
-        assert!(floor.check_bench_throughput(900.0, 4000.0, None).is_err());
-        // No baselines -> nothing to gate.
-        assert!(floor_with_baseline(None).check_bench_throughput(1.0, 1.0, None).is_ok());
+        assert!(floor.check_bench_throughput(900.0, 4000.0, 200.0).is_err());
+        // A non-positive baseline is no baseline.
+        floor.bench_single_thread_samples_per_sec = Some(0.0);
+        let err = floor.check_bench_throughput(1000.0, 4000.0, 200.0).unwrap_err();
+        assert!(err.contains("`bench_single_thread_samples_per_sec`"), "{err}");
+    }
+
+    #[test]
+    fn mined_gap_gate_is_relative_and_required() {
+        let mut floor = bare_floor();
+        let err = floor.check_mined_gap(1000.0, 1000.0).unwrap_err();
+        assert!(err.contains("`bench_mined_max_gap`"), "{err}");
+        floor.bench_mined_max_gap = Some(0.25);
+        assert!(floor.check_mined_gap(750.0, 1000.0).is_ok());
+        assert!(floor.check_mined_gap(2000.0, 1000.0).is_ok());
+        let err = floor.check_mined_gap(700.0, 1000.0).unwrap_err();
+        assert!(err.contains("mined-bank"), "{err}");
     }
 
     #[test]
@@ -677,14 +674,18 @@ mod tests {
 
     #[test]
     fn serving_gate_is_one_sided_in_both_metrics() {
-        let mut floor = floor_with_baseline(None);
-        // No baselines recorded: everything passes.
-        assert!(floor.check_serving(1.0, 1e9).is_ok());
+        let mut floor = bare_floor();
+        // No baselines recorded: the gate fails and names a missing key.
+        assert!(floor.check_serving(1.0, 1e9).is_err());
+        floor.bench_max_throughput_regression = Some(0.15);
         floor.bench_serving_samples_per_sec = Some(1000.0);
+        floor.bench_serving_max_p99_regression = Some(1.0);
+        let err = floor.check_serving(2000.0, 1.0).unwrap_err();
+        assert!(err.contains("`bench_serving_p99_ms`"), "{err}");
         floor.bench_serving_p99_ms = Some(10.0);
         // Faster and lower-latency than baseline: passes.
         assert!(floor.check_serving(2000.0, 1.0).is_ok());
-        // Within the default margins (15% throughput, 2× p99): passes.
+        // Within the margins (15% throughput, 2× p99): passes.
         assert!(floor.check_serving(900.0, 19.0).is_ok());
         // Throughput collapse fails.
         let err = floor.check_serving(500.0, 1.0).unwrap_err();
@@ -699,8 +700,9 @@ mod tests {
 
     #[test]
     fn alloc_ceiling_has_no_noise_margin() {
-        let mut floor = floor_with_baseline(None);
-        assert!(floor.check_bench_allocs(1e9).is_ok(), "no ceiling recorded: passes");
+        let mut floor = bare_floor();
+        let err = floor.check_bench_allocs(1.0).unwrap_err();
+        assert!(err.contains("`bench_max_allocs_per_sample`"), "no ceiling recorded: {err}");
         floor.bench_max_allocs_per_sample = Some(95.0);
         assert!(floor.check_bench_allocs(95.0).is_ok());
         assert!(floor.check_bench_allocs(40.0).is_ok());

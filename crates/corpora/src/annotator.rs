@@ -718,7 +718,8 @@ mod tests {
         let stmt = sqlexec::parse("select [team] from w order by [points] desc limit 1")?;
         let human = human_sql_question(&stmt, &mut rng);
         let g = nlgen::NlGenerator::new().with_noise(nlgen::NoiseConfig::off());
-        let machine = g.sql_question(&stmt, &mut rng).text;
+        let machine =
+            g.verbalize(nlgen::ProgramRef::Sql(&stmt), &mut rng, &mut nlgen::NlScratch::default());
         assert_ne!(human, machine);
         Ok(())
     }

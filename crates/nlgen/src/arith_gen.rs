@@ -17,27 +17,10 @@ use arithexpr::{AeArg, AeOp, AeProgram};
 use rand::Rng;
 use std::fmt::Write as _;
 
-/// Produces `k` candidate questions for an instantiated program.
-pub fn realize_arith(program: &AeProgram, rng: &mut impl Rng, k: usize) -> Vec<String> {
-    let mut out = Vec::with_capacity(k);
-    realize_arith_into(program, rng, k, &mut out);
-    out
-}
-
-/// [`realize_arith`] writing into a caller-owned buffer (cleared first). Draw-
-/// for-draw and candidate-for-candidate identical to the allocating form.
-pub fn realize_arith_into(
-    program: &AeProgram,
-    rng: &mut impl Rng,
-    k: usize,
-    out: &mut Vec<String>,
-) {
-    realize_arith_pooled(program, rng, k, out, &mut StrPool::default());
-}
-
-/// [`realize_arith_into`] with a caller-owned scratch pool — the form the
-/// generation hot path uses.
-pub fn realize_arith_pooled(
+/// Writes `k` candidate questions for an instantiated program into `out`
+/// (replacing its contents), with temporaries from `pool`; a reused `out`
+/// and `pool` give the same candidates as fresh ones.
+pub fn realize_arith(
     program: &AeProgram,
     rng: &mut impl Rng,
     k: usize,
@@ -336,10 +319,22 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// `k` candidates through fresh buffers.
+    fn candidates(program: &AeProgram, seed: u64, k: usize) -> Vec<String> {
+        let mut out = Vec::new();
+        realize_arith(
+            program,
+            &mut StdRng::seed_from_u64(seed),
+            k,
+            &mut out,
+            &mut StrPool::default(),
+        );
+        out
+    }
+
     fn realize(p: &str, seed: u64) -> String {
         let program = parse(p).unwrap_or_else(|e| panic!("parse: {e}"));
-        let mut rng = StdRng::seed_from_u64(seed);
-        realize_arith(&program, &mut rng, 1).remove(0)
+        candidates(&program, seed, 1).remove(0)
     }
 
     #[test]
@@ -425,8 +420,7 @@ mod tests {
     fn candidates_vary() {
         let p = parse("subtract( the 2019 of Revenue , the 2018 of Revenue )")
             .unwrap_or_else(|e| panic!("parse: {e}"));
-        let mut rng = StdRng::seed_from_u64(10);
-        let cands = realize_arith(&p, &mut rng, 8);
+        let cands = candidates(&p, 10, 8);
         assert!(cands.len() > 1, "{cands:?}");
     }
 
@@ -446,12 +440,9 @@ mod tests {
         let mut pool = StrPool::default();
         for (i, p) in programs.iter().enumerate() {
             let program = parse(p).unwrap_or_else(|e| panic!("parse: {e}"));
-            let fresh = {
-                let mut rng = StdRng::seed_from_u64(70 + i as u64);
-                realize_arith(&program, &mut rng, 6)
-            };
+            let fresh = candidates(&program, 70 + i as u64, 6);
             let mut rng = StdRng::seed_from_u64(70 + i as u64);
-            realize_arith_pooled(&program, &mut rng, 6, &mut out, &mut pool);
+            realize_arith(&program, &mut rng, 6, &mut out, &mut pool);
             assert_eq!(out, fresh, "pooled candidates diverge for {p}");
         }
     }

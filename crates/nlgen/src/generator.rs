@@ -6,12 +6,12 @@
 //! out. `fit` plays the role of fine-tuning — it trains the reranker LM on
 //! a seed corpus of gold-style sentences.
 
-use crate::arith_gen::{realize_arith, realize_arith_pooled};
-use crate::logic_gen::{realize_logic, realize_logic_pooled};
+use crate::arith_gen::realize_arith;
+use crate::logic_gen::realize_logic;
 use crate::ngram::{seed_corpus, NgramLm, ScoreScratch};
 use crate::noise::{apply_noise, NoiseConfig};
 use crate::pool::StrPool;
-use crate::sql_gen::{realize_sql, realize_sql_pooled};
+use crate::sql_gen::realize_sql;
 use arithexpr::AeProgram;
 use logicforms::LfExpr;
 use rand::Rng;
@@ -20,19 +20,10 @@ use sqlexec::SelectStmt;
 /// Number of candidate realizations proposed per program before reranking.
 const CANDIDATES: usize = 6;
 
-/// A generated sentence with its rejected alternatives (useful for analysis
-/// binaries like the Table IX reproduction).
-#[derive(Debug, Clone)]
-pub struct Generated {
-    /// The selected sentence.
-    pub text: String,
-    /// All candidates that were proposed (including the winner, pre-noise).
-    pub candidates: Vec<String>,
-}
-
-/// Reusable buffers for [`NlGenerator::verbalize_with`]: the candidate
-/// vector the realizers fill and the LM's scoring scratch. One per worker;
-/// reused across every sample the worker generates.
+/// Reusable buffers for [`NlGenerator::verbalize`]: the candidate vector
+/// the realizers fill and the LM's scoring scratch. One per worker; reused
+/// across every sample the worker generates. A reused scratch yields the
+/// same sentences as a fresh one.
 #[derive(Debug, Clone, Default)]
 pub struct NlScratch {
     candidates: Vec<String>,
@@ -42,7 +33,7 @@ pub struct NlScratch {
 
 impl NlScratch {
     /// Candidates proposed by the most recent verbalization (including the
-    /// winner, pre-noise) — readable until the next `verbalize_with` call.
+    /// winner, pre-noise) — readable until the next `verbalize` call.
     pub fn candidates(&self) -> &[String] {
         &self.candidates
     }
@@ -98,65 +89,12 @@ impl NlGenerator {
         &self.lm
     }
 
-    fn select(&self, candidates: Vec<String>, rng: &mut impl Rng) -> Generated {
-        let text = self.pick_and_noise(&candidates, &mut ScoreScratch::default(), rng);
-        Generated { text, candidates }
-    }
-
-    /// Shared selection core: LM reranking (each candidate scored once,
-    /// ties keeping the later candidate) followed by the noise channel.
-    fn pick_and_noise(
-        &self,
-        candidates: &[String],
-        score: &mut ScoreScratch,
-        rng: &mut impl Rng,
-    ) -> String {
-        let chosen = match self.lm.best_index_with(candidates, score) {
-            Some(i) => candidates[i].as_str(),
-            // The realizers always propose at least one candidate; an empty
-            // slice only reaches here through direct API misuse.
-            None => "",
-        };
-        apply_noise(chosen, self.noise, rng)
-    }
-
-    /// Generates a question from an instantiated SQL query.
-    pub fn sql_question(&self, stmt: &SelectStmt, rng: &mut impl Rng) -> Generated {
-        let candidates = realize_sql(stmt, rng, CANDIDATES);
-        self.select(candidates, rng)
-    }
-
-    /// Generates a claim from an instantiated logical form.
-    pub fn logic_claim(&self, expr: &LfExpr, rng: &mut impl Rng) -> Generated {
-        let candidates = realize_logic(expr, rng, CANDIDATES);
-        self.select(candidates, rng)
-    }
-
-    /// Generates a question from an instantiated arithmetic expression.
-    pub fn arith_question(&self, program: &AeProgram, rng: &mut impl Rng) -> Generated {
-        let candidates = realize_arith(program, rng, CANDIDATES);
-        self.select(candidates, rng)
-    }
-
-    /// Single verbalization entry point over any program kind. Dispatches to
-    /// the kind-specific surface realizer; the RNG draws are identical to
-    /// calling [`NlGenerator::sql_question`] / [`NlGenerator::logic_claim`] /
-    /// [`NlGenerator::arith_question`] directly.
-    pub fn verbalize(&self, program: ProgramRef<'_>, rng: &mut impl Rng) -> Generated {
-        match program {
-            ProgramRef::Sql(stmt) => self.sql_question(stmt, rng),
-            ProgramRef::Logic(expr) => self.logic_claim(expr, rng),
-            ProgramRef::Arith(prog) => self.arith_question(prog, rng),
-        }
-    }
-
-    /// [`NlGenerator::verbalize`] through caller-owned buffers, returning
-    /// only the selected sentence — the form the generation hot path uses:
-    /// the candidate vector and the scoring buffers live in `scratch` and
-    /// are reused across samples. Draw-for-draw and selection-identical to
-    /// [`NlGenerator::verbalize`]; the proposed candidates stay readable
+    /// Verbalizes an instantiated program of any kind: the kind-specific
+    /// realizer proposes candidates into `scratch`, the LM reranks them
+    /// (each scored once, ties keeping the later candidate), and the noise
+    /// channel perturbs the winner. The proposed candidates stay readable
     /// via [`NlScratch::candidates`] until the next call.
-    pub fn verbalize_with(
+    pub fn verbalize(
         &self,
         program: ProgramRef<'_>,
         rng: &mut impl Rng,
@@ -165,11 +103,16 @@ impl NlGenerator {
         let buf = &mut scratch.candidates;
         let pool = &mut scratch.pool;
         match program {
-            ProgramRef::Sql(stmt) => realize_sql_pooled(stmt, rng, CANDIDATES, buf, pool),
-            ProgramRef::Logic(expr) => realize_logic_pooled(expr, rng, CANDIDATES, buf, pool),
-            ProgramRef::Arith(prog) => realize_arith_pooled(prog, rng, CANDIDATES, buf, pool),
+            ProgramRef::Sql(stmt) => realize_sql(stmt, rng, CANDIDATES, buf, pool),
+            ProgramRef::Logic(expr) => realize_logic(expr, rng, CANDIDATES, buf, pool),
+            ProgramRef::Arith(prog) => realize_arith(prog, rng, CANDIDATES, buf, pool),
         }
-        self.pick_and_noise(&scratch.candidates, &mut scratch.score, rng)
+        let chosen = match self.lm.best(&scratch.candidates, &mut scratch.score) {
+            Some(i) => scratch.candidates[i].as_str(),
+            // The realizers always propose at least one candidate.
+            None => "",
+        };
+        apply_noise(chosen, self.noise, rng)
     }
 }
 
@@ -191,16 +134,25 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One verbalization through a fresh scratch: the sentence and the
+    /// proposed candidates.
+    fn verbalize(g: &NlGenerator, program: ProgramRef<'_>, seed: u64) -> (String, Vec<String>) {
+        let mut scratch = NlScratch::default();
+        let text = g.verbalize(program, &mut StdRng::seed_from_u64(seed), &mut scratch);
+        (text, scratch.candidates().to_vec())
+    }
+
+    fn top_deputies() -> SelectStmt {
+        sqlexec::parse("select [department] from w order by [total deputies] desc limit 1")
+            .unwrap_or_else(|e| panic!("parse: {e}"))
+    }
+
     #[test]
     fn sql_generation_end_to_end() {
         let g = NlGenerator::new().with_noise(NoiseConfig::off());
-        let stmt =
-            sqlexec::parse("select [department] from w order by [total deputies] desc limit 1")
-                .unwrap_or_else(|e| panic!("parse: {e}"));
-        let mut rng = StdRng::seed_from_u64(1);
-        let out = g.sql_question(&stmt, &mut rng);
-        assert!(out.text.to_lowercase().contains("department"), "{}", out.text);
-        assert!(out.candidates.contains(&out.text) || !out.candidates.is_empty());
+        let (text, candidates) = verbalize(&g, ProgramRef::Sql(&top_deputies()), 1);
+        assert!(text.to_lowercase().contains("department"), "{text}");
+        assert!(candidates.contains(&text), "{text} not among {candidates:?}");
     }
 
     #[test]
@@ -208,10 +160,9 @@ mod tests {
         let g = NlGenerator::new().with_noise(NoiseConfig::off());
         let e = logicforms::parse("eq { count { filter_eq { all_rows ; material ; PLA } } ; 3 }")
             .unwrap_or_else(|e| panic!("parse: {e}"));
-        let mut rng = StdRng::seed_from_u64(2);
-        let out = g.logic_claim(&e, &mut rng);
-        assert!(out.text.contains('3'), "{}", out.text);
-        assert!(out.text.ends_with('.'), "{}", out.text);
+        let (text, _) = verbalize(&g, ProgramRef::Logic(&e), 2);
+        assert!(text.contains('3'), "{text}");
+        assert!(text.ends_with('.'), "{text}");
     }
 
     #[test]
@@ -221,12 +172,11 @@ mod tests {
             "subtract( the 2019 of Equity , the 2018 of Equity ), divide( #0 , the 2018 of Equity )",
         )
         .unwrap_or_else(|e| panic!("parse: {e}"));
-        let mut rng = StdRng::seed_from_u64(3);
-        let out = g.arith_question(&p, &mut rng);
+        let (text, _) = verbalize(&g, ProgramRef::Arith(&p), 3);
         // Any of the percentage-change phrasings (lexicon::PCT_CHANGE or the
         // "by what percentage" form) is a faithful realization.
-        let lower = out.text.to_lowercase();
-        assert!(lower.contains("percent") || lower.contains("relative change"), "{}", out.text);
+        let lower = text.to_lowercase();
+        assert!(lower.contains("percent") || lower.contains("relative change"), "{text}");
     }
 
     #[test]
@@ -236,9 +186,8 @@ mod tests {
         biased.fit(&["what is the name with the most amount of points?"]);
         let stmt = sqlexec::parse("select [name] from w order by [points] desc limit 1")
             .unwrap_or_else(|e| panic!("parse: {e}"));
-        let mut rng = StdRng::seed_from_u64(4);
-        let out = biased.sql_question(&stmt, &mut rng);
-        assert!(out.text.to_lowercase().contains("points"), "{}", out.text);
+        let (text, _) = verbalize(&biased, ProgramRef::Sql(&stmt), 4);
+        assert!(text.to_lowercase().contains("points"), "{text}");
     }
 
     #[test]
@@ -252,14 +201,13 @@ mod tests {
     #[test]
     fn noise_applies_when_enabled() {
         let g = NlGenerator::new().with_noise(NoiseConfig { sentence_rate: 1.0 });
-        let stmt =
-            sqlexec::parse("select [department] from w order by [total deputies] desc limit 1")
-                .unwrap_or_else(|e| panic!("parse: {e}"));
+        let stmt = top_deputies();
         let mut rng = StdRng::seed_from_u64(5);
+        let mut scratch = NlScratch::default();
         let mut saw_noise = false;
         for _ in 0..20 {
-            let out = g.sql_question(&stmt, &mut rng);
-            if !out.candidates.contains(&out.text) {
+            let text = g.verbalize(ProgramRef::Sql(&stmt), &mut rng, &mut scratch);
+            if !scratch.candidates().contains(&text) {
                 saw_noise = true;
                 break;
             }

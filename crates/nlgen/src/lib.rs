@@ -10,14 +10,14 @@
 //! substitution rationale.
 //!
 //! ```
-//! use nlgen::NlGenerator;
+//! use nlgen::{NlGenerator, NlScratch, ProgramRef};
 //! use rand::SeedableRng;
 //!
 //! let g = NlGenerator::new();
 //! let stmt = sqlexec::parse("select [department] from w order by [total deputies] desc limit 1").unwrap();
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let out = g.sql_question(&stmt, &mut rng);
-//! assert!(out.text.ends_with('?'));
+//! let text = g.verbalize(ProgramRef::Sql(&stmt), &mut rng, &mut NlScratch::default());
+//! assert!(text.ends_with('?'));
 //! ```
 
 pub mod arith_gen;
@@ -29,10 +29,10 @@ pub mod noise;
 pub mod pool;
 pub mod sql_gen;
 
-pub use arith_gen::{realize_arith, realize_arith_into, realize_arith_pooled};
-pub use generator::{Generated, NlGenerator, NlScratch, ProgramRef};
-pub use logic_gen::{realize_logic, realize_logic_into, realize_logic_pooled};
+pub use arith_gen::realize_arith;
+pub use generator::{NlGenerator, NlScratch, ProgramRef};
+pub use logic_gen::realize_logic;
 pub use ngram::{seed_corpus, NgramLm, ScoreScratch};
 pub use noise::{apply_noise, NoiseConfig};
 pub use pool::StrPool;
-pub use sql_gen::{realize_sql, realize_sql_into, realize_sql_pooled};
+pub use sql_gen::realize_sql;

@@ -19,22 +19,10 @@ use logicforms::{LfExpr, LfOp};
 use rand::Rng;
 use std::fmt::Write as _;
 
-/// Produces `k` candidate claims for an instantiated logical form.
-pub fn realize_logic(expr: &LfExpr, rng: &mut impl Rng, k: usize) -> Vec<String> {
-    let mut out = Vec::with_capacity(k);
-    realize_logic_into(expr, rng, k, &mut out);
-    out
-}
-
-/// [`realize_logic`] writing into a caller-owned buffer (cleared first). Draw-
-/// for-draw and candidate-for-candidate identical to the allocating form.
-pub fn realize_logic_into(expr: &LfExpr, rng: &mut impl Rng, k: usize, out: &mut Vec<String>) {
-    realize_logic_pooled(expr, rng, k, out, &mut StrPool::default());
-}
-
-/// [`realize_logic_into`] with a caller-owned scratch pool — the form the
-/// generation hot path uses.
-pub fn realize_logic_pooled(
+/// Writes `k` candidate claims for an instantiated logical form into `out`
+/// (replacing its contents), with temporaries from `pool`; a reused `out`
+/// and `pool` give the same candidates as fresh ones.
+pub fn realize_logic(
     expr: &LfExpr,
     rng: &mut impl Rng,
     k: usize,
@@ -475,10 +463,16 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// `k` candidates through fresh buffers.
+    fn candidates(expr: &LfExpr, seed: u64, k: usize) -> Vec<String> {
+        let mut out = Vec::new();
+        realize_logic(expr, &mut StdRng::seed_from_u64(seed), k, &mut out, &mut StrPool::default());
+        out
+    }
+
     fn realize(form: &str, seed: u64) -> String {
         let e = parse(form).unwrap_or_else(|e| panic!("parse: {e}"));
-        let mut rng = StdRng::seed_from_u64(seed);
-        realize_logic(&e, &mut rng, 1).remove(0)
+        candidates(&e, seed, 1).remove(0)
     }
 
     #[test]
@@ -584,8 +578,7 @@ mod tests {
     fn candidates_vary() {
         let e = parse("eq { hop { argmax { all_rows ; speed } ; model } ; P300 }")
             .unwrap_or_else(|e| panic!("parse: {e}"));
-        let mut rng = StdRng::seed_from_u64(12);
-        let cands = realize_logic(&e, &mut rng, 8);
+        let cands = candidates(&e, 12, 8);
         assert!(cands.len() > 1, "{cands:?}");
     }
 
@@ -607,12 +600,9 @@ mod tests {
         let mut pool = StrPool::default();
         for (i, form) in forms.iter().enumerate() {
             let e = parse(form).unwrap_or_else(|e| panic!("parse: {e}"));
-            let fresh = {
-                let mut rng = StdRng::seed_from_u64(90 + i as u64);
-                realize_logic(&e, &mut rng, 6)
-            };
+            let fresh = candidates(&e, 90 + i as u64, 6);
             let mut rng = StdRng::seed_from_u64(90 + i as u64);
-            realize_logic_pooled(&e, &mut rng, 6, &mut out, &mut pool);
+            realize_logic(&e, &mut rng, 6, &mut out, &mut pool);
             assert_eq!(out, fresh, "pooled candidates diverge for {form}");
         }
     }

@@ -40,7 +40,7 @@ pub struct NgramLm {
     total_unigrams: u64,
 }
 
-/// Reusable buffers for [`NgramLm::score_with`]: the token-id sequence of
+/// Reusable buffers for [`NgramLm::score`]: the token-id sequence of
 /// the sentence being scored and the tokenizer's string scratch.
 #[derive(Debug, Clone, Default)]
 pub struct ScoreScratch {
@@ -123,14 +123,9 @@ impl NgramLm {
 
     /// Average per-token log2 probability of a sentence (higher = more
     /// fluent under the model). Length-normalized so candidates of
-    /// different lengths are comparable.
-    pub fn score(&self, sentence: &str) -> f64 {
-        self.score_with(sentence, &mut ScoreScratch::default())
-    }
-
-    /// [`NgramLm::score`] with caller-owned buffers — the zero-allocation
-    /// form the generation hot path uses.
-    pub fn score_with(&self, sentence: &str, scratch: &mut ScoreScratch) -> f64 {
+    /// different lengths are comparable. `scratch` holds the token buffers,
+    /// so scoring allocates nothing once it has grown.
+    pub fn score(&self, sentence: &str, scratch: &mut ScoreScratch) -> f64 {
         let toks = &mut scratch.ids;
         toks.clear();
         let bos = self.lookup(BOS);
@@ -176,23 +171,13 @@ impl NgramLm {
         discount * (f64::from(c) + 1.0) / (self.total_unigrams as f64 + self.vocab as f64 + 1.0)
     }
 
-    /// Selects the best candidate under the model. Each candidate is scored
-    /// exactly once; ties keep the *later* candidate, matching
+    /// Index of the best candidate under the model. Each candidate is
+    /// scored exactly once; ties keep the *later* candidate, matching
     /// `Iterator::max_by` over the score-per-comparison form this replaced.
-    pub fn best<'a>(&self, candidates: &'a [String]) -> Option<&'a String> {
-        self.best_index_with(candidates, &mut ScoreScratch::default()).map(|i| &candidates[i])
-    }
-
-    /// Index form of [`NgramLm::best`] with caller-owned score buffers —
-    /// the zero-allocation selection the generation hot path uses.
-    pub fn best_index_with(
-        &self,
-        candidates: &[String],
-        scratch: &mut ScoreScratch,
-    ) -> Option<usize> {
+    pub fn best(&self, candidates: &[String], scratch: &mut ScoreScratch) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for (i, cand) in candidates.iter().enumerate() {
-            let s = self.score_with(cand, scratch);
+            let s = self.score(cand, scratch);
             best = match best {
                 Some((bi, bs))
                     if s.partial_cmp(&bs).unwrap_or(std::cmp::Ordering::Equal)
@@ -262,12 +247,23 @@ mod tests {
         lm
     }
 
+    /// [`NgramLm::score`] through a fresh scratch.
+    fn score(lm: &NgramLm, sentence: &str) -> f64 {
+        lm.score(sentence, &mut ScoreScratch::default())
+    }
+
+    /// The candidate [`NgramLm::best`] picks, through a fresh scratch.
+    fn best<'a>(lm: &NgramLm, candidates: &'a [String]) -> &'a String {
+        let i = lm.best(candidates, &mut ScoreScratch::default());
+        &candidates[i.unwrap_or_else(|| panic!("no best candidate"))]
+    }
+
     #[test]
     fn prefers_fluent_order() {
         let lm = trained();
         let fluent = "what is the department with the most total deputies?";
         let shuffled = "deputies what most the is department total with the?";
-        assert!(lm.score(fluent) > lm.score(shuffled));
+        assert!(score(&lm, fluent) > score(&lm, shuffled));
     }
 
     #[test]
@@ -275,7 +271,7 @@ mod tests {
         let lm = trained();
         let natural = "which team has the highest number of points?";
         let awkward = "which team has the maximum magnitude of points?";
-        assert!(lm.score(natural) > lm.score(awkward));
+        assert!(score(&lm, natural) > score(&lm, awkward));
     }
 
     #[test]
@@ -285,7 +281,7 @@ mod tests {
             "points team which highest has the?".to_string(),
             "which team has the highest points?".to_string(),
         ];
-        let best = lm.best(&candidates).unwrap_or_else(|| panic!("no best candidate"));
+        let best = best(&lm, &candidates);
         assert_eq!(best, &candidates[1]);
     }
 
@@ -299,24 +295,24 @@ mod tests {
             "completely different phrasing here".to_string(),
             "what is the total?".to_string(),
         ];
-        let best = lm.best(&candidates).unwrap_or_else(|| panic!("no best candidate"));
+        let best = best(&lm, &candidates);
         assert!(std::ptr::eq(best, &candidates[2]), "tie must keep the later candidate");
         let reference = candidates
             .iter()
             .max_by(|a, b| {
-                lm.score(a).partial_cmp(&lm.score(b)).unwrap_or(std::cmp::Ordering::Equal)
+                score(&lm, a).partial_cmp(&score(&lm, b)).unwrap_or(std::cmp::Ordering::Equal)
             })
             .unwrap_or_else(|| panic!("reference max_by"));
         assert!(std::ptr::eq(best, reference));
     }
 
     #[test]
-    fn score_with_reused_scratch_is_identical() {
+    fn reused_scratch_scores_like_a_fresh_one() {
         let lm = trained();
         let mut scratch = ScoreScratch::default();
         for s in ["what is the total?", "the reds scored the most points.", "zyzzyva"] {
-            let fresh = lm.score(s);
-            let reused = lm.score_with(s, &mut scratch);
+            let fresh = score(&lm, s);
+            let reused = lm.score(s, &mut scratch);
             assert_eq!(fresh.to_bits(), reused.to_bits(), "score divergence on {s:?}");
         }
     }
@@ -324,22 +320,22 @@ mod tests {
     #[test]
     fn unseen_tokens_get_nonzero_probability() {
         let lm = trained();
-        let s = lm.score("zyzzyva quux flibbertigibbet");
+        let s = score(&lm, "zyzzyva quux flibbertigibbet");
         assert!(s.is_finite());
-        assert!(s < lm.score("what is the total?"));
+        assert!(s < score(&lm, "what is the total?"));
     }
 
     #[test]
     fn empty_model_scores_finite() {
         let lm = NgramLm::new(2);
-        assert!(lm.score("anything at all").is_finite());
+        assert!(score(&lm, "anything at all").is_finite());
     }
 
     #[test]
     fn order_one_model_works() {
         let mut lm = NgramLm::new(1);
         lm.fit(&["a a a b"]);
-        assert!(lm.score("a a") > lm.score("b b"));
+        assert!(score(&lm, "a a") > score(&lm, "b b"));
     }
 
     #[test]

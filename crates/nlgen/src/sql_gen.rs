@@ -93,23 +93,11 @@ fn cond_into(c: &Cond, rng: &mut impl Rng, out: &mut String) {
     }
 }
 
-/// Produces `k` candidate questions for an instantiated query.
-pub fn realize_sql(stmt: &SelectStmt, rng: &mut impl Rng, k: usize) -> Vec<String> {
-    let mut out = Vec::with_capacity(k);
-    realize_sql_into(stmt, rng, k, &mut out);
-    out
-}
-
-/// [`realize_sql`] writing into a caller-owned buffer (cleared first). Draw-
-/// for-draw and candidate-for-candidate identical to the allocating form.
-pub fn realize_sql_into(stmt: &SelectStmt, rng: &mut impl Rng, k: usize, out: &mut Vec<String>) {
-    realize_sql_pooled(stmt, rng, k, out, &mut StrPool::default());
-}
-
-/// [`realize_sql_into`] with a caller-owned scratch pool — the form the
-/// generation hot path uses: candidate slots and phrase temporaries all
-/// keep their capacity across samples.
-pub fn realize_sql_pooled(
+/// Writes `k` candidate questions for an instantiated query into `out`
+/// (replacing its contents). Candidate slots and phrase temporaries come
+/// from `pool` and keep their capacity across samples; a reused `out` and
+/// `pool` give the same candidates as fresh ones.
+pub fn realize_sql(
     stmt: &SelectStmt,
     rng: &mut impl Rng,
     k: usize,
@@ -350,10 +338,16 @@ mod tests {
     use rand::SeedableRng;
     use sqlexec::parse;
 
+    /// `k` candidates through fresh buffers.
+    fn candidates(stmt: &SelectStmt, seed: u64, k: usize) -> Vec<String> {
+        let mut out = Vec::new();
+        realize_sql(stmt, &mut StdRng::seed_from_u64(seed), k, &mut out, &mut StrPool::default());
+        out
+    }
+
     fn realize(q: &str, seed: u64) -> String {
         let stmt = parse(q).unwrap_or_else(|e| panic!("parse: {e}"));
-        let mut rng = StdRng::seed_from_u64(seed);
-        realize_sql(&stmt, &mut rng, 1).remove(0)
+        candidates(&stmt, seed, 1).remove(0)
     }
 
     #[test]
@@ -424,15 +418,14 @@ mod tests {
     fn candidates_vary() {
         let stmt = parse("select [name] from w order by [score] desc limit 1")
             .unwrap_or_else(|e| panic!("parse: {e}"));
-        let mut rng = StdRng::seed_from_u64(8);
-        let cands = realize_sql(&stmt, &mut rng, 8);
+        let cands = candidates(&stmt, 8, 8);
         assert!(cands.len() > 1, "expected lexical variety, got {cands:?}");
     }
 
     #[test]
     fn pooled_form_matches_fresh_buffers() {
-        // Same seed through the pooled and Vec-allocating forms must give
-        // identical candidate lists, including with a dirty reused pool.
+        // A dirty reused pool and candidate vector must give the same
+        // candidates as fresh ones for the same seed.
         let stmts = [
             "select [department] from w order by [total deputies] desc limit 1",
             "select count(*) from w where [points] > 50",
@@ -445,12 +438,9 @@ mod tests {
         let mut pool = StrPool::default();
         for (i, q) in stmts.iter().enumerate() {
             let stmt = parse(q).unwrap_or_else(|e| panic!("parse: {e}"));
-            let fresh = {
-                let mut rng = StdRng::seed_from_u64(40 + i as u64);
-                realize_sql(&stmt, &mut rng, 6)
-            };
+            let fresh = candidates(&stmt, 40 + i as u64, 6);
             let mut rng = StdRng::seed_from_u64(40 + i as u64);
-            realize_sql_pooled(&stmt, &mut rng, 6, &mut out, &mut pool);
+            realize_sql(&stmt, &mut rng, 6, &mut out, &mut pool);
             assert_eq!(out, fresh, "pooled candidates diverge for {q}");
         }
     }

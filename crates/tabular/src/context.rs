@@ -3,7 +3,7 @@
 //! Template instantiation and program execution repeatedly scan the same
 //! table: value-candidate collection walks a column per value hole, numeric
 //! aggregations re-parse every cell through [`Value::as_number`], and
-//! arithmetic cell addressing re-renders the row-name column per lookup.
+//! arithmetic instantiation re-collects the addressable numeric cells.
 //! [`ExecContext`] performs those scans **once per table** and hands the
 //! executors cached, immutable indexes. The pipeline builds one context per
 //! input table and shares it across all `samples_per_table` program
@@ -46,9 +46,6 @@ pub struct ExecContext {
     /// First `Text` column (else 0) — the arithmetic executor's row-name
     /// column.
     row_name_col: usize,
-    /// Per row: ASCII-lowercased rendering of the row-name cell (`None`
-    /// where the row is shorter than the name column).
-    name_lower: Vec<Option<String>>,
     /// Numeric cells addressable as `the <col> of <row>` by arithmetic
     /// templates, in the instantiation scan order: rows ascending (rows
     /// with a null name cell skipped), columns ascending (name column
@@ -115,10 +112,6 @@ impl ExecContext {
         let row_name_col =
             table.schema().columns().iter().position(|c| c.ty == ColumnType::Text).unwrap_or(0);
 
-        let name_lower: Vec<Option<String>> = (0..n_rows)
-            .map(|ri| table.cell(ri, row_name_col).map(|v| v.to_string().to_ascii_lowercase()))
-            .collect();
-
         let mut addressable = Vec::new();
         for ri in 0..n_rows {
             let named = table.cell(ri, row_name_col).is_some_and(|v| !v.is_null());
@@ -152,7 +145,6 @@ impl ExecContext {
             grid,
             numeric_cols,
             row_name_col,
-            name_lower,
             addressable,
             text_pool,
             type_counts,
@@ -206,11 +198,6 @@ impl ExecContext {
     /// else 0).
     pub fn row_name_column(&self) -> usize {
         self.row_name_col
-    }
-
-    /// ASCII-lowercased rendering of a row's name cell.
-    pub fn name_lower(&self, row: usize) -> Option<&str> {
-        self.name_lower.get(row).and_then(|s| s.as_deref())
     }
 
     /// Numeric cells addressable by arithmetic templates (see field docs
@@ -288,13 +275,10 @@ mod tests {
     }
 
     #[test]
-    fn name_column_and_lowercase_cache() {
+    fn name_column_is_the_first_text_column() {
         let t = table();
         let ctx = ExecContext::new(&t);
         assert_eq!(ctx.row_name_column(), 0);
-        assert_eq!(ctx.name_lower(0), Some("ada"));
-        assert_eq!(ctx.name_lower(2), Some("cleo"));
-        assert_eq!(ctx.name_lower(99), None);
     }
 
     #[test]

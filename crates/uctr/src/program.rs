@@ -241,7 +241,7 @@ impl Program {
             Program::Logic { expr, .. } => ProgramRef::Logic(expr),
             Program::Arith { program, .. } => ProgramRef::Arith(program),
         };
-        generator.verbalize_with(program, rng, &mut scratch.nl)
+        generator.verbalize(program, rng, &mut scratch.nl)
     }
 
     /// Surrenders the run's output, after a successful execute.

@@ -48,9 +48,11 @@ fn main() {
     let nl = nlgen::NlGenerator::new().with_noise(nlgen::NoiseConfig::off());
     let ctx = ExecContext::new(&probe);
     let mut scratch = logicforms::LfScratch::default();
+    let mut nl_scratch = nlgen::NlScratch::default();
     for t in novel.iter().take(4) {
         if let Ok(claim) = t.try_instantiate(&probe, &ctx, &mut rng, true, &mut scratch) {
-            let text = nl.logic_claim(&claim.expr, &mut rng).text;
+            let text =
+                nl.verbalize(nlgen::ProgramRef::Logic(&claim.expr), &mut rng, &mut nl_scratch);
             println!("  [Supported] {text}");
         }
     }

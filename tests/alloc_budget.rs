@@ -20,7 +20,8 @@
 #![allow(clippy::panic)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use nlgen::NoiseConfig;
@@ -28,10 +29,10 @@ use tabular::{ExecContext, Table};
 use uctr::{TableWithContext, UctrConfig, UctrPipeline};
 
 /// Maximum allocations per generated sample (see module docs to re-record).
-const MAX_ALLOCS_PER_SAMPLE: u64 = 42; // measured 38/sample (1791 / 48), +10%
+const MAX_ALLOCS_PER_SAMPLE: u64 = 41; // measured 37/sample (1755 / 48), +10%
 
 /// Maximum allocations of one `ExecContext::new` over [`wide_table`].
-const MAX_CONTEXT_ALLOCS: u64 = 11_340; // measured 10,308, +10%
+const MAX_CONTEXT_ALLOCS: u64 = 6_938; // measured 6,307, +10%
 
 struct CountingAlloc;
 
@@ -41,7 +42,18 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 /// High-water mark of [`LIVE_BYTES`] over the counted window.
 static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Armed only on the thread inside [`counted`]: libtest runs the tests
+    /// on threads of their own at the same time, and their allocations
+    /// must not land in another test's window. `const`-initialised with no
+    /// destructor, so reading it never allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn counting() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
 
 fn track_alloc(bytes: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
@@ -55,21 +67,21 @@ fn track_grow(delta: i64) {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             track_alloc(layout.size());
         }
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         }
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             track_grow(new_size as i64 - layout.size() as i64);
         }
@@ -77,7 +89,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             track_alloc(layout.size());
         }
         System.alloc_zeroed(layout)
@@ -88,22 +100,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// The counters are process-wide, so each test holds this lock for its
-/// whole body: no test allocates inside another's counted window.
+/// whole body: no two counted windows overlap.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Runs `f` in a counted window: its result, its allocation count, and its
-/// peak live-heap growth in bytes.
+/// Runs `f` in a counted window on this thread: its result, its allocation
+/// count, and its peak live-heap growth in bytes. `f` must not hand work to
+/// other threads, whose allocations the window does not see.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     ALLOCS.store(0, Ordering::SeqCst);
     LIVE_BYTES.store(0, Ordering::SeqCst);
     PEAK_BYTES.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.set(true);
     let out = f();
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.set(false);
     let peak = PEAK_BYTES.load(Ordering::SeqCst).max(0) as u64;
     (out, ALLOCS.load(Ordering::SeqCst), peak)
 }
