@@ -11,9 +11,10 @@
 //! highlighted cells").
 
 use crate::ast::*;
+use rustc_hash::FxHashSet;
 use std::borrow::Cow;
 use std::fmt;
-use tabular::{format_number, KernelScratch, Table, Value};
+use tabular::{format_number, KernelScratch, LooseIndex, Table, Value};
 
 /// Execution error.
 #[derive(Debug, Clone, PartialEq)]
@@ -344,17 +345,12 @@ fn run_compiled(
                 rows.push(out);
             }
             if stmt.distinct {
-                // In-place first-occurrence dedup: `rows[..uniq]` holds
-                // exactly the rows the interpreter's `seen` list holds.
-                let mut uniq = 0;
-                for i in 0..rows.len() {
-                    if rows[..uniq].contains(&rows[i]) {
-                        continue;
-                    }
-                    rows.swap(uniq, i);
-                    uniq += 1;
-                }
-                rows.truncate(uniq);
+                // First occurrences under `==`, which `Hash for Value`
+                // agrees with.
+                let mut seen = FxHashSet::default();
+                let first: Vec<bool> = rows.iter().map(|r| seen.insert(r.as_slice())).collect();
+                let mut first = first.into_iter();
+                rows.retain(|_| first.next().unwrap_or(false));
             }
             Ok(QueryResult { columns, rows, highlighted: vec![] })
         })()
@@ -372,11 +368,12 @@ fn exec_grouped_c(
     hl: &mut Vec<(usize, usize)>,
 ) -> Result<QueryResult, ExecError> {
     // Group in first-occurrence order.
+    let mut index = LooseIndex::default();
     let mut groups: Vec<(&Value, Vec<usize>)> = Vec::new();
     for &ri in kept {
         let key = table.cell(ri, gci).unwrap_or(&Value::Null);
         hl.push((ri, gci));
-        match groups.iter_mut().find(|(k, _)| k.loosely_equals(key)) {
+        match groups.get_mut(index.insert(key).0) {
             Some((_, members)) => members.push(ri),
             None => groups.push((key, vec![ri])),
         }
@@ -500,13 +497,8 @@ fn eval_aggregate_c(
         }
     }
     if distinct {
-        let mut uniq: Vec<Cow<'_, Value>> = Vec::new();
-        for v in values {
-            if !uniq.iter().any(|u| u.as_ref().loosely_equals(v.as_ref())) {
-                uniq.push(v);
-            }
-        }
-        values = uniq;
+        let mut index = LooseIndex::default();
+        values.retain(|v| index.insert(v).1);
     }
     match func {
         AggFunc::Count => Ok(Value::Number(values.len() as f64)),

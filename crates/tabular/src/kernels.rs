@@ -23,7 +23,10 @@
 //! runs) live with each executor; the parity property tests pin the two
 //! paths equal on adversarial tables.
 
+use crate::value::Value;
+use rustc_hash::FxHashMap;
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
 /// Reusable buffers for the kernel paths, one per generation worker.
 ///
@@ -149,6 +152,88 @@ pub fn sort_total(nums: &mut [f64]) {
     nums.sort_by(f64::total_cmp);
 }
 
+/// First-occurrence classes of [`Value::loosely_equals`].
+///
+/// [`LooseIndex::insert`] returns the earliest class whose representative
+/// (its first value) loosely equals the value, exactly like the pairwise
+/// scan `reps.iter().position(|r| r.loosely_equals(v))`, or opens a new
+/// class. Nulls are one class and texts are looked up by their lowercased
+/// form. A finite numeric reading looks in an epsilon window of an ordered
+/// key map, confirms each candidate with `loosely_equals` and takes the
+/// smallest class; a non-finite one is compared with every numeric class.
+/// DESIGN.md §5 gives the exactness argument. Memory is allocated per class.
+#[derive(Debug, Default)]
+pub struct LooseIndex {
+    classes: usize,
+    null: Option<usize>,
+    texts: FxHashMap<String, usize>,
+    /// Representatives with a finite reading, keyed by
+    /// ([`order_key`] of the reading, class).
+    finite: BTreeMap<(u64, usize), Value>,
+    non_finite: Vec<(usize, Value)>,
+    /// Reused buffer for the lowercased text key.
+    key: String,
+}
+
+impl LooseIndex {
+    /// Returns `v`'s class and whether `v` opened it.
+    pub fn insert(&mut self, v: &Value) -> (usize, bool) {
+        let finite = v.as_number().filter(|n| n.is_finite());
+        let found = match v {
+            Value::Null => self.null,
+            Value::Text(t) => {
+                self.key.clear();
+                self.key.push_str(t);
+                self.key.make_ascii_lowercase();
+                self.texts.get(&self.key).copied()
+            }
+            _ => {
+                let window = match finite {
+                    // nearly_equal bounds |n - m| by 1e-6 * max(|n|, |m|, 1).
+                    Some(n) => {
+                        let w = 2e-6 * n.abs().max(1.0) + f64::EPSILON;
+                        (order_key(n - w), 0)..=(order_key(n + w), usize::MAX)
+                    }
+                    None => (0, 0)..=(u64::MAX, usize::MAX),
+                };
+                self.finite
+                    .range(window)
+                    .map(|(&(_, class), rep)| (class, rep))
+                    .chain(self.non_finite.iter().map(|(class, rep)| (*class, rep)))
+                    .filter(|(_, rep)| rep.loosely_equals(v))
+                    .map(|(class, _)| class)
+                    .min()
+            }
+        };
+        if let Some(class) = found {
+            return (class, false);
+        }
+        let class = self.classes;
+        self.classes += 1;
+        match (v, finite) {
+            (Value::Null, _) => self.null = Some(class),
+            (Value::Text(_), _) => {
+                self.texts.insert(self.key.clone(), class);
+            }
+            (_, Some(n)) => {
+                self.finite.insert((order_key(n), class), v.clone());
+            }
+            (_, None) => self.non_finite.push((class, v.clone())),
+        }
+        (class, true)
+    }
+}
+
+/// The image of `x` in `u64` that sorts like `f64::total_cmp`.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,6 +274,56 @@ mod tests {
         assert_eq!(nth(2, false), Some(0));
         assert_eq!(nth(0, false), None);
         assert_eq!(nth(5, false), None);
+    }
+
+    /// The scan [`LooseIndex`] replaces: each value joins the first
+    /// representative that loosely equals it.
+    fn pairwise_classes(values: &[Value]) -> Vec<usize> {
+        let mut reps: Vec<&Value> = Vec::new();
+        let mut classes = Vec::new();
+        for v in values {
+            classes.push(reps.iter().position(|r| r.loosely_equals(v)).unwrap_or_else(|| {
+                reps.push(v);
+                reps.len() - 1
+            }));
+        }
+        classes
+    }
+
+    #[test]
+    fn loose_index_matches_pairwise_scan() {
+        use crate::{Column, ColumnType, Date, Schema, Table};
+        let n = Value::Number;
+        let far = |day| Value::Date(Date { year: 999_999, month: 1, day });
+        let far_ordinal = far(1).as_number().unwrap_or_else(|| panic!("date reading"));
+        let cases = [
+            vec![n(f64::INFINITY), n(5.0)],
+            vec![n(5.0), n(f64::INFINITY)],
+            vec![n(f64::NEG_INFINITY), n(f64::INFINITY)],
+            vec![n(f64::NAN), n(5.0), n(f64::NAN)],
+            vec![n(1.0), Value::Null, n(-3.0), Value::Null, Value::Bool(true), n(f64::INFINITY)],
+            // Not transitive: the third value equals both earlier classes.
+            vec![n(1.0), n(1.0000018), n(1.0000009)],
+            // Adjacent dates with nearly equal ordinals stay apart.
+            vec![far(2), far(1), n(far_ordinal)],
+            vec![Value::text("Apple"), Value::text("APPLE"), Value::text("5"), n(5.0)],
+        ];
+        for values in cases {
+            let mut index = LooseIndex::default();
+            let classes: Vec<usize> = values.iter().map(|v| index.insert(v).0).collect();
+            assert_eq!(classes, pairwise_classes(&values), "{values:?}");
+
+            let schema = Schema::new(vec![Column::new("c", ColumnType::Number)]);
+            let rows = values.iter().map(|v| vec![v.clone()]).collect();
+            let table = Table::new("t", schema, rows).unwrap_or_else(|e| panic!("{e}"));
+            let mut naive: Vec<Value> = Vec::new();
+            for v in values.iter().filter(|v| !v.is_null()) {
+                if !naive.iter().any(|s| s.loosely_equals(v)) {
+                    naive.push(v.clone());
+                }
+            }
+            assert_eq!(table.distinct(0), naive, "{values:?}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod value;
 pub use absdom::{AbsSummary, Card, Interval, Kleene, Sign};
 pub use context::ExecContext;
 pub use io::{table_from_csv, table_to_csv, CsvError};
-pub use kernels::KernelScratch;
+pub use kernels::{KernelScratch, LooseIndex};
 pub use requirement::{SchemaRequirement, TemplateAnalysis, TemplateIssue};
 pub use schema::{infer_column_type, Column, ColumnType, Schema};
 pub use shared::SharedTable;

@@ -5,6 +5,7 @@
 //! Table-To-Text / Text-To-Table operators, and the reasoning models all
 //! build on.
 
+use crate::kernels::LooseIndex;
 use crate::schema::{infer_column_type, Column, Schema};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
@@ -164,102 +165,17 @@ impl Table {
             .map(|(i, _)| i)
     }
 
-    /// Sum of the numeric values in `col` (non-numeric cells skipped).
-    /// Returns `None` if the column has no numeric cell.
-    pub fn sum(&self, col: usize) -> Option<f64> {
-        let nums: Vec<f64> = self.numeric_column(col);
-        if nums.is_empty() {
-            None
-        } else {
-            Some(nums.iter().sum())
-        }
-    }
-
-    /// Mean of the numeric values in `col`.
-    pub fn avg(&self, col: usize) -> Option<f64> {
-        let nums: Vec<f64> = self.numeric_column(col);
-        if nums.is_empty() {
-            None
-        } else {
-            Some(nums.iter().sum::<f64>() / nums.len() as f64)
-        }
-    }
-
-    /// Maximum numeric value in `col`.
-    pub fn max(&self, col: usize) -> Option<f64> {
-        self.numeric_column(col).into_iter().fold(None, |acc, x| {
-            Some(match acc {
-                None => x,
-                Some(m) => m.max(x),
-            })
-        })
-    }
-
-    /// Minimum numeric value in `col`.
-    pub fn min(&self, col: usize) -> Option<f64> {
-        self.numeric_column(col).into_iter().fold(None, |acc, x| {
-            Some(match acc {
-                None => x,
-                Some(m) => m.min(x),
-            })
-        })
-    }
-
-    fn numeric_column(&self, col: usize) -> Vec<f64> {
-        self.rows.iter().filter_map(|r| r.get(col).and_then(Value::as_number)).collect()
-    }
-
-    /// Distinct values of a column, in first-occurrence order. Two values
-    /// are duplicates when [`Value::loosely_equals`] says so.
-    ///
-    /// The membership test is sub-quadratic while keeping the pairwise
-    /// `loosely_equals` semantics exactly: `Text` only ever equals `Text`
-    /// (case-insensitively), so a lowercased hash set decides that arm
-    /// outright; every other non-null variant has a numeric reading
-    /// (`Value::as_number`), so candidate duplicates are confined to an
-    /// epsilon window in a sorted key list — each candidate is then
-    /// confirmed with `loosely_equals` itself, which keeps near-miss
-    /// subtleties (e.g. distinct `Date`s with nearly-equal ordinals) exact.
+    /// Distinct non-null values of a column, in first-occurrence order. Two
+    /// values are duplicates when [`Value::loosely_equals`] says so, decided
+    /// exactly by [`LooseIndex`].
     pub fn distinct(&self, col: usize) -> Vec<Value> {
-        let mut seen: Vec<Value> = Vec::new();
-        let mut texts: rustc_hash::FxHashSet<String> = rustc_hash::FxHashSet::default();
-        // (numeric key, index into `seen`), sorted by key.
-        let mut nums: Vec<(f64, usize)> = Vec::new();
-        for row in &self.rows {
-            let v = &row[col];
-            if v.is_null() {
-                continue;
-            }
-            let dup = match v.as_number() {
-                None => match v {
-                    Value::Text(t) => texts.contains(&t.to_ascii_lowercase()),
-                    // Unreachable for current variants (only Null/Text lack
-                    // a numeric reading), kept exact for future ones.
-                    _ => seen.iter().any(|s| s.loosely_equals(v)),
-                },
-                Some(n) => {
-                    // nearly_equal(a, b) bounds |a-b| by 1e-6 * max of the
-                    // magnitudes, so any match lies within this slightly
-                    // widened window around n.
-                    let w = 2e-6 * n.abs().max(1.0) + f64::EPSILON;
-                    let lo = nums.partition_point(|&(k, _)| k < n - w);
-                    nums[lo..]
-                        .iter()
-                        .take_while(|&&(k, _)| k <= n + w)
-                        .any(|&(_, i)| seen[i].loosely_equals(v))
-                }
-            };
-            if !dup {
-                if let Some(n) = v.as_number() {
-                    let at = nums.partition_point(|&(k, _)| k < n);
-                    nums.insert(at, (n, seen.len()));
-                } else if let Value::Text(t) = v {
-                    texts.insert(t.to_ascii_lowercase());
-                }
-                seen.push(v.clone());
-            }
-        }
-        seen
+        let mut index = LooseIndex::default();
+        self.rows
+            .iter()
+            .map(|r| &r[col])
+            .filter(|v| !v.is_null() && index.insert(v).1)
+            .cloned()
+            .collect()
     }
 
     /// Re-infers every column's type from the current values. Needed after
@@ -328,22 +244,6 @@ mod tests {
         let t = sample();
         assert_eq!(t.argmax(1), Some(1)); // Defense: 42
         assert_eq!(t.argmin(1), Some(0)); // Commerce: 18
-    }
-
-    #[test]
-    fn aggregates() {
-        let t = sample();
-        assert_eq!(t.sum(1), Some(90.0));
-        assert_eq!(t.avg(1), Some(30.0));
-        assert_eq!(t.max(1), Some(42.0));
-        assert_eq!(t.min(1), Some(18.0));
-    }
-
-    #[test]
-    fn aggregates_on_text_column_are_none() {
-        let t = sample();
-        assert_eq!(t.sum(0), None);
-        assert_eq!(t.avg(0), None);
     }
 
     #[test]

@@ -87,6 +87,20 @@ fn kernel_zoo() -> Vec<Table> {
             vec!["W", "2020-06-15", "2.25"],
             vec!["X", "2010-01-01", "-0.75"],
         ],
+        // Loose equality: numbers within the 1e-6 epsilon of each other,
+        // booleans beside 1/0, repeated and adjacent dates, case variants
+        // and blanks. DISTINCT and GROUP BY must keep the same first
+        // occurrences as the oracle's pairwise `loosely_equals` scans.
+        vec![
+            vec!["name", "amount", "flag", "when", "gap"],
+            vec!["Apple", "5", "yes", "2020-03-01", ""],
+            vec!["apple", "5.0000001", "1", "2020-03-02", ""],
+            vec!["APPLE", "1000000", "true", "2020-03-01", ""],
+            vec!["Pear", "1000000.5", "no", "", ""],
+            vec!["", "", "0", "2020-03-02", ""],
+            vec!["pear", "5", "false", "2020-03-03", ""],
+            vec!["Plum", "1000001", "", "2020-03-01", ""],
+        ],
     ];
     grids
         .into_iter()
@@ -234,4 +248,34 @@ fn builtin_templates_kernel_scalar_parity() {
 #[test]
 fn mined_templates_kernel_scalar_parity() {
     sweep(&uctr::mined_bank(uctr::mining::SYNTHETIC_SEED), &kernel_zoo(), SEEDS);
+}
+
+/// No template uses `SELECT DISTINCT` or `GROUP BY`, so the sweep never
+/// reaches them: fixed queries over the loose-equality table do.
+#[test]
+fn distinct_and_group_by_match_the_oracle() {
+    let zoo = kernel_zoo();
+    let table = zoo.last().unwrap();
+    let queries = [
+        "select distinct [name] from w",
+        "select distinct [amount] , [flag] from w",
+        "select distinct * from w",
+        "select [name] , count ( * ) from w group by [name]",
+        "select [amount] , sum ( [amount] ) from w group by [amount]",
+        "select [flag] , count ( * ) from w group by [flag]",
+        "select [when] , count ( distinct [name] ) from w group by [when]",
+        "select [gap] , count ( * ) , max ( [name] ) from w group by [gap]",
+        "select count ( distinct [name] ) , count ( distinct [amount] ) from w",
+        "select count ( distinct [flag] ) , count ( distinct [when] ) from w",
+        "select sum ( distinct [amount] ) , avg ( distinct [flag] ) from w",
+        "select min ( distinct [when] ) , max ( distinct [name] ) from w",
+    ];
+    let mut kern = tabular::KernelScratch::default();
+    for query in queries {
+        let stmt = sqlexec::parse(query).unwrap();
+        let oracle = sqlexec::reference::execute(&stmt, table);
+        let production = sqlexec::execute(&stmt, table, &mut kern);
+        assert!(oracle.is_ok(), "`{query}`: {oracle:?}");
+        assert_eq!(dbg(&oracle), dbg(&production), "`{query}`");
+    }
 }
