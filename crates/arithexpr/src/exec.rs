@@ -131,15 +131,15 @@ fn locate_cell(
     Ok((ri, ci))
 }
 
-/// Executes a fully instantiated program against a table. Aggregations and
-/// cell addressing read `ctx`'s caches; gathers and highlights reuse `kern`.
+/// Executes a fully instantiated program against `ctx`'s table.
+/// Aggregations and cell addressing read `ctx`'s caches; gathers and
+/// highlights reuse `kern`.
 pub fn execute(
     program: &AeProgram,
-    table: &Table,
     ctx: &ExecContext,
     kern: &mut KernelScratch,
 ) -> Result<AeOutcome, AeError> {
-    execute_impl(program, table, Some(ctx), kern, &mut Vec::new())
+    execute_impl(program, ctx.table(), Some(ctx), kern, &mut Vec::new())
 }
 
 /// [`execute`] with an optional context (`None` is the oracle of
@@ -276,8 +276,7 @@ fn resolve_numeric(
 /// Convenience: parse, build the table's [`ExecContext`], execute.
 pub fn run_arith(program: &str, table: &Table) -> Result<AeOutcome, String> {
     let p = crate::parser::parse(program).map_err(|e| e.to_string())?;
-    execute(&p, table, &ExecContext::new(table), &mut KernelScratch::default())
-        .map_err(|e| e.to_string())
+    execute(&p, &ExecContext::new(table), &mut KernelScratch::default()).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

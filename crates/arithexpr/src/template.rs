@@ -115,19 +115,18 @@ impl AeTemplate {
         }
     }
 
-    /// Instantiates on `table`: distinct holes get distinct numeric cells,
-    /// repeated holes share a binding, column holes get numeric columns.
-    /// Cell pools and the execution of the result read `ctx`; buffers come
-    /// from `scratch`. Returns the program and its executed answer, or the
-    /// last attempt's failure (e.g. divide-by-zero).
+    /// Instantiates on `ctx`'s table: distinct holes get distinct numeric
+    /// cells, repeated holes share a binding, column holes get numeric
+    /// columns. Cell pools and the execution of the result read `ctx`;
+    /// buffers come from `scratch`. Returns the program and its executed
+    /// answer, or the last attempt's failure (e.g. divide-by-zero).
     pub fn try_instantiate(
         &self,
-        table: &Table,
         ctx: &ExecContext,
         rng: &mut impl Rng,
         scratch: &mut AeScratch,
     ) -> Result<InstantiatedArith, AeInstantiateError> {
-        self.sample(table, Some(ctx), rng, scratch)
+        self.sample(ctx.table(), Some(ctx), rng, scratch)
     }
 
     /// [`AeTemplate::try_instantiate`] with an optional context; `None` is
@@ -337,7 +336,7 @@ mod tests {
         t: &Table,
         rng: &mut StdRng,
     ) -> Result<InstantiatedArith, AeInstantiateError> {
-        tpl.try_instantiate(t, &ExecContext::new(t), rng, &mut AeScratch::default())
+        tpl.try_instantiate(&ExecContext::new(t), rng, &mut AeScratch::default())
     }
 
     #[test]

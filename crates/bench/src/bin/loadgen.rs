@@ -123,7 +123,6 @@ fn drive_one(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn closed_loop(
     addr: &str,
     conns: usize,
@@ -488,9 +487,9 @@ fn main() {
             }
         };
         match floor.check_serving(samples_per_sec, ms(p99)) {
-            Ok(()) => println!("serving gate passed (floor: {path})"),
+            Ok(()) => println!("serving gate: passed (floor: {path})"),
             Err(msg) => {
-                eprintln!("serving gate FAILED: {msg} (floor: {path})");
+                println!("serving gate: FAILED: {msg} (floor: {path})");
                 std::process::exit(1);
             }
         }

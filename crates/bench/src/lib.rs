@@ -342,6 +342,7 @@ impl AcceptanceFloor {
     /// One-sided throughput ratchet for `bench_pipeline`: each measured
     /// rate may fall at most `bench_max_throughput_regression` below its
     /// recorded baseline. Running faster than the baseline always passes.
+    /// Every rate is checked, and the error names each one that failed.
     pub fn check_bench_throughput(
         &self,
         single: f64,
@@ -350,7 +351,7 @@ impl AcceptanceFloor {
     ) -> Result<(), String> {
         let max_regression =
             required(self.bench_max_throughput_regression, "bench_max_throughput_regression")?;
-        for (label, measured, baseline, key) in [
+        let rates = [
             (
                 "single-thread",
                 single,
@@ -364,7 +365,8 @@ impl AcceptanceFloor {
                 "bench_saturated_samples_per_sec",
             ),
             ("stress", stress, self.bench_stress_samples_per_sec, "bench_stress_samples_per_sec"),
-        ] {
+        ];
+        all_passed(rates.map(|(label, measured, baseline, key)| {
             let baseline = required(baseline, key)?;
             let floor = baseline * (1.0 - max_regression);
             if measured < floor {
@@ -374,8 +376,8 @@ impl AcceptanceFloor {
                     max_regression * 100.0
                 ));
             }
-        }
-        Ok(())
+            Ok(())
+        }))
     }
 
     /// Relative gate on the mined bank: its rate may fall at most
@@ -399,32 +401,41 @@ impl AcceptanceFloor {
     /// throughput may regress at most `bench_max_throughput_regression`
     /// below its baseline, and p99 latency may rise at most
     /// `bench_serving_max_p99_regression` above its baseline. Faster and
-    /// lower always pass.
+    /// lower always pass. Both metrics are checked, and the error names
+    /// each one that failed.
     pub fn check_serving(&self, samples_per_sec: f64, p99_ms: f64) -> Result<(), String> {
-        let max_regression =
-            required(self.bench_max_throughput_regression, "bench_max_throughput_regression")?;
-        let baseline =
-            required(self.bench_serving_samples_per_sec, "bench_serving_samples_per_sec")?;
-        let floor = baseline * (1.0 - max_regression);
-        if samples_per_sec < floor {
-            return Err(format!(
-                "serving throughput {samples_per_sec:.0}/sec regressed more than \
-                 {:.0}% below baseline {baseline:.0}/sec (floor {floor:.0}/sec)",
-                max_regression * 100.0
-            ));
-        }
-        let p99_headroom =
-            required(self.bench_serving_max_p99_regression, "bench_serving_max_p99_regression")?;
-        let baseline = required(self.bench_serving_p99_ms, "bench_serving_p99_ms")?;
-        let ceiling = baseline * (1.0 + p99_headroom);
-        if p99_ms > ceiling {
-            return Err(format!(
-                "serving p99 latency {p99_ms:.2}ms rose more than {:.0}% above \
-                 baseline {baseline:.2}ms (ceiling {ceiling:.2}ms)",
-                p99_headroom * 100.0
-            ));
-        }
-        Ok(())
+        let throughput = || {
+            let max_regression =
+                required(self.bench_max_throughput_regression, "bench_max_throughput_regression")?;
+            let baseline =
+                required(self.bench_serving_samples_per_sec, "bench_serving_samples_per_sec")?;
+            let floor = baseline * (1.0 - max_regression);
+            if samples_per_sec < floor {
+                return Err(format!(
+                    "serving throughput {samples_per_sec:.0}/sec regressed more than \
+                     {:.0}% below baseline {baseline:.0}/sec (floor {floor:.0}/sec)",
+                    max_regression * 100.0
+                ));
+            }
+            Ok(())
+        };
+        let p99 = || {
+            let p99_headroom = required(
+                self.bench_serving_max_p99_regression,
+                "bench_serving_max_p99_regression",
+            )?;
+            let baseline = required(self.bench_serving_p99_ms, "bench_serving_p99_ms")?;
+            let ceiling = baseline * (1.0 + p99_headroom);
+            if p99_ms > ceiling {
+                return Err(format!(
+                    "serving p99 latency {p99_ms:.2}ms rose more than {:.0}% above \
+                     baseline {baseline:.2}ms (ceiling {ceiling:.2}ms)",
+                    p99_headroom * 100.0
+                ));
+            }
+            Ok(())
+        };
+        all_passed([throughput(), p99()])
     }
 
     /// Hard ceiling on steady-state allocations per accepted sample.
@@ -440,6 +451,16 @@ impl AcceptanceFloor {
             ));
         }
         Ok(())
+    }
+}
+
+/// `Ok` when every check passed, else one error naming each failure.
+fn all_passed(checks: impl IntoIterator<Item = Result<(), String>>) -> Result<(), String> {
+    let failures: Vec<String> = checks.into_iter().filter_map(Result::err).collect();
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("; "))
     }
 }
 
@@ -635,6 +656,10 @@ mod tests {
         assert!(floor.check_bench_throughput(1000.0, 4000.0, 190.0).is_ok());
         let err = floor.check_bench_throughput(1000.0, 4000.0, 100.0).unwrap_err();
         assert!(err.contains("stress"), "{err}");
+        // Two rates below their floors: the error names both.
+        let err = floor.check_bench_throughput(500.0, 3000.0, 200.0).unwrap_err();
+        assert!(err.contains("single-thread") && err.contains("saturated"), "{err}");
+        assert!(!err.contains("stress"), "{err}");
         // A tighter committed margin tightens the gate.
         floor.bench_max_throughput_regression = Some(0.05);
         assert!(floor.check_bench_throughput(900.0, 4000.0, 200.0).is_err());
@@ -693,6 +718,9 @@ mod tests {
         // Tail blowup fails.
         let err = floor.check_serving(2000.0, 25.0).unwrap_err();
         assert!(err.contains("p99"), "{err}");
+        // Both metrics miss: the error names both.
+        let err = floor.check_serving(500.0, 25.0).unwrap_err();
+        assert!(err.contains("serving throughput") && err.contains("p99"), "{err}");
         // Tightened headroom bites sooner.
         floor.bench_serving_max_p99_regression = Some(0.1);
         assert!(floor.check_serving(2000.0, 12.0).is_err());
@@ -753,7 +781,6 @@ mod tests {
                 discards: Vec::new(),
             }],
             sources: Vec::new(),
-            workers: Vec::new(),
             timings: Vec::new(),
         };
         let runs = vec![("a".to_string(), report(1, 4)), ("b".to_string(), report(2, 8))];

@@ -535,7 +535,7 @@ pub fn gold_verification(table: &Table, bank: &TemplateBank, rng: &mut impl Rng)
     let tpl = bank.logic().choose(rng).copied()?;
     let desired = rng.gen_bool(0.5);
     let ctx = ExecContext::new(table);
-    let claim = tpl.try_instantiate(table, &ctx, rng, desired, &mut LfScratch::default()).ok()?;
+    let claim = tpl.try_instantiate(&ctx, rng, desired, &mut LfScratch::default()).ok()?;
     let text = human_logic_claim(&claim.expr, rng);
     let verdict = if claim.truth { Verdict::Supported } else { Verdict::Refuted };
     let mut s = Sample::verification(table.clone(), text, verdict);
@@ -557,7 +557,7 @@ pub fn gold_qa_sql_for_topic(
 ) -> Option<Sample> {
     let tpl = bank.sql().choose(rng).copied()?;
     let mut scratch = SqlScratch::default();
-    let stmt = tpl.try_instantiate(table, &ExecContext::new(table), rng, &mut scratch).ok()?;
+    let stmt = tpl.try_instantiate(&ExecContext::new(table), rng, &mut scratch).ok()?;
     let result = sqlexec::execute(&stmt, table, &mut scratch.kern).ok()?;
     if result.is_empty() {
         return None;
@@ -590,7 +590,7 @@ pub fn gold_qa_sql_for_topic(
 pub fn gold_qa_arith(table: &Table, bank: &TemplateBank, rng: &mut impl Rng) -> Option<Sample> {
     let tpl = bank.arith().choose(rng).copied()?;
     let ctx = ExecContext::new(table);
-    let inst = tpl.try_instantiate(table, &ctx, rng, &mut AeScratch::default()).ok()?;
+    let inst = tpl.try_instantiate(&ctx, rng, &mut AeScratch::default()).ok()?;
     let text = human_arith_question(&inst.program, rng);
     let mut s = Sample::qa(table.clone(), text, inst.outcome.answer.to_string());
     s.answer_kind = AnswerKind::Arithmetic;
@@ -611,11 +611,11 @@ pub fn into_table_text(sample: Sample, rng: &mut impl Rng) -> Option<Sample> {
         }
         ProgramKind::Logic(f) => {
             let e = logicforms::parse(f).ok()?;
-            logicforms::evaluate(&e, table, &ExecContext::new(table), &mut kern).ok()?.highlighted
+            logicforms::evaluate(&e, &ExecContext::new(table), &mut kern).ok()?.highlighted
         }
         ProgramKind::Arith(p) => {
             let prog = arithexpr::parse(p).ok()?;
-            arithexpr::execute(&prog, table, &ExecContext::new(table), &mut kern).ok()?.highlighted
+            arithexpr::execute(&prog, &ExecContext::new(table), &mut kern).ok()?.highlighted
         }
         ProgramKind::None => return None,
     };
@@ -685,8 +685,7 @@ mod tests {
             let ProgramKind::Logic(f) = &s.program else { panic!() };
             let ctx = ExecContext::new(&s.table);
             let mut kern = KernelScratch::default();
-            let truth =
-                logicforms::evaluate_truth(&logicforms::parse(f)?, &s.table, &ctx, &mut kern)?;
+            let truth = logicforms::evaluate_truth(&logicforms::parse(f)?, &ctx, &mut kern)?;
             let expect = if truth { Verdict::Supported } else { Verdict::Refuted };
             assert_eq!(s.label.as_verdict(), Some(expect));
         }

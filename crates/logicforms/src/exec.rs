@@ -89,16 +89,15 @@ pub struct LfOutcome {
     pub highlighted: Vec<(usize, usize)>,
 }
 
-/// Evaluates a fully instantiated logical form on a table. Numeric reads
-/// come from `ctx`'s parsed cell grid; views, gathers and highlights reuse
-/// `kern`'s buffers, so evaluation allocates nothing per expression.
+/// Evaluates a fully instantiated logical form on `ctx`'s table. Numeric
+/// reads come from `ctx`'s parsed cell grid; views, gathers and highlights
+/// reuse `kern`'s buffers, so evaluation allocates nothing per expression.
 pub fn evaluate(
     expr: &LfExpr,
-    table: &Table,
     ctx: &ExecContext,
     kern: &mut KernelScratch,
 ) -> Result<LfOutcome, LfError> {
-    evaluate_impl(expr, table, Some(ctx), kern)
+    evaluate_impl(expr, ctx.table(), Some(ctx), kern)
 }
 
 /// [`evaluate`] with an optional context; `None` is the oracle of
@@ -133,11 +132,10 @@ pub(crate) fn evaluate_impl(
 /// without materializing the highlight set.
 pub fn evaluate_truth(
     expr: &LfExpr,
-    table: &Table,
     ctx: &ExecContext,
     kern: &mut KernelScratch,
 ) -> Result<bool, LfError> {
-    evaluate_truth_impl(expr, table, Some(ctx), kern)
+    evaluate_truth_impl(expr, ctx.table(), Some(ctx), kern)
 }
 
 /// [`evaluate_truth`] with an optional context; `None` is the oracle of
@@ -538,13 +536,13 @@ mod tests {
     /// [`evaluate`] on the test table with a fresh context.
     fn run(expr: &LfExpr) -> Result<LfOutcome, LfError> {
         let t = table();
-        evaluate(expr, &t, &ExecContext::new(&t), &mut KernelScratch::default())
+        evaluate(expr, &ExecContext::new(&t), &mut KernelScratch::default())
     }
 
     /// [`evaluate_truth`] on the test table with a fresh context.
     fn run_truth(expr: &LfExpr) -> Result<bool, LfError> {
         let t = table();
-        evaluate_truth(expr, &t, &ExecContext::new(&t), &mut KernelScratch::default())
+        evaluate_truth(expr, &ExecContext::new(&t), &mut KernelScratch::default())
     }
 
     fn truth(form: &str) -> bool {

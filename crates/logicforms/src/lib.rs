@@ -22,7 +22,7 @@
 //! ]).unwrap();
 //! let ctx = ExecContext::new(&t);
 //! let claim = parse("eq { hop { argmax { all_rows ; points } ; team } ; Reds }").unwrap();
-//! assert!(evaluate_truth(&claim, &t, &ctx, &mut KernelScratch::default()).unwrap());
+//! assert!(evaluate_truth(&claim, &ctx, &mut KernelScratch::default()).unwrap());
 //! ```
 
 pub mod absint;

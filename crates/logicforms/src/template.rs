@@ -148,19 +148,18 @@ impl LfTemplate {
         scan(&self.expr, holes);
     }
 
-    /// Instantiates the template on `table`, aiming for the given truth
-    /// value. Value pools and truth-targeting execution read `ctx`; buffers
-    /// come from `scratch`. Fails with the last attempt's reason when the
-    /// table cannot support the template (paper: discarded).
+    /// Instantiates the template on `ctx`'s table, aiming for the given
+    /// truth value. Value pools and truth-targeting execution read `ctx`;
+    /// buffers come from `scratch`. Fails with the last attempt's reason
+    /// when the table cannot support the template (paper: discarded).
     pub fn try_instantiate(
         &self,
-        table: &Table,
         ctx: &ExecContext,
         rng: &mut impl Rng,
         desired: bool,
         scratch: &mut LfScratch,
     ) -> Result<InstantiatedClaim, LfInstantiateError> {
-        self.sample(table, Some(ctx), rng, desired, scratch)
+        self.sample(ctx.table(), Some(ctx), rng, desired, scratch)
     }
 
     /// [`LfTemplate::try_instantiate`] with an optional context; `None` is
@@ -399,8 +398,8 @@ fn fill_inner_values(
                                     Some(ctx) => {
                                         // Index buffer over the context's
                                         // non-null pool: same filtered length
-                                        // as the old `Vec<&Value>`, so the
-                                        // `choose` draw is identical.
+                                        // as the scan below, so the `choose`
+                                        // draw is identical.
                                         let pool = ctx.non_null_values(ci);
                                         candidates.clear();
                                         candidates.extend(
@@ -491,8 +490,8 @@ fn perturb(
             // row-major scan order, so filtering it by the excluded value
             // yields exactly the pool the scan below would build.
             Some(ctx) => {
-                // Index buffer: same filtered length as the old
-                // `Vec<&String>`, so the `choose` draw is identical.
+                // Index buffer: same filtered length as the scan below, so
+                // the `choose` draw is identical.
                 let pool = ctx.text_pool();
                 candidates.clear();
                 candidates.extend(
@@ -501,7 +500,7 @@ fn perturb(
                         .filter(|(_, t)| !t.eq_ignore_ascii_case(s))
                         .map(|(i, _)| i),
                 );
-                candidates.choose(rng).map(|&i| Value::Text(pool[i].clone()))
+                candidates.choose(rng).map(|&i| Value::Text(pool[i].to_string()))
             }
             None => {
                 let mut pool: Vec<String> = Vec::new();
@@ -635,12 +634,12 @@ mod tests {
         rng: &mut StdRng,
         desired: bool,
     ) -> Result<InstantiatedClaim, LfInstantiateError> {
-        tpl.try_instantiate(t, &ExecContext::new(t), rng, desired, &mut LfScratch::default())
+        tpl.try_instantiate(&ExecContext::new(t), rng, desired, &mut LfScratch::default())
     }
 
     /// [`evaluate_truth`] on `t` with a fresh context.
     fn truth(expr: &LfExpr, t: &Table) -> Result<bool, LfError> {
-        evaluate_truth(expr, t, &ExecContext::new(t), &mut KernelScratch::default())
+        evaluate_truth(expr, &ExecContext::new(t), &mut KernelScratch::default())
     }
 
     #[test]

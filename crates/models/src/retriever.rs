@@ -123,14 +123,12 @@ pub fn gold_evidence_cells(sample: &Sample) -> Vec<(usize, usize)> {
             .unwrap_or_default(),
         uctr::ProgramKind::Logic(f) => logicforms::parse(f)
             .ok()
-            .and_then(|e| logicforms::evaluate(&e, table, &ExecContext::new(table), &mut kern).ok())
+            .and_then(|e| logicforms::evaluate(&e, &ExecContext::new(table), &mut kern).ok())
             .map(|o| o.highlighted)
             .unwrap_or_default(),
         uctr::ProgramKind::Arith(p) => arithexpr::parse(p)
             .ok()
-            .and_then(|prog| {
-                arithexpr::execute(&prog, table, &ExecContext::new(table), &mut kern).ok()
-            })
+            .and_then(|prog| arithexpr::execute(&prog, &ExecContext::new(table), &mut kern).ok())
             .map(|o| o.highlighted)
             .unwrap_or_default(),
         uctr::ProgramKind::None => {

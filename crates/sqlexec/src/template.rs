@@ -109,18 +109,17 @@ impl SqlTemplate {
         });
     }
 
-    /// Instantiates the template on `table` using the random sampling
+    /// Instantiates the template on `ctx`'s table using the random sampling
     /// strategy, reading value candidates from `ctx` and reusing `scratch`.
     /// Fails with the reason the table cannot satisfy the template (e.g. it
     /// needs two numeric columns but the table has one).
     pub fn try_instantiate(
         &self,
-        table: &Table,
         ctx: &ExecContext,
         rng: &mut impl Rng,
         scratch: &mut SqlScratch,
     ) -> Result<SelectStmt, SqlInstantiateError> {
-        self.sample(table, Some(ctx), rng, scratch)
+        self.sample(ctx.table(), Some(ctx), rng, scratch)
     }
 
     /// [`SqlTemplate::try_instantiate`] with an optional context; `None` is
@@ -169,8 +168,8 @@ impl SqlTemplate {
                 Some(ctx) => ctx
                     .non_null_values(ci)
                     .choose(rng)
-                    .ok_or(SqlInstantiateError::NoValueCandidates)?
-                    .clone(),
+                    .map(|&v| v.clone())
+                    .ok_or(SqlInstantiateError::NoValueCandidates)?,
                 None => {
                     let candidates: Vec<Value> =
                         table.column_values(ci).into_iter().filter(|v| !v.is_null()).collect();
@@ -440,7 +439,7 @@ mod tests {
         t: &Table,
         rng: &mut StdRng,
     ) -> Result<SelectStmt, SqlInstantiateError> {
-        tpl.try_instantiate(t, &ExecContext::new(t), rng, &mut SqlScratch::default())
+        tpl.try_instantiate(&ExecContext::new(t), rng, &mut SqlScratch::default())
     }
 
     fn run(stmt: &SelectStmt, t: &Table) -> Result<QueryResult, ExecError> {

@@ -21,20 +21,31 @@ use crate::table::Table;
 use crate::value::Value;
 use rustc_hash::FxHashSet;
 
-/// Cached per-table indexes for program instantiation and execution.
+/// Cached per-table indexes for program instantiation and execution: a
+/// view of the [`Table`] it borrows.
 ///
-/// Build once per [`Table`] with [`ExecContext::new`]; the context borrows
-/// nothing and must only be used with the table it was built from (the
-/// executors debug-assert the dimensions match). A table-expansion sample's
-/// expanded table (the input plus one integrated row) gets a fresh context
-/// of its own.
-pub struct ExecContext {
-    n_rows: usize,
-    n_cols: usize,
-    /// Per column: the non-null values in row order — exactly
+/// Build once per table with [`ExecContext::new`]; the executors read the
+/// table through [`ExecContext::table`], so a context cannot be paired with
+/// another table, nor outlive its own:
+///
+/// ```compile_fail,E0597
+/// use tabular::{ExecContext, Table};
+///
+/// let ctx = {
+///     let t = Table::from_strings("t", &[vec!["a"], vec!["1"]]).unwrap();
+///     ExecContext::new(&t)
+/// };
+/// assert_eq!(ctx.n_rows(), 1);
+/// ```
+///
+/// A table-expansion sample's expanded table (the input plus one integrated
+/// row) gets a fresh context of its own.
+pub struct ExecContext<'t> {
+    table: &'t Table,
+    /// Per column: the non-null cells in row order — exactly
     /// `table.column_values(ci)` with nulls dropped (the value-candidate
     /// list used by template instantiation).
-    non_null: Vec<Vec<Value>>,
+    non_null: Vec<Vec<&'t Value>>,
     /// Per column: `(row, numeric value)` for every cell with a numeric
     /// interpretation, in row order (the scan behind `table_sum`, `max`,
     /// `avg`, …).
@@ -53,7 +64,7 @@ pub struct ExecContext {
     addressable: Vec<(usize, usize)>,
     /// Distinct text cells in row-major scan order (the perturbation pool
     /// for refuted-claim synthesis).
-    text_pool: Vec<String>,
+    text_pool: Vec<&'t str>,
     /// Census of inferred column types, indexed by [`ColumnType`] in
     /// declaration order (Number, Date, Bool, Text) — the table-side input
     /// to `SchemaRequirement::satisfied_by`.
@@ -73,9 +84,9 @@ fn type_index(ty: ColumnType) -> usize {
     }
 }
 
-impl ExecContext {
+impl<'t> ExecContext<'t> {
     /// Scans `table` once and builds every index.
-    pub fn new(table: &Table) -> ExecContext {
+    pub fn new(table: &'t Table) -> ExecContext<'t> {
         let n_rows = table.n_rows();
         let n_cols = table.n_cols();
         let mut non_null = Vec::with_capacity(n_cols);
@@ -89,7 +100,7 @@ impl ExecContext {
             for ri in 0..n_rows {
                 let Some(v) = table.cell(ri, ci) else { continue };
                 if !v.is_null() {
-                    vals.push(v.clone());
+                    vals.push(v);
                 }
                 if matches!(v, Value::Number(_)) {
                     numbers += 1;
@@ -125,21 +136,20 @@ impl ExecContext {
             }
         }
 
-        let mut text_pool: Vec<String> = Vec::new();
+        let mut text_pool: Vec<&str> = Vec::new();
         let mut seen: FxHashSet<&str> = FxHashSet::default();
         for row in table.rows() {
             for v in row {
                 if let Value::Text(t) = v {
-                    if seen.insert(t.as_str()) {
-                        text_pool.push(t.clone());
+                    if seen.insert(t) {
+                        text_pool.push(t);
                     }
                 }
             }
         }
 
         ExecContext {
-            n_rows,
-            n_cols,
+            table,
             non_null,
             numeric,
             grid,
@@ -157,22 +167,27 @@ impl ExecContext {
     /// builds for it. The method stays only because the repository
     /// benchmark (`perfbench`) calls it; removing it waits for a change to
     /// that benchmark.
-    pub fn with_row_appended(&self, _original: &Table, expanded: &Table) -> ExecContext {
+    pub fn with_row_appended<'e>(&self, _original: &Table, expanded: &'e Table) -> ExecContext<'e> {
         ExecContext::new(expanded)
+    }
+
+    /// The table this context indexes.
+    pub fn table(&self) -> &'t Table {
+        self.table
     }
 
     /// Dimensions of the table this context was built from.
     pub fn n_rows(&self) -> usize {
-        self.n_rows
+        self.table.n_rows()
     }
 
     pub fn n_cols(&self) -> usize {
-        self.n_cols
+        self.table.n_cols()
     }
 
-    /// Non-null values of a column in row order; empty for out-of-range
+    /// Non-null cells of a column in row order; empty for out-of-range
     /// columns.
-    pub fn non_null_values(&self, col: usize) -> &[Value] {
+    pub fn non_null_values(&self, col: usize) -> &[&'t Value] {
         self.non_null.get(col).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -183,10 +198,11 @@ impl ExecContext {
 
     /// Cached `Value::as_number` of one cell.
     pub fn number_at(&self, row: usize, col: usize) -> Option<f64> {
-        if col >= self.n_cols {
+        let n_cols = self.n_cols();
+        if col >= n_cols {
             return None;
         }
-        self.grid.get(row * self.n_cols + col).copied().flatten()
+        self.grid.get(row * n_cols + col).copied().flatten()
     }
 
     /// Columns typed `Number` by schema inference.
@@ -207,7 +223,7 @@ impl ExecContext {
     }
 
     /// Distinct text cells in row-major order.
-    pub fn text_pool(&self) -> &[String] {
+    pub fn text_pool(&self) -> &[&'t str] {
         &self.text_pool
     }
 
@@ -251,7 +267,7 @@ mod tests {
         for ci in 0..t.n_cols() {
             let naive: Vec<Value> =
                 t.column_values(ci).into_iter().filter(|v| !v.is_null()).collect();
-            assert_eq!(ctx.non_null_values(ci), naive.as_slice(), "column {ci}");
+            assert_eq!(ctx.non_null_values(ci), naive.iter().collect::<Vec<_>>(), "column {ci}");
         }
         assert!(ctx.non_null_values(99).is_empty());
     }

@@ -199,15 +199,14 @@ mod tests {
     use super::*;
     use crate::table::Table;
 
-    fn ctx(rows: &[Vec<&str>]) -> ExecContext {
-        let table = Table::from_strings("t", rows).unwrap_or_else(|e| panic!("test table: {e}"));
-        ExecContext::new(&table)
+    fn table(rows: &[Vec<&str>]) -> Table {
+        Table::from_strings("t", rows).unwrap_or_else(|e| panic!("test table: {e}"))
     }
 
     #[test]
     fn bottom_is_satisfied_by_the_empty_table() {
-        let empty = ctx(&[vec!["a", "b"]]);
-        assert!(SchemaRequirement::NONE.satisfied_by(&empty));
+        let empty = table(&[vec!["a", "b"]]);
+        assert!(SchemaRequirement::NONE.satisfied_by(&ExecContext::new(&empty)));
         assert!(SchemaRequirement::NONE.is_trivial());
     }
 
@@ -254,7 +253,8 @@ mod tests {
 
     #[test]
     fn satisfied_by_checks_the_type_census() {
-        let c = ctx(&[vec!["name", "pts", "when"], vec!["Ada", "3", "1990-05-01"]]);
+        let t = table(&[vec!["name", "pts", "when"], vec!["Ada", "3", "1990-05-01"]]);
+        let c = ExecContext::new(&t);
         let needs_number = SchemaRequirement { min_number_cols: 1, ..SchemaRequirement::NONE };
         let needs_two_numbers = SchemaRequirement { min_number_cols: 2, ..SchemaRequirement::NONE };
         let needs_date = SchemaRequirement { min_date_cols: 1, ..SchemaRequirement::NONE };
@@ -267,7 +267,8 @@ mod tests {
     fn satisfied_by_checks_per_column_numeric_values() {
         // `pts` has 2 numeric cells, `misc` only 1; 3 numeric cells exist
         // overall but no single column holds 3.
-        let c = ctx(&[vec!["name", "pts", "misc"], vec!["Ada", "3", "x"], vec!["Bel", "5", "9"]]);
+        let t = table(&[vec!["name", "pts", "misc"], vec!["Ada", "3", "x"], vec!["Bel", "5", "9"]]);
+        let c = ExecContext::new(&t);
         let two = SchemaRequirement { min_col_numeric_values: 2, ..SchemaRequirement::NONE };
         let three = SchemaRequirement { min_col_numeric_values: 3, ..SchemaRequirement::NONE };
         assert!(two.satisfied_by(&c));
@@ -287,13 +288,13 @@ mod tests {
 
     #[test]
     fn satisfied_by_checks_rows_and_addressable_cells() {
-        let empty = ctx(&[vec!["name", "pts"]]);
+        let empty = table(&[vec!["name", "pts"]]);
         let row_req = SchemaRequirement { min_rows: 1, ..SchemaRequirement::NONE };
-        assert!(!row_req.satisfied_by(&empty));
+        assert!(!row_req.satisfied_by(&ExecContext::new(&empty)));
         let cells_req = SchemaRequirement { min_addressable_cells: 2, ..SchemaRequirement::NONE };
-        let one_cell = ctx(&[vec!["name", "pts"], vec!["Ada", "3"]]);
-        assert!(!cells_req.satisfied_by(&one_cell));
-        let two_cells = ctx(&[vec!["name", "pts", "wins"], vec!["Ada", "3", "4"]]);
-        assert!(cells_req.satisfied_by(&two_cells));
+        let one_cell = table(&[vec!["name", "pts"], vec!["Ada", "3"]]);
+        assert!(!cells_req.satisfied_by(&ExecContext::new(&one_cell)));
+        let two_cells = table(&[vec!["name", "pts", "wins"], vec!["Ada", "3", "4"]]);
+        assert!(cells_req.satisfied_by(&ExecContext::new(&two_cells)));
     }
 }

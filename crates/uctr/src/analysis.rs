@@ -278,15 +278,14 @@ type RunOutput = (Label, AnswerKind, Vec<(usize, usize)>);
 /// instantiate → execute → output path the pipeline drives.
 fn run_once(
     t: &AnyTemplate,
-    table: &Table,
     ctx: &ExecContext,
     seed: u64,
     scratch: &mut GenScratch,
 ) -> Option<RunOutput> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut inst = t.try_instantiate(table, ctx, &mut rng, scratch).ok()?;
+    let mut inst = t.try_instantiate(ctx, &mut rng, scratch).ok()?;
     if !inst.pre_executed() {
-        inst.execute(table, ctx, scratch).ok()?;
+        inst.execute(ctx, scratch).ok()?;
     }
     let out = inst.output();
     let mut highlighted = out.highlighted;
@@ -333,8 +332,8 @@ pub fn verify_merge(
         let ctx = ExecContext::new(table);
         for s in 0..seeds {
             let seed = ((ti as u64) << 32) | u64::from(s);
-            let a = run_once(pruned, table, &ctx, seed, &mut scratch);
-            let b = run_once(representative, table, &ctx, seed, &mut scratch);
+            let a = run_once(pruned, &ctx, seed, &mut scratch);
+            let b = run_once(representative, &ctx, seed, &mut scratch);
             match (a, b) {
                 (None, None) => witness.both_failed += 1,
                 (Some(x), Some(y)) if x == y => witness.productive += 1,

@@ -151,8 +151,8 @@ impl AutoGenerator {
                 continue;
             }
             // Validation: instantiable to a Supported AND a Refuted claim.
-            let ok_true = tpl.try_instantiate(probe, &ctx, rng, true, &mut scratch).is_ok();
-            let ok_false = tpl.try_instantiate(probe, &ctx, rng, false, &mut scratch).is_ok();
+            let ok_true = tpl.try_instantiate(&ctx, rng, true, &mut scratch).is_ok();
+            let ok_false = tpl.try_instantiate(&ctx, rng, false, &mut scratch).is_ok();
             if ok_true && ok_false {
                 existing.insert(sig);
                 out.push(tpl);
@@ -362,9 +362,9 @@ mod tests {
         let ctx = ExecContext::new(&table);
         let mut scratch = LfScratch::default();
         for t in &new_templates {
-            let claim = t.try_instantiate(&table, &ctx, &mut rng, true, &mut scratch);
+            let claim = t.try_instantiate(&ctx, &mut rng, true, &mut scratch);
             if let Ok(c) = claim {
-                let truth = logicforms::evaluate_truth(&c.expr, &table, &ctx, &mut scratch.kern)
+                let truth = logicforms::evaluate_truth(&c.expr, &ctx, &mut scratch.kern)
                     .unwrap_or_else(|e| panic!("evaluate: {e:?}"));
                 assert!(truth);
             }

@@ -332,8 +332,7 @@ impl Miner {
         let mut scratch = LfScratch::default();
         for tpl in gen.generate(target, probe, &mut existing, &mut rng) {
             for desired in [true, false] {
-                if let Ok(claim) = tpl.try_instantiate(probe, &ctx, &mut rng, desired, &mut scratch)
-                {
+                if let Ok(claim) = tpl.try_instantiate(&ctx, &mut rng, desired, &mut scratch) {
                     self.mine_program(KindSlot::Logic, &claim.expr.to_string(), probe);
                 }
             }
@@ -820,7 +819,8 @@ mod tests {
         assert!(bank.len() >= 1000);
         // The schema index stays coherent at scale.
         assert!(bank.lattice_points().len() < bank.len());
-        let ctx = tabular::ExecContext::new(&sql_probe_table());
+        let probe = sql_probe_table();
+        let ctx = tabular::ExecContext::new(&probe);
         let feasible = bank.feasible_set(&ctx);
         let total: usize = [KindSlot::Sql, KindSlot::Logic, KindSlot::Arith]
             .iter()

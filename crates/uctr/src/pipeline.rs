@@ -20,9 +20,7 @@
 
 use crate::program::{GenScratch, ProgramOutput};
 use crate::sample::{AnswerKind, EvidenceType, Label, ProgramKind, Sample, Verdict};
-use crate::telemetry::{
-    Discard, KindSlot, PipelineReport, Source, Stage, TelemetryBank, Timer, WorkerReport,
-};
+use crate::telemetry::{Discard, KindSlot, PipelineReport, Source, Stage, TelemetryBank, Timer};
 use crate::templates::{FeasibleSet, TemplateBank};
 use nlgen::{NlGenerator, NoiseConfig};
 use rand::rngs::StdRng;
@@ -232,8 +230,7 @@ impl UctrPipeline {
     ///
     /// Each worker fills a private [`TelemetryBank`] (no shared cache
     /// lines on the hot path); banks are merged after the workers are
-    /// joined, and per-worker claim counts land in the report's
-    /// non-deterministic `workers` section.
+    /// joined.
     pub fn generate_parallel_with_report(
         &self,
         inputs: &[TableWithContext],
@@ -249,25 +246,20 @@ impl UctrPipeline {
         let claim = (inputs.len() / (threads * 8)).max(1);
         let cursor = AtomicUsize::new(0);
         let tel = TelemetryBank::new();
-        let mut workers: Vec<WorkerReport> = Vec::with_capacity(threads);
         let mut ranges: Vec<(usize, Vec<Sample>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
-                .map(|worker| {
+                .map(|_| {
                     let cursor = &cursor;
                     scope.spawn(move || {
                         let worker_tel = TelemetryBank::new();
                         let mut scratch = GenScratch::default();
                         let mut claimed: Vec<(usize, Vec<Sample>)> = Vec::new();
-                        let mut stats =
-                            WorkerReport { worker: worker as u64, claims: 0, inputs: 0 };
                         loop {
                             let start = cursor.fetch_add(claim, Ordering::Relaxed);
                             if start >= inputs.len() {
                                 break;
                             }
                             let end = (start + claim).min(inputs.len());
-                            stats.claims += 1;
-                            stats.inputs += (end - start) as u64;
                             let mut out = Vec::new();
                             for (offset, input) in inputs[start..end].iter().enumerate() {
                                 let mut rng = StdRng::seed_from_u64(input_seed(
@@ -285,7 +277,7 @@ impl UctrPipeline {
                             }
                             claimed.push((start, out));
                         }
-                        (claimed, worker_tel, stats)
+                        (claimed, worker_tel)
                     })
                 })
                 .collect();
@@ -297,9 +289,8 @@ impl UctrPipeline {
                               propagating the panic to the caller is the only sound recovery, and \
                               expect names the invariant in the abort message."
                 )]
-                let (claimed, worker_tel, stats) = h.join().expect("generation worker panicked");
+                let (claimed, worker_tel) = h.join().expect("generation worker panicked");
                 tel.merge(&worker_tel);
-                workers.push(stats);
                 ranges.extend(claimed);
             }
             ranges
@@ -309,9 +300,7 @@ impl UctrPipeline {
         ranges.sort_by_key(|(start, _)| *start);
         let mut out: Vec<Sample> = ranges.into_iter().flat_map(|(_, v)| v).collect();
         self.finalize(&self.config, &mut out, &tel);
-        let mut report = tel.report(threads);
-        report.workers = workers;
-        (out, report)
+        (out, tel.report(threads))
     }
 
     /// Post-generation passes over the merged sample list. Runs on the
@@ -326,7 +315,6 @@ impl UctrPipeline {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn generate_for(
         &self,
         cfg: &UctrConfig,
@@ -373,8 +361,7 @@ impl UctrPipeline {
             let empty = Table::from_strings(&table.title, &[vec![]]).ok().map(SharedTable::new);
             for _ in 0..n.div_ceil(2) {
                 tel.source_attempt(Source::TextOnly);
-                if let Some(s) =
-                    self.text_only_sample(cfg, table, &ctx, empty.as_ref(), rng, tel, scratch)
+                if let Some(s) = self.text_only_sample(cfg, &ctx, empty.as_ref(), rng, tel, scratch)
                 {
                     push(Source::TextOnly, s, out);
                 }
@@ -402,13 +389,11 @@ impl UctrPipeline {
                 let context = tabular::text::split_sentences(paragraph);
                 for _ in 0..n {
                     tel.source_attempt(Source::TableExpand);
-                    let (Some(expanded), Some(ectx), Some(efs)) =
-                        (&expanded, &expanded_ctx, &expanded_feasible)
-                    else {
+                    let (Some(ectx), Some(efs)) = (&expanded_ctx, &expanded_feasible) else {
                         continue;
                     };
-                    if let Some(s) = self
-                        .expand_sample(cfg, table, &context, expanded, ectx, efs, rng, tel, scratch)
+                    if let Some(s) =
+                        self.expand_sample(cfg, table, &context, ectx, efs, rng, tel, scratch)
                     {
                         push(Source::TableExpand, s, out);
                     }
@@ -418,7 +403,10 @@ impl UctrPipeline {
     }
 
     /// A program executed directly on the table (homogeneous setting).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "The sample keeps the shared table handle, which the context's borrow cannot give."
+    )]
     fn table_only_sample(
         &self,
         cfg: &UctrConfig,
@@ -429,8 +417,8 @@ impl UctrPipeline {
         tel: &TelemetryBank,
         scratch: &mut GenScratch,
     ) -> Option<Sample> {
-        let (text, label, program, answer_kind, _hl) =
-            self.run_program(cfg, table, ctx, feasible, rng, tel, scratch)?;
+        let (text, ProgramOutput { label, program, answer_kind, .. }) =
+            self.run_program(cfg, ctx, feasible, rng, tel, scratch)?;
         Some(Sample {
             table: table.clone(),
             context: Vec::new(),
@@ -446,7 +434,11 @@ impl UctrPipeline {
     /// Table splitting (§III-A): program on the full table, one highlighted
     /// row verbalized into a sentence, evidence = sub-table + sentence. The
     /// sub-table is the O(1) view `table.without_row(row)`, never a copy.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "The sub-table view needs the shared table handle, which the context's borrow \
+                  cannot give."
+    )]
     fn split_sample(
         &self,
         cfg: &UctrConfig,
@@ -460,8 +452,8 @@ impl UctrPipeline {
         if table.n_rows() < 3 {
             return None;
         }
-        let (text, label, program, answer_kind, highlighted) =
-            self.run_program(cfg, table, ctx, feasible, rng, tel, scratch)?;
+        let (text, ProgramOutput { label, program, answer_kind, highlighted }) =
+            self.run_program(cfg, ctx, feasible, rng, tel, scratch)?;
         let kind = KindSlot::of(&program);
         // Pick a highlighted row to move into text.
         let rows = &mut scratch.rows;
@@ -491,27 +483,30 @@ impl UctrPipeline {
 
     /// Table expansion (§III-B): integrate a record from the paragraph,
     /// generate on the expanded table, evidence = original table + text.
-    /// The caller performs (and caches) the paragraph integration and the
-    /// sentence-split evidence context, since both are deterministic per
-    /// input.
-    #[allow(clippy::too_many_arguments)]
+    /// The caller performs (and caches) the paragraph integration, its
+    /// context `ectx` and the sentence-split evidence context, since all
+    /// are deterministic per input.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "The evidence is the original table and its paragraph, beside the expanded \
+                  table's context and feasible set."
+    )]
     fn expand_sample(
         &self,
         cfg: &UctrConfig,
         table: &SharedTable,
         context: &[String],
-        expanded: &textops::ExpandResult,
         ectx: &ExecContext,
         efs: &FeasibleSet<'_>,
         rng: &mut StdRng,
         tel: &TelemetryBank,
         scratch: &mut GenScratch,
     ) -> Option<Sample> {
-        let (text, label, program, answer_kind, highlighted) =
-            self.run_program(cfg, &expanded.expanded, ectx, efs, rng, tel, scratch)?;
+        let (text, ProgramOutput { label, program, answer_kind, highlighted }) =
+            self.run_program(cfg, ectx, efs, rng, tel, scratch)?;
         // Only keep samples whose reasoning actually touches the new row —
         // otherwise the paragraph is decoration, not evidence.
-        let new_row = expanded.expanded.n_rows() - 1;
+        let new_row = ectx.n_rows() - 1;
         if !highlighted.iter().any(|&(r, _)| r == new_row) {
             tel.discard(KindSlot::of(&program), Discard::PostFilter);
             return None;
@@ -530,11 +525,9 @@ impl UctrPipeline {
 
     /// Text-only sample: a verbalized row with a lookup question (QA) or a
     /// claim about it (verification).
-    #[allow(clippy::too_many_arguments)]
     fn text_only_sample(
         &self,
         cfg: &UctrConfig,
-        table: &Table,
         ctx: &ExecContext,
         empty: Option<&SharedTable>,
         rng: &mut StdRng,
@@ -542,24 +535,23 @@ impl UctrPipeline {
         scratch: &mut GenScratch,
     ) -> Option<Sample> {
         tel.stage(KindSlot::None, Stage::Attempted);
-        let sample = self.text_only_inner(cfg, table, ctx, empty, rng, scratch);
+        let sample = self.text_only_inner(cfg, ctx, empty, rng, scratch);
         if sample.is_none() {
             tel.discard(KindSlot::None, Discard::PostFilter);
         }
         sample
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn text_only_inner(
         &self,
         cfg: &UctrConfig,
-        table: &Table,
         ctx: &ExecContext,
         empty: Option<&SharedTable>,
         rng: &mut StdRng,
         scratch: &mut GenScratch,
     ) -> Option<Sample> {
         let GenScratch { cols, buf, text, .. } = scratch;
+        let table = ctx.table();
         let row = rng.gen_range(0..table.n_rows());
         let mut sentence = String::new();
         if !textops::describe_row_with(table, row, rng, text, &mut sentence) {
@@ -631,19 +623,17 @@ impl UctrPipeline {
     /// through the generic funnel: Attempted → instantiate → Instantiated →
     /// execute → Executed → verbalize. Every kind-specific behavior lives
     /// in [`crate::program::AnyTemplate`] and [`crate::program::Program`];
-    /// this is the only place the telemetry funnel is driven. Returns
-    /// (text, label, program, answer kind, highlighted cells).
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    /// this is the only place the telemetry funnel is driven. Returns the
+    /// verbalized text and the program's output.
     fn run_program(
         &self,
         cfg: &UctrConfig,
-        table: &Table,
         ctx: &ExecContext,
         feasible: &FeasibleSet<'_>,
         rng: &mut StdRng,
         tel: &TelemetryBank,
         scratch: &mut GenScratch,
-    ) -> Option<(String, Label, ProgramKind, AnswerKind, Vec<(usize, usize)>)> {
+    ) -> Option<(String, ProgramOutput)> {
         let kind = match cfg.task {
             TaskKind::FactVerification => KindSlot::Logic,
             TaskKind::QuestionAnswering => {
@@ -694,7 +684,7 @@ impl UctrPipeline {
             return None;
         };
         let mut inst =
-            match tel.timed(Timer::Instantiate, || tpl.try_instantiate(table, ctx, rng, scratch)) {
+            match tel.timed(Timer::Instantiate, || tpl.try_instantiate(ctx, rng, scratch)) {
                 Ok(inst) => inst,
                 Err(reason) => {
                     tel.discard(kind, reason);
@@ -705,7 +695,7 @@ impl UctrPipeline {
         if inst.pre_executed() {
             tel.stage(kind, Stage::Executed);
         } else {
-            match tel.timed(Timer::Execute, || inst.execute(table, ctx, scratch)) {
+            match tel.timed(Timer::Execute, || inst.execute(ctx, scratch)) {
                 Ok(()) => tel.stage(kind, Stage::Executed),
                 Err(reason) => {
                     tel.discard(kind, reason);
@@ -714,8 +704,7 @@ impl UctrPipeline {
             }
         }
         let text = tel.timed(Timer::NlGen, || inst.verbalize(&self.generator, rng, scratch));
-        let ProgramOutput { label, program, answer_kind, highlighted } = inst.output();
-        Some((text, label, program, answer_kind, highlighted))
+        Some((text, inst.output()))
     }
 
     /// Replaces the evidence of a random fraction of claims with evidence

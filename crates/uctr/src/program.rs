@@ -29,7 +29,7 @@ use nlgen::{NlGenerator, NlScratch, ProgramRef};
 use rand::rngs::StdRng;
 use rand::Rng;
 use sqlexec::{SelectStmt, SqlScratch, SqlTemplate};
-use tabular::{ExecContext, Table, TemplateAnalysis};
+use tabular::{ExecContext, TemplateAnalysis};
 
 /// Reusable per-worker buffers for the sample hot path.
 ///
@@ -141,21 +141,20 @@ impl AnyTemplate {
         }
     }
 
-    /// Samples the template's holes from `table`, returning a runnable
+    /// Samples the template's holes from `ctx`'s table, returning a runnable
     /// program. All table scans go through the shared `ctx` caches and all
     /// per-attempt buffers come from `scratch`. The RNG draw sequence is
     /// part of the pipeline's determinism contract: each arm must consume
     /// draws exactly as the original per-kind drivers did.
     pub fn try_instantiate(
         &self,
-        table: &Table,
         ctx: &ExecContext,
         rng: &mut StdRng,
         scratch: &mut GenScratch,
     ) -> Result<Program, Discard> {
         match self {
             AnyTemplate::Sql(t) => {
-                let stmt = t.try_instantiate(table, ctx, rng, &mut scratch.sql)?;
+                let stmt = t.try_instantiate(ctx, rng, &mut scratch.sql)?;
                 Ok(Program::Sql { stmt, answer: String::new(), highlighted: Vec::new() })
             }
             AnyTemplate::Logic(t) => {
@@ -163,11 +162,11 @@ impl AnyTemplate {
                 // sample. The draw order (gen_bool before the template's
                 // own draws) is part of the determinism contract.
                 let desired = rng.gen_bool(0.5);
-                let claim = t.try_instantiate(table, ctx, rng, desired, &mut scratch.lf)?;
+                let claim = t.try_instantiate(ctx, rng, desired, &mut scratch.lf)?;
                 Ok(Program::Logic { expr: claim.expr, truth: claim.truth, highlighted: Vec::new() })
             }
             AnyTemplate::Arith(t) => {
-                let inst = t.try_instantiate(table, ctx, rng, &mut scratch.ae)?;
+                let inst = t.try_instantiate(ctx, rng, &mut scratch.ae)?;
                 Ok(Program::Arith { program: inst.program, outcome: inst.outcome })
             }
         }
@@ -196,18 +195,14 @@ impl Program {
         matches!(self, Program::Arith { .. })
     }
 
-    /// Executes against the table, storing the result internally. Includes
-    /// the paper's §IV-C result filters (empty results / empty answers are
-    /// discards, not successes). Kernel buffers come from `scratch`.
-    pub fn execute(
-        &mut self,
-        table: &Table,
-        ctx: &ExecContext,
-        scratch: &mut GenScratch,
-    ) -> Result<(), Discard> {
+    /// Executes against `ctx`'s table, storing the result internally.
+    /// Includes the paper's §IV-C result filters (empty results / empty
+    /// answers are discards, not successes). Kernel buffers come from
+    /// `scratch`.
+    pub fn execute(&mut self, ctx: &ExecContext, scratch: &mut GenScratch) -> Result<(), Discard> {
         match self {
             Program::Sql { stmt, answer, highlighted } => {
-                let result = sqlexec::execute(stmt, table, &mut scratch.sql.kern)?;
+                let result = sqlexec::execute(stmt, ctx.table(), &mut scratch.sql.kern)?;
                 if result.is_empty() {
                     // paper §IV-C: discard empty-result programs
                     return Err(Discard::EmptyResult);
@@ -220,8 +215,7 @@ impl Program {
                 *highlighted = result.highlighted;
             }
             Program::Logic { expr, highlighted, .. } => {
-                *highlighted =
-                    logicforms::evaluate(expr, table, ctx, &mut scratch.lf.kern)?.highlighted;
+                *highlighted = logicforms::evaluate(expr, ctx, &mut scratch.lf.kern)?.highlighted;
             }
             Program::Arith { .. } => {}
         }
@@ -296,6 +290,7 @@ impl Program {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use tabular::Table;
 
     fn table() -> Table {
         Table::from_strings(
@@ -310,8 +305,8 @@ mod tests {
         .unwrap_or_else(|e| panic!("test table: {e}"))
     }
 
-    fn instantiate(tpl: &AnyTemplate, t: &Table, ctx: &ExecContext, rng: &mut StdRng) -> Program {
-        tpl.try_instantiate(t, ctx, rng, &mut GenScratch::default())
+    fn instantiate(tpl: &AnyTemplate, ctx: &ExecContext, rng: &mut StdRng) -> Program {
+        tpl.try_instantiate(ctx, rng, &mut GenScratch::default())
             .unwrap_or_else(|e| panic!("instantiate: {e:?}"))
     }
 
@@ -325,10 +320,9 @@ mod tests {
         );
         assert_eq!(tpl.kind(), KindSlot::Sql);
         let mut rng = StdRng::seed_from_u64(7);
-        let mut inst = instantiate(&tpl, &t, &ctx, &mut rng);
+        let mut inst = instantiate(&tpl, &ctx, &mut rng);
         assert!(!inst.pre_executed());
-        inst.execute(&t, &ctx, &mut GenScratch::default())
-            .unwrap_or_else(|e| panic!("execute: {e:?}"));
+        inst.execute(&ctx, &mut GenScratch::default()).unwrap_or_else(|e| panic!("execute: {e:?}"));
         let text = inst.verbalize(&NlGenerator::new(), &mut rng, &mut GenScratch::default());
         assert!(!text.is_empty());
         let out = inst.output();
@@ -346,9 +340,8 @@ mod tests {
         );
         assert_eq!(tpl.kind(), KindSlot::Logic);
         let mut rng = StdRng::seed_from_u64(3);
-        let mut inst = instantiate(&tpl, &t, &ctx, &mut rng);
-        inst.execute(&t, &ctx, &mut GenScratch::default())
-            .unwrap_or_else(|e| panic!("execute: {e:?}"));
+        let mut inst = instantiate(&tpl, &ctx, &mut rng);
+        inst.execute(&ctx, &mut GenScratch::default()).unwrap_or_else(|e| panic!("execute: {e:?}"));
         let out = inst.output();
         assert!(matches!(out.program, ProgramKind::Logic(_)));
         assert!(out.label.as_verdict().is_some());
@@ -365,7 +358,7 @@ mod tests {
         );
         assert_eq!(tpl.kind(), KindSlot::Arith);
         let mut rng = StdRng::seed_from_u64(5);
-        let inst = instantiate(&tpl, &t, &ctx, &mut rng);
+        let inst = instantiate(&tpl, &ctx, &mut rng);
         assert!(inst.pre_executed());
         let out = inst.output();
         assert!(matches!(out.program, ProgramKind::Arith(_)));
@@ -383,7 +376,7 @@ mod tests {
             AeTemplate::parse("table_sum( c1 )").unwrap_or_else(|e| panic!("parse: {e}")),
         );
         let mut rng = StdRng::seed_from_u64(1);
-        let err = tpl.try_instantiate(&t, &ctx, &mut rng, &mut GenScratch::default()).err();
+        let err = tpl.try_instantiate(&ctx, &mut rng, &mut GenScratch::default()).err();
         assert_eq!(err, Some(Discard::ColumnMismatch));
     }
 

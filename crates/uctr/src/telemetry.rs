@@ -19,9 +19,8 @@
 //! * **Deterministic counters.** Every counter is a pure function of the
 //!   seeded generation stream, so for a fixed seed the counter totals are
 //!   identical across 1/2/8-thread runs (asserted by the telemetry tests).
-//!   Wall-clock histograms and the parallel scheduler's per-worker claim
-//!   counters are the two exceptions: they live in the `timings` and
-//!   `workers` sections of the report and are excluded from
+//!   Wall-clock histograms are the exception: they live in the `timings`
+//!   section of the report and are excluded from
 //!   [`PipelineReport::deterministic_eq`].
 
 use rustc_hash::FxHashMap;
@@ -430,7 +429,6 @@ impl TelemetryBank {
             unknown_injected: self.unknown_injected.load(Relaxed),
             kinds,
             sources,
-            workers: Vec::new(),
             timings,
         }
     }
@@ -463,21 +461,6 @@ pub struct SourceReport {
     pub source: String,
     pub attempted: u64,
     pub accepted: u64,
-}
-
-/// Per-worker scheduling counters of one parallel run: how many chunked
-/// claims the worker took off the shared work-queue cursor and how many
-/// inputs those claims covered. Which worker processes which range is a
-/// race by design (that is what makes the queue self-balancing), so this
-/// section — like `timings` — is scheduling observability, excluded from
-/// [`PipelineReport::deterministic_eq`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WorkerReport {
-    pub worker: u64,
-    /// Contiguous input ranges claimed off the shared cursor.
-    pub claims: u64,
-    /// Inputs processed across all claims.
-    pub inputs: u64,
 }
 
 /// One wall-clock histogram: log2-bucketed nanosecond latencies.
@@ -564,10 +547,7 @@ pub struct PipelineReport {
     pub unknown_injected: u64,
     pub kinds: Vec<KindReport>,
     pub sources: Vec<SourceReport>,
-    /// Per-worker claim counters of the parallel scheduler (empty for the
-    /// sequential path). Non-deterministic: claim assignment is a race.
-    pub workers: Vec<WorkerReport>,
-    /// Wall-clock histograms — non-deterministic like `workers`.
+    /// Wall-clock histograms — non-deterministic.
     pub timings: Vec<TimingReport>,
 }
 
@@ -632,8 +612,7 @@ impl PipelineReport {
     }
 
     /// Equality over the deterministic sections — everything except
-    /// `threads`, the scheduler's `workers` section, and the wall-clock
-    /// `timings`. Two runs of the same seed must be `deterministic_eq`
+    /// `threads` and the wall-clock `timings`. Two runs of the same seed must be `deterministic_eq`
     /// regardless of thread count.
     pub fn deterministic_eq(&self, other: &PipelineReport) -> bool {
         self.inputs_total == other.inputs_total

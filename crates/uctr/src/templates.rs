@@ -888,7 +888,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut ok = 0;
         for t in bank.sql() {
-            if let Ok(stmt) = t.try_instantiate(&table, &ctx, &mut rng, &mut scratch) {
+            if let Ok(stmt) = t.try_instantiate(&ctx, &mut rng, &mut scratch) {
                 if sqlexec::execute(&stmt, &table, &mut scratch.kern).is_ok() {
                     ok += 1;
                 }
@@ -920,7 +920,7 @@ mod tests {
         for t in bank.logic() {
             // Supported claims at minimum; some templates may fail for a
             // given truth target on a given table, but most should land.
-            if t.try_instantiate(&table, &ctx, &mut rng, true, &mut scratch).is_ok() {
+            if t.try_instantiate(&ctx, &mut rng, true, &mut scratch).is_ok() {
                 ok += 1;
             }
         }
@@ -949,7 +949,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut ok = 0;
         for t in bank.arith() {
-            if t.try_instantiate(&table, &ctx, &mut rng, &mut scratch).is_ok() {
+            if t.try_instantiate(&ctx, &mut rng, &mut scratch).is_ok() {
                 ok += 1;
             }
         }

@@ -50,7 +50,7 @@ fn main() {
     let mut scratch = logicforms::LfScratch::default();
     let mut nl_scratch = nlgen::NlScratch::default();
     for t in novel.iter().take(4) {
-        if let Ok(claim) = t.try_instantiate(&probe, &ctx, &mut rng, true, &mut scratch) {
+        if let Ok(claim) = t.try_instantiate(&ctx, &mut rng, true, &mut scratch) {
             let text =
                 nl.verbalize(nlgen::ProgramRef::Logic(&claim.expr), &mut rng, &mut nl_scratch);
             println!("  [Supported] {text}");

@@ -132,7 +132,7 @@ fn check_sql(
     let mut rng = StdRng::seed_from_u64(seed);
     let sig = t.signature();
     let mut scratch = sqlexec::SqlScratch::default();
-    let Ok(stmt) = t.try_instantiate(table, ctx, &mut rng, &mut scratch) else { return };
+    let Ok(stmt) = t.try_instantiate(ctx, &mut rng, &mut scratch) else { return };
     let Ok(result) = sqlexec::execute(&stmt, table, &mut scratch.kern) else { return };
 
     let plain_select = stmt.group_by.is_none()
@@ -201,7 +201,7 @@ fn check_logic(
     let mut scratch = logicforms::LfScratch::default();
     for desired in [false, true] {
         let mut rng = StdRng::seed_from_u64(seed);
-        let Ok(claim) = t.try_instantiate(table, ctx, &mut rng, desired, &mut scratch) else {
+        let Ok(claim) = t.try_instantiate(ctx, &mut rng, desired, &mut scratch) else {
             continue;
         };
         assert!(
@@ -233,7 +233,7 @@ fn check_arith(
     let mut rng = StdRng::seed_from_u64(seed);
     let sig = t.signature();
     let mut scratch = arithexpr::AeScratch::default();
-    let Ok(inst) = t.try_instantiate(table, ctx, &mut rng, &mut scratch) else { return };
+    let Ok(inst) = t.try_instantiate(ctx, &mut rng, &mut scratch) else { return };
     match inst.outcome.answer {
         arithexpr::AeAnswer::Number(x) => assert!(
             a.summary.value.contains(x),
@@ -269,15 +269,15 @@ fn check_requirement(
     let mut rng = StdRng::seed_from_u64(seed);
     let failed = match any {
         AnyTemplate::Sql(t) => {
-            t.try_instantiate(table, ctx, &mut rng, &mut sqlexec::SqlScratch::default()).is_err()
+            t.try_instantiate(ctx, &mut rng, &mut sqlexec::SqlScratch::default()).is_err()
         }
         AnyTemplate::Logic(t) => {
             let mut scratch = logicforms::LfScratch::default();
-            t.try_instantiate(table, ctx, &mut rng, false, &mut scratch).is_err()
-                && t.try_instantiate(table, ctx, &mut rng, true, &mut scratch).is_err()
+            t.try_instantiate(ctx, &mut rng, false, &mut scratch).is_err()
+                && t.try_instantiate(ctx, &mut rng, true, &mut scratch).is_err()
         }
         AnyTemplate::Arith(t) => {
-            t.try_instantiate(table, ctx, &mut rng, &mut arithexpr::AeScratch::default()).is_err()
+            t.try_instantiate(ctx, &mut rng, &mut arithexpr::AeScratch::default()).is_err()
         }
     };
     assert!(

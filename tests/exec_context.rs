@@ -68,7 +68,7 @@ fn sql_instantiation_matches_naive_path() {
             let mut naive_rng = StdRng::seed_from_u64(round as u64 * 100 + ti as u64);
             let mut ctx_rng = naive_rng.clone();
             let naive = sqlexec::reference::try_instantiate(&tpl, &table, &mut naive_rng);
-            let cached = tpl.try_instantiate(&table, &ctx, &mut ctx_rng, &mut scratch);
+            let cached = tpl.try_instantiate(&ctx, &mut ctx_rng, &mut scratch);
             assert_eq!(
                 format!("{naive:?}"),
                 format!("{cached:?}"),
@@ -93,7 +93,7 @@ fn logic_instantiation_and_evaluation_match_naive_path() {
                 let mut ctx_rng = naive_rng.clone();
                 let naive =
                     logicforms::reference::try_instantiate(&tpl, &table, &mut naive_rng, desired);
-                let cached = tpl.try_instantiate(&table, &ctx, &mut ctx_rng, desired, &mut scratch);
+                let cached = tpl.try_instantiate(&ctx, &mut ctx_rng, desired, &mut scratch);
                 assert_eq!(
                     format!("{naive:?}"),
                     format!("{cached:?}"),
@@ -104,11 +104,10 @@ fn logic_instantiation_and_evaluation_match_naive_path() {
                 // successfully instantiated claim.
                 if let Ok(claim) = naive {
                     let a = logicforms::reference::evaluate(&claim.expr, &table);
-                    let b = logicforms::evaluate(&claim.expr, &table, &ctx, &mut scratch.kern);
+                    let b = logicforms::evaluate(&claim.expr, &ctx, &mut scratch.kern);
                     assert_eq!(a, b, "lf evaluation diverged for `{}`", claim.expr);
                     let ta = logicforms::reference::evaluate_truth(&claim.expr, &table);
-                    let tb =
-                        logicforms::evaluate_truth(&claim.expr, &table, &ctx, &mut scratch.kern);
+                    let tb = logicforms::evaluate_truth(&claim.expr, &ctx, &mut scratch.kern);
                     assert_eq!(ta, tb);
                 }
             }
@@ -128,7 +127,7 @@ fn arith_instantiation_and_execution_match_naive_path() {
             let mut naive_rng = StdRng::seed_from_u64(round as u64 * 77 + ti as u64);
             let mut ctx_rng = naive_rng.clone();
             let naive = arithexpr::reference::try_instantiate(&tpl, &table, &mut naive_rng);
-            let cached = tpl.try_instantiate(&table, &ctx, &mut ctx_rng, &mut scratch);
+            let cached = tpl.try_instantiate(&ctx, &mut ctx_rng, &mut scratch);
             assert_eq!(
                 format!("{naive:?}"),
                 format!("{cached:?}"),
@@ -137,7 +136,7 @@ fn arith_instantiation_and_execution_match_naive_path() {
             assert_rngs_aligned(&mut naive_rng, &mut ctx_rng, "ae instantiation");
             if let Ok(inst) = naive {
                 let a = arithexpr::reference::execute(&inst.program, &table);
-                let b = arithexpr::execute(&inst.program, &table, &ctx, &mut scratch.kern);
+                let b = arithexpr::execute(&inst.program, &ctx, &mut scratch.kern);
                 assert_eq!(a, b, "ae execution diverged for `{}`", inst.program);
             }
         }
@@ -156,7 +155,7 @@ fn context_caches_match_naive_scans_on_random_tables() {
         for ci in 0..table.n_cols() {
             let naive: Vec<_> =
                 table.column_values(ci).into_iter().filter(|v| !v.is_null()).collect();
-            assert_eq!(ctx.non_null_values(ci), naive.as_slice());
+            assert_eq!(ctx.non_null_values(ci), naive.iter().collect::<Vec<_>>());
         }
         for ri in 0..table.n_rows() {
             for ci in 0..table.n_cols() {

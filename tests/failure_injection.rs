@@ -10,7 +10,7 @@ use uctr::{Sample, TableWithContext, UctrConfig, UctrPipeline, Verdict};
 
 /// `logicforms::evaluate_truth` with a fresh context and kernel scratch.
 fn truth(expr: &logicforms::LfExpr, table: &Table) -> Result<bool, logicforms::LfError> {
-    logicforms::evaluate_truth(expr, table, &ExecContext::new(table), &mut KernelScratch::default())
+    logicforms::evaluate_truth(expr, &ExecContext::new(table), &mut KernelScratch::default())
 }
 
 fn empty_table() -> Table {
@@ -114,13 +114,13 @@ fn templates_refuse_unsuitable_tables() {
     let ctx = ExecContext::new(&text_only);
     let sql = sqlexec::SqlTemplate::parse("select sum ( c1_number ) from w").unwrap();
     let mut sql_scratch = sqlexec::SqlScratch::default();
-    assert!(sql.try_instantiate(&text_only, &ctx, &mut rng, &mut sql_scratch).is_err());
+    assert!(sql.try_instantiate(&ctx, &mut rng, &mut sql_scratch).is_err());
     let lf = logicforms::LfTemplate::parse("round_eq { avg { all_rows ; c1 } ; val1 }").unwrap();
     let mut lf_scratch = logicforms::LfScratch::default();
-    assert!(lf.try_instantiate(&text_only, &ctx, &mut rng, true, &mut lf_scratch).is_err());
+    assert!(lf.try_instantiate(&ctx, &mut rng, true, &mut lf_scratch).is_err());
     let ae = arithexpr::AeTemplate::parse("add( val1 , val2 )").unwrap();
     let mut ae_scratch = arithexpr::AeScratch::default();
-    assert!(ae.try_instantiate(&text_only, &ctx, &mut rng, &mut ae_scratch).is_err());
+    assert!(ae.try_instantiate(&ctx, &mut rng, &mut ae_scratch).is_err());
 }
 
 #[test]

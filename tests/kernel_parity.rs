@@ -120,7 +120,7 @@ fn check_sql(t: &sqlexec::SqlTemplate, table: &Table, ctx: &ExecContext, seed: u
     let mut kernel_rng = StdRng::seed_from_u64(seed);
     let mut scratch = sqlexec::SqlScratch::default();
     let scalar = sqlexec::reference::try_instantiate(t, table, &mut scalar_rng);
-    let kernel = t.try_instantiate(table, ctx, &mut kernel_rng, &mut scratch);
+    let kernel = t.try_instantiate(ctx, &mut kernel_rng, &mut scratch);
     let sig = t.signature();
     assert_eq!(
         scalar_rng.gen::<u64>(),
@@ -153,7 +153,7 @@ fn check_logic(t: &logicforms::LfTemplate, table: &Table, ctx: &ExecContext, see
         let mut scalar_rng = StdRng::seed_from_u64(seed);
         let mut kernel_rng = StdRng::seed_from_u64(seed);
         let scalar = logicforms::reference::try_instantiate(t, table, &mut scalar_rng, desired);
-        let kernel = t.try_instantiate(table, ctx, &mut kernel_rng, desired, &mut scratch);
+        let kernel = t.try_instantiate(ctx, &mut kernel_rng, desired, &mut scratch);
         assert_eq!(
             scalar_rng.gen::<u64>(),
             kernel_rng.gen::<u64>(),
@@ -168,7 +168,7 @@ fn check_logic(t: &logicforms::LfTemplate, table: &Table, ctx: &ExecContext, see
         );
         if let Ok(claim) = scalar {
             let scalar_out = logicforms::reference::evaluate(&claim.expr, table);
-            let kernel_out = logicforms::evaluate(&claim.expr, table, ctx, &mut scratch.kern);
+            let kernel_out = logicforms::evaluate(&claim.expr, ctx, &mut scratch.kern);
             assert_eq!(
                 dbg(&scalar_out),
                 dbg(&kernel_out),
@@ -177,8 +177,7 @@ fn check_logic(t: &logicforms::LfTemplate, table: &Table, ctx: &ExecContext, see
                 claim.expr
             );
             let scalar_truth = logicforms::reference::evaluate_truth(&claim.expr, table);
-            let kernel_truth =
-                logicforms::evaluate_truth(&claim.expr, table, ctx, &mut scratch.kern);
+            let kernel_truth = logicforms::evaluate_truth(&claim.expr, ctx, &mut scratch.kern);
             assert_eq!(
                 dbg(&scalar_truth),
                 dbg(&kernel_truth),
@@ -197,7 +196,7 @@ fn check_arith(t: &arithexpr::AeTemplate, table: &Table, ctx: &ExecContext, seed
     // Arithmetic instantiation executes internally, so this one comparison
     // covers both the sampling and the execution kernels.
     let scalar = arithexpr::reference::try_instantiate(t, table, &mut scalar_rng);
-    let kernel = t.try_instantiate(table, ctx, &mut kernel_rng, &mut scratch);
+    let kernel = t.try_instantiate(ctx, &mut kernel_rng, &mut scratch);
     let sig = t.signature();
     assert_eq!(
         scalar_rng.gen::<u64>(),
@@ -213,7 +212,7 @@ fn check_arith(t: &arithexpr::AeTemplate, table: &Table, ctx: &ExecContext, seed
     );
     if let Ok(inst) = scalar {
         let scalar_out = arithexpr::reference::execute(&inst.program, table);
-        let kernel_out = arithexpr::execute(&inst.program, table, ctx, &mut scratch.kern);
+        let kernel_out = arithexpr::execute(&inst.program, ctx, &mut scratch.kern);
         assert_eq!(
             dbg(&scalar_out),
             dbg(&kernel_out),

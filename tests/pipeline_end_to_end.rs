@@ -37,9 +37,8 @@ fn verification_labels_are_execution_faithful() {
         }
         let expr = logicforms::parse(prog).expect("stored program parses");
         let ctx = ExecContext::new(&s.table);
-        let truth =
-            logicforms::evaluate_truth(&expr, &s.table, &ctx, &mut KernelScratch::default())
-                .expect("stored program executes");
+        let truth = logicforms::evaluate_truth(&expr, &ctx, &mut KernelScratch::default())
+            .expect("stored program executes");
         let expected = s.label.as_verdict().unwrap();
         if expected == Verdict::Unknown {
             continue; // unknowns were re-paired with foreign evidence
@@ -77,7 +76,7 @@ fn qa_answers_are_execution_faithful() {
             ProgramKind::Arith(p) => {
                 let prog = arithexpr::parse(p).expect("stored arith parses");
                 let ctx = ExecContext::new(&s.table);
-                let out = arithexpr::execute(&prog, &s.table, &ctx, &mut KernelScratch::default())
+                let out = arithexpr::execute(&prog, &ctx, &mut KernelScratch::default())
                     .expect("stored arith executes");
                 assert_eq!(out.answer.to_string(), answer, "answer mismatch for `{p}`");
             }

@@ -21,7 +21,7 @@ fn lf_evaluate(
     expr: &logicforms::LfExpr,
     table: &Table,
 ) -> Result<logicforms::LfOutcome, logicforms::LfError> {
-    logicforms::evaluate(expr, table, &ExecContext::new(table), &mut KernelScratch::default())
+    logicforms::evaluate(expr, &ExecContext::new(table), &mut KernelScratch::default())
 }
 
 /// A random table: 3..=8 rows, schema [name text, alpha number, beta number].
@@ -220,7 +220,7 @@ fn sql_sampling_respects_types() {
         let ctx = ExecContext::new(&table);
         let mut scratch = sqlexec::SqlScratch::default();
         let mut rng = StdRng::seed_from_u64(case * 7 + 1);
-        if let Ok(stmt) = tpl.try_instantiate(&table, &ctx, &mut rng, &mut scratch) {
+        if let Ok(stmt) = tpl.try_instantiate(&ctx, &mut rng, &mut scratch) {
             // The compared column must be numeric (alpha or beta).
             let rendered = stmt.to_string();
             assert!(
@@ -245,11 +245,10 @@ fn generated_claims_match_their_labels() {
         let mut scratch = logicforms::LfScratch::default();
         for desired in [false, true] {
             let mut rng = StdRng::seed_from_u64(case * 11 + 3);
-            if let Ok(claim) = tpl.try_instantiate(&table, &ctx, &mut rng, desired, &mut scratch) {
+            if let Ok(claim) = tpl.try_instantiate(&ctx, &mut rng, desired, &mut scratch) {
                 assert_eq!(claim.truth, desired);
                 let truth =
-                    logicforms::evaluate_truth(&claim.expr, &table, &ctx, &mut scratch.kern)
-                        .unwrap();
+                    logicforms::evaluate_truth(&claim.expr, &ctx, &mut scratch.kern).unwrap();
                 assert_eq!(truth, desired);
             }
         }
@@ -265,10 +264,10 @@ fn arith_instantiation_executes() {
         let ctx = ExecContext::new(&table);
         let mut scratch = arithexpr::AeScratch::default();
         let mut rng = StdRng::seed_from_u64(case * 13 + 5);
-        if let Ok(inst) = tpl.try_instantiate(&table, &ctx, &mut rng, &mut scratch) {
+        if let Ok(inst) = tpl.try_instantiate(&ctx, &mut rng, &mut scratch) {
             assert!(!inst.program.has_holes());
             // Re-execution is deterministic.
-            let again = arithexpr::execute(&inst.program, &table, &ctx, &mut scratch.kern).unwrap();
+            let again = arithexpr::execute(&inst.program, &ctx, &mut scratch.kern).unwrap();
             assert_eq!(again.answer, inst.outcome.answer);
         }
     }
@@ -373,8 +372,7 @@ fn schema_prefilter_skips_only_deterministic_failures() {
             for seed in 0..32u64 {
                 let mut rng = StdRng::seed_from_u64(seed * 9973 + 17);
                 assert!(
-                    any.try_instantiate(table, &ctx, &mut rng, &mut uctr::GenScratch::default())
-                        .is_err(),
+                    any.try_instantiate(&ctx, &mut rng, &mut uctr::GenScratch::default()).is_err(),
                     "prefilter would skip `{}` on a {}x{} table, but seed {seed} instantiated it",
                     any.signature(),
                     table.n_rows(),
