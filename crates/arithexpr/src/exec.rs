@@ -1,13 +1,14 @@
 //! Arithmetic-expression executor.
 //!
 //! Resolves cell references against a table using TAT-QA's convention: the
-//! first text column holds row names, other columns are addressed by header.
+//! table's [`Table::entity_column`] holds row names, other columns are
+//! addressed by header.
 //! Executes steps in order, resolving `#N` references, and answers with the
 //! final step's value. `greater` steps produce yes/no answers.
 
 use crate::ast::{AeArg, AeOp, AeProgram};
 use std::fmt::{self, Write as _};
-use tabular::{format_number, kernels, ColumnType, ExecContext, KernelScratch, Table, Value};
+use tabular::{format_number, kernels, ExecContext, KernelScratch, Table, Value};
 
 /// The answer of an arithmetic program.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,12 +83,6 @@ pub struct AeOutcome {
     pub highlighted: Vec<(usize, usize)>,
 }
 
-/// The index of the row-name column: the first `Text` column, falling back
-/// to column 0 (financial tables lead with a label column).
-pub(crate) fn row_name_column(table: &Table) -> usize {
-    table.schema().columns().iter().position(|c| c.ty == ColumnType::Text).unwrap_or(0)
-}
-
 /// Resolves `col of row` to a (row, col) pair.
 fn locate_cell(
     table: &Table,
@@ -97,12 +92,12 @@ fn locate_cell(
 ) -> Result<(usize, usize), AeError> {
     let ci = table.column_index(col).ok_or_else(|| AeError::UnknownColumn(col.to_string()))?;
     let target = Value::parse(row);
+    let name_col = table.entity_column();
     let ri = match ctx {
         // Same first-match scan, but a text name cell is compared as it
         // stands and any other cell is rendered into one reused buffer
         // instead of a `to_string` per row.
-        Some(ctx) => {
-            let name_col = ctx.row_name_column();
+        Some(_) => {
             let mut rendered = String::new();
             (0..table.n_rows()).find(|&ri| {
                 table.cell(ri, name_col).is_some_and(|v| {
@@ -118,22 +113,19 @@ fn locate_cell(
                 })
             })
         }
-        None => {
-            let name_col = row_name_column(table);
-            (0..table.n_rows()).find(|&ri| {
-                table.cell(ri, name_col).is_some_and(|v| {
-                    v.loosely_equals(&target) || v.to_string().eq_ignore_ascii_case(row)
-                })
+        None => (0..table.n_rows()).find(|&ri| {
+            table.cell(ri, name_col).is_some_and(|v| {
+                v.loosely_equals(&target) || v.to_string().eq_ignore_ascii_case(row)
             })
-        }
+        }),
     }
     .ok_or_else(|| AeError::UnknownRow(row.to_string()))?;
     Ok((ri, ci))
 }
 
-/// Executes a fully instantiated program against `ctx`'s table.
-/// Aggregations and cell addressing read `ctx`'s caches; gathers and
-/// highlights reuse `kern`.
+/// Executes a fully instantiated program against `ctx`'s table. Numbers
+/// are the cells' `Value::as_number`; with a context, row names are matched
+/// without a string per row; gathers and highlights reuse `kern`.
 pub fn execute(
     program: &AeProgram,
     ctx: &ExecContext,
@@ -189,20 +181,10 @@ fn execute_steps(
                 .ok_or_else(|| AeError::UnknownColumn(col_name.to_string()))?;
             let mut nums = std::mem::take(&mut kern.nums);
             nums.clear();
-            match ctx {
-                Some(ctx) => {
-                    for &(ri, n) in ctx.numeric_pairs(ci) {
-                        highlighted.push((ri, ci));
-                        nums.push(n);
-                    }
-                }
-                None => {
-                    for ri in 0..table.n_rows() {
-                        if let Some(n) = table.cell(ri, ci).and_then(Value::as_number) {
-                            highlighted.push((ri, ci));
-                            nums.push(n);
-                        }
-                    }
+            for ri in 0..table.n_rows() {
+                if let Some(n) = table.cell(ri, ci).and_then(Value::as_number) {
+                    highlighted.push((ri, ci));
+                    nums.push(n);
                 }
             }
             if nums.is_empty() {
@@ -262,11 +244,10 @@ fn resolve_numeric(
         AeArg::Cell { col, row } => {
             let (ri, ci) = locate_cell(table, ctx, col, row)?;
             highlighted.push((ri, ci));
-            match ctx {
-                Some(ctx) => ctx.number_at(ri, ci),
-                None => table.cell(ri, ci).and_then(Value::as_number),
-            }
-            .ok_or_else(|| AeError::NonNumericCell { col: col.clone(), row: row.clone() })
+            table
+                .cell(ri, ci)
+                .and_then(Value::as_number)
+                .ok_or_else(|| AeError::NonNumericCell { col: col.clone(), row: row.clone() })
         }
         AeArg::Column(c) => Err(AeError::UnknownColumn(c.clone())),
         AeArg::CellHole(_) | AeArg::ColumnHole(_) => Err(AeError::Uninstantiated),
@@ -388,14 +369,6 @@ mod tests {
         let out =
             run_arith("subtract( the 2019 of Revenue , the 2018 of Revenue )", &financials())?;
         assert_eq!(out.highlighted, vec![(1, 1), (1, 2)]);
-        Ok(())
-    }
-
-    #[test]
-    fn row_name_column_detection() -> Result<(), Box<dyn std::error::Error>> {
-        assert_eq!(row_name_column(&financials()), 0);
-        let t = Table::from_strings("t", &[vec!["x", "label"], vec!["1", "a"], vec!["2", "b"]])?;
-        assert_eq!(row_name_column(&t), 1);
         Ok(())
     }
 }

@@ -7,7 +7,7 @@
 //! internal relationships.
 
 use crate::ast::{AeArg, AeProgram, AeStep};
-use crate::exec::{row_name_column, AeOutcome};
+use crate::exec::AeOutcome;
 use crate::parser::{parse, AeParseError};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -156,10 +156,7 @@ impl AeTemplate {
         scratch: &mut AeScratch,
     ) -> Result<InstantiatedArith, AeInstantiateError> {
         let AeScratch { holes, cells, same_row, same_col, results, kern } = scratch;
-        let name_col = match ctx {
-            Some(ctx) => ctx.row_name_column(),
-            None => row_name_column(table),
-        };
+        let name_col = table.entity_column();
         // Numeric cells addressable as (col of row): need a non-null row name.
         cells.clear();
         match ctx {

@@ -636,7 +636,7 @@ pub fn into_table_text(sample: Sample, rng: &mut impl Rng) -> Option<Sample> {
 pub fn gold_text_only(table: &Table, rng: &mut impl Rng) -> Option<Sample> {
     let row = rng.gen_range(0..table.n_rows());
     let sentence = textops::describe_row(table, row, rng)?;
-    let ecol = textops::entity_column(table);
+    let ecol = table.entity_column();
     let entity = table.cell(row, ecol).filter(|v| !v.is_null())?.to_string();
     let cols: Vec<usize> = (0..table.n_cols())
         .filter(|&c| c != ecol && table.cell(row, c).is_some_and(|v| !v.is_null()))

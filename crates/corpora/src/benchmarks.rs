@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use tabular::Table;
-use textops::{describe_row, entity_column};
+use textops::describe_row;
 use uctr::{Dataset, EvidenceType, Label, Sample, TableWithContext, Verdict};
 
 /// A benchmark: gold splits + the unlabeled synthesis inputs.
@@ -224,7 +224,7 @@ pub fn semtab_like(cfg: CorpusConfig) -> Benchmark {
 fn text_verification(table: &Table, rng: &mut StdRng) -> Option<Sample> {
     let row = rng.gen_range(0..table.n_rows());
     let sentence = describe_row(table, row, rng)?;
-    let ecol = entity_column(table);
+    let ecol = table.entity_column();
     let entity = table.cell(row, ecol).filter(|v| !v.is_null())?.to_string();
     let cols: Vec<usize> = (0..table.n_cols())
         .filter(|&c| c != ecol && table.cell(row, c).is_some_and(|v| !v.is_null()))

@@ -352,7 +352,7 @@ pub fn surrounding_text(table: &Table, rng: &mut impl Rng) -> String {
 
 /// A sentence describing a plausible new record matching the table schema.
 pub fn extra_record_sentence(table: &Table, rng: &mut impl Rng) -> Option<String> {
-    let ecol = textops::entity_column(table);
+    let ecol = table.entity_column();
     // Invent an entity name unlikely to collide with existing rows.
     let entity = loop {
         let candidate = match table.title.as_str() {
@@ -470,7 +470,7 @@ mod tests {
         for _ in 0..10 {
             if let Some(s) = extra_record_sentence(&t, &mut rng) {
                 let entity = s.split(" has ").next().ok_or("empty sentence")?;
-                let ecol = textops::entity_column(&t);
+                let ecol = t.entity_column();
                 let mut exists = false;
                 for r in 0..t.n_rows() {
                     let cell = t.cell(r, ecol).ok_or("entity cell out of range")?;

@@ -89,9 +89,10 @@ pub struct LfOutcome {
     pub highlighted: Vec<(usize, usize)>,
 }
 
-/// Evaluates a fully instantiated logical form on `ctx`'s table. Numeric
-/// reads come from `ctx`'s parsed cell grid; views, gathers and highlights
-/// reuse `kern`'s buffers, so evaluation allocates nothing per expression.
+/// Evaluates a fully instantiated logical form on `ctx`'s table. A cell's
+/// number is its `Value::as_number`; `ctx` gates the argmax kernels (see
+/// [`ExecContext::all_number`]); views, gathers and highlights reuse
+/// `kern`'s buffers, so evaluation allocates nothing per expression.
 pub fn evaluate(
     expr: &LfExpr,
     ctx: &ExecContext,
@@ -171,16 +172,6 @@ fn column_index(table: &Table, e: &LfExpr) -> Result<usize, LfError> {
     }
 }
 
-/// The cached numeric reading of a cell: `ctx.number_at` mirrors
-/// `Value::as_number` cell-for-cell, so either source is exact.
-#[inline]
-fn cell_number(ctx: Option<&ExecContext>, cell: &Value, ri: usize, col: usize) -> Option<f64> {
-    match ctx {
-        Some(ctx) => ctx.number_at(ri, col),
-        None => cell.as_number(),
-    }
-}
-
 fn eval(
     e: &LfExpr,
     table: &Table,
@@ -219,18 +210,10 @@ fn eval(
                     match op {
                         FilterEq => cell.loosely_equals(&rhs),
                         FilterNotEq => !cell.loosely_equals(&rhs),
-                        FilterGreater => {
-                            num_cmp(cell_number(ctx, cell, ri, col), rhs_num, |a, b| a > b)
-                        }
-                        FilterLess => {
-                            num_cmp(cell_number(ctx, cell, ri, col), rhs_num, |a, b| a < b)
-                        }
-                        FilterGreaterEq => {
-                            num_cmp(cell_number(ctx, cell, ri, col), rhs_num, |a, b| a >= b)
-                        }
-                        FilterLessEq => {
-                            num_cmp(cell_number(ctx, cell, ri, col), rhs_num, |a, b| a <= b)
-                        }
+                        FilterGreater => num_cmp(cell.as_number(), rhs_num, |a, b| a > b),
+                        FilterLess => num_cmp(cell.as_number(), rhs_num, |a, b| a < b),
+                        FilterGreaterEq => num_cmp(cell.as_number(), rhs_num, |a, b| a >= b),
+                        FilterLessEq => num_cmp(cell.as_number(), rhs_num, |a, b| a <= b),
                         _ => false,
                     }
                 });
@@ -259,7 +242,7 @@ fn eval(
                     let mut keys = std::mem::take(&mut kern.keys);
                     keys.clear();
                     for &ri in &view {
-                        if let Some(n) = ctx.number_at(ri, col) {
+                        if let Some(n) = table.cell(ri, col).and_then(Value::as_number) {
                             hl.push((ri, col));
                             keys.push((n, ri));
                         }
@@ -321,11 +304,7 @@ fn eval(
                 let mut nums = std::mem::take(&mut kern.nums);
                 nums.clear();
                 for &ri in &view {
-                    let n = match ctx {
-                        Some(ctx) => ctx.number_at(ri, col),
-                        None => table.cell(ri, col).and_then(Value::as_number),
-                    };
-                    if let Some(n) = n {
+                    if let Some(n) = table.cell(ri, col).and_then(Value::as_number) {
                         hl.push((ri, col));
                         nums.push(n);
                     }
@@ -423,17 +402,13 @@ fn eval(
                         AllEq | MostEq => cell.loosely_equals(&rhs),
                         AllNotEq | MostNotEq => !cell.is_null() && !cell.loosely_equals(&rhs),
                         AllGreater | MostGreater => {
-                            num_cmp(cell_number(ctx, cell, ri, col), rhs_num, |a, b| a > b)
+                            num_cmp(cell.as_number(), rhs_num, |a, b| a > b)
                         }
-                        AllLess | MostLess => {
-                            num_cmp(cell_number(ctx, cell, ri, col), rhs_num, |a, b| a < b)
-                        }
+                        AllLess | MostLess => num_cmp(cell.as_number(), rhs_num, |a, b| a < b),
                         AllGreaterEq | MostGreaterEq => {
-                            num_cmp(cell_number(ctx, cell, ri, col), rhs_num, |a, b| a >= b)
+                            num_cmp(cell.as_number(), rhs_num, |a, b| a >= b)
                         }
-                        AllLessEq | MostLessEq => {
-                            num_cmp(cell_number(ctx, cell, ri, col), rhs_num, |a, b| a <= b)
-                        }
+                        AllLessEq | MostLessEq => num_cmp(cell.as_number(), rhs_num, |a, b| a <= b),
                         _ => return Err(LfError::Internal { op: *op }),
                     };
                     if m {

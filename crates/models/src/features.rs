@@ -27,7 +27,7 @@ pub fn evidence_table(sample: &Sample) -> Table {
     }
     for sentence in &sample.context {
         if let Some(rec) = textops::extract_record(sentence, &table) {
-            let ecol = textops::entity_column(&table);
+            let ecol = table.entity_column();
             let entity = Value::text(rec.entity.clone());
             let exists = (0..table.n_rows())
                 .any(|r| table.cell(r, ecol).is_some_and(|v| v.loosely_equals(&entity)));
@@ -74,7 +74,7 @@ pub struct TableStats {
 
 impl TableStats {
     pub fn compute(table: &Table) -> TableStats {
-        let ecol = if table.n_cols() > 0 { textops::entity_column(table) } else { 0 };
+        let ecol = table.entity_column();
         let mut numeric = Vec::new();
         for ci in 0..table.n_cols() {
             if table.schema().column(ci).map(|c| c.ty) != Some(ColumnType::Number) {
@@ -425,8 +425,7 @@ pub fn verifier_features(sample: &Sample) -> FeatureVec {
     // mentioned entity's own row? (the basic single-row fact check --
     // decisive for simple claims like "X has a budget of 700") ---
     {
-        let ecol =
-            if sample.table.n_cols() > 0 { textops::entity_column(&sample.table) } else { 0 };
+        let ecol = sample.table.entity_column();
         let mut row_hit = false;
         let mut row_miss = false;
         for ri in 0..sample.table.n_rows() {

@@ -56,17 +56,6 @@ impl FeatureVec {
     pub fn iter(&self) -> impl Iterator<Item = (u32, f32)> + '_ {
         self.entries.iter().copied()
     }
-
-    /// L2-normalizes the vector (keeps scales comparable across samples of
-    /// different sizes).
-    pub fn normalize(&mut self) {
-        let norm: f32 = self.entries.iter().map(|(_, v)| v * v).sum::<f32>().sqrt();
-        if norm > 0.0 {
-            for (_, v) in &mut self.entries {
-                *v /= norm;
-            }
-        }
-    }
 }
 
 /// Training hyperparameters.
@@ -201,13 +190,6 @@ impl LinearModel {
         }
     }
 
-    /// Class probabilities.
-    pub fn predict_proba(&self, fv: &FeatureVec) -> Vec<f32> {
-        let mut probs = vec![0.0f32; self.n_classes];
-        self.predict_proba_into(fv, &mut probs);
-        probs
-    }
-
     /// Most probable class (ties resolve to the lowest class index).
     pub fn predict(&self, fv: &FeatureVec) -> usize {
         let scores = self.scores(fv);
@@ -254,14 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn normalize_unit_norm() {
-        let mut v = fv(&[("a", 3.0), ("b", 4.0)]);
-        v.normalize();
-        let norm: f32 = v.iter().map(|(_, x)| x * x).sum::<f32>().sqrt();
-        assert!((norm - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
     fn learns_linearly_separable_data() {
         let mut examples = Vec::new();
         for i in 0..50 {
@@ -290,7 +264,8 @@ mod tests {
     #[test]
     fn zero_model_gives_uniform_probs() {
         let model = LinearModel::zeros(3);
-        let p = model.predict_proba(&fv(&[("x", 1.0)]));
+        let mut p = [0.0f32; 3];
+        model.predict_proba_into(&fv(&[("x", 1.0)]), &mut p);
         for pi in p {
             assert!((pi - 1.0 / 3.0).abs() < 1e-5);
         }
@@ -304,7 +279,8 @@ mod tests {
             examples.push((fv(&[("b", 1.0)]), 1usize));
         }
         let model = LinearModel::train(&examples, 2, TrainConfig::default());
-        let p = model.predict_proba(&fv(&[("a", 0.5), ("b", 0.5)]));
+        let mut p = [0.0f32; 2];
+        model.predict_proba_into(&fv(&[("a", 0.5), ("b", 0.5)]), &mut p);
         assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-4);
     }
 

@@ -130,7 +130,7 @@ pub fn generate_candidates(sample: &Sample) -> Vec<Candidate> {
     let qtokens = tokenize(&sample.text);
     let qnumbers = extract_numbers(&sample.text);
     let mut out: Vec<Candidate> = Vec::new();
-    let ecol = if table.n_cols() > 0 { textops::entity_column(&table) } else { 0 };
+    let ecol = table.entity_column();
 
     let entity_of = |ri: usize| -> Option<String> {
         table.cell(ri, ecol).filter(|v| !v.is_null()).map(|v| v.to_string())
@@ -599,7 +599,7 @@ fn round6(x: f64) -> f64 {
 /// column) referenced numbers in question order and compare them.
 fn resolve_comparison(sample: &Sample, table: &Table) -> Option<bool> {
     let lower = sample.text.to_lowercase();
-    let ecol = textops::entity_column(table);
+    let ecol = table.entity_column();
     // Collect (position, value) for every resolvable entity+numeric-column pair.
     let mut refs: Vec<(usize, f64)> = Vec::new();
     for ri in 0..table.n_rows() {

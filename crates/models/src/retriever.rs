@@ -45,7 +45,7 @@ impl Retriever {
         }
         let lower = sample.text.to_lowercase();
         let qtokens = tokenize(&sample.text);
-        let ecol = textops::entity_column(table);
+        let ecol = table.entity_column();
         let mut scored: Vec<(f64, (usize, usize))> = Vec::new();
         for ri in 0..table.n_rows() {
             let ent = table

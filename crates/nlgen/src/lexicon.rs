@@ -89,14 +89,6 @@ pub fn ordinal_into(n: usize, out: &mut String) {
     }
 }
 
-/// "a" vs "an".
-pub fn article(word: &str) -> &'static str {
-    match word.chars().next().map(|c| c.to_ascii_lowercase()) {
-        Some('a' | 'e' | 'i' | 'o' | 'u') => "an",
-        _ => "a",
-    }
-}
-
 /// Naive pluralization for count phrasings ("row" -> "rows").
 pub fn pluralize(word: &str) -> String {
     let mut out = String::with_capacity(word.len() + 3);
@@ -212,13 +204,6 @@ mod tests {
         assert_eq!(ordinal_word(22), "22nd");
         assert_eq!(ordinal_word(23), "23rd");
         assert_eq!(ordinal_word(24), "24th");
-    }
-
-    #[test]
-    fn articles() {
-        assert_eq!(article("apple"), "an");
-        assert_eq!(article("banana"), "a");
-        assert_eq!(article("Orange"), "an");
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //!
 //! [`AbsSummary`] packages the joined fixed point of one template; the
 //! degeneracy rules (A001/A002/A003) and the static discard-cost model
-//! read it, and `TemplateAnalysis` carries it to `uctr::analysis`.
+//! read it, and `TemplateAnalysis` carries it to the abstract-soundness
+//! suite, which checks it against concrete runs.
 
 use std::fmt;
 
@@ -101,12 +102,6 @@ impl Interval {
         } else {
             self.lo <= x && x <= self.hi
         }
-    }
-
-    /// Abstract containment: every value `other` admits, `self` admits
-    /// too (`other ⊑ self`). The empty interval is enclosed by anything.
-    pub fn encloses(&self, other: &Interval) -> bool {
-        other.is_empty() || (!self.is_empty() && self.lo <= other.lo && other.hi <= self.hi)
     }
 
     /// Least upper bound.
@@ -296,14 +291,6 @@ impl Kleene {
         matches!(self, Kleene::True | Kleene::False)
     }
 
-    /// Abstract containment over the value sets: `other ⊆ self`.
-    pub fn contains(self, other: Kleene) -> bool {
-        match (self, other) {
-            (_, Kleene::Never) | (Kleene::Unknown, _) => true,
-            (a, b) => a == b,
-        }
-    }
-
     /// Least upper bound (set union).
     pub fn join(self, other: Kleene) -> Kleene {
         match (self, other) {
@@ -380,14 +367,6 @@ impl Card {
             can_one: self.can_one || other.can_one,
             can_many: self.can_many || other.can_many,
         }
-    }
-
-    /// Abstract containment: flagwise, every cardinality `other` admits,
-    /// `self` admits too.
-    pub fn contains(self, other: Card) -> bool {
-        (self.can_empty || !other.can_empty)
-            && (self.can_one || !other.can_one)
-            && (self.can_many || !other.can_many)
     }
 
     /// The effect of an arbitrary row filter: any subset of the input can
@@ -483,15 +462,6 @@ impl AbsSummary {
             truth: self.truth.join(other.truth),
             rows: self.rows.join(other.rows),
         }
-    }
-
-    /// Componentwise abstract containment (`other ⊑ self`): everything the
-    /// other template can produce, this one can produce too. One half of
-    /// the subsumption preorder in `uctr::analysis`.
-    pub fn contains(&self, other: &AbsSummary) -> bool {
-        self.value.encloses(&other.value)
-            && self.truth.contains(other.truth)
-            && self.rows.contains(other.rows)
     }
 }
 
@@ -614,48 +584,6 @@ mod tests {
         assert_eq!(exactly_many.count_interval(), Interval::new(2.0, f64::INFINITY));
         assert_eq!(Card::NEVER.count_interval(), Interval::EMPTY);
         assert_eq!(Card::ANY.count_interval(), Interval::new(0.0, f64::INFINITY));
-    }
-
-    #[test]
-    fn containment_agrees_with_join() {
-        // x.contains(y) iff x.join(y) == x, on a small generator set.
-        let intervals = [
-            Interval::EMPTY,
-            Interval::TOP,
-            Interval::FINITE,
-            Interval::point(0.0),
-            Interval::new(1.0, 3.0),
-            Interval::new(-2.0, 5.0),
-        ];
-        for a in intervals {
-            for b in intervals {
-                assert_eq!(a.encloses(&b), a.join(b) == a, "{a} vs {b}");
-            }
-        }
-        use Kleene::*;
-        for a in [Never, True, False, Unknown] {
-            for b in [Never, True, False, Unknown] {
-                assert_eq!(a.contains(b), a.join(b) == a, "{a} vs {b}");
-            }
-        }
-        let mut cards = Vec::new();
-        for e in [false, true] {
-            for o in [false, true] {
-                for m in [false, true] {
-                    cards.push(Card { can_empty: e, can_one: o, can_many: m });
-                }
-            }
-        }
-        for &a in &cards {
-            for &b in &cards {
-                assert_eq!(a.contains(b), a.join(b) == a, "{a} vs {b}");
-            }
-        }
-        assert!(AbsSummary::TOP.contains(&AbsSummary::NEVER));
-        assert!(!AbsSummary::NEVER.contains(&AbsSummary::TOP));
-        let point =
-            AbsSummary { value: Interval::point(1.0), truth: Kleene::True, rows: Card::EMPTY_ONLY };
-        assert!(AbsSummary::TOP.contains(&point) && point.contains(&point));
     }
 
     #[test]

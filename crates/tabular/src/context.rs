@@ -1,13 +1,16 @@
 //! Per-table execution context shared by the program executors.
 //!
-//! Template instantiation and program execution repeatedly scan the same
-//! table: value-candidate collection walks a column per value hole, numeric
-//! aggregations re-parse every cell through [`Value::as_number`], and
-//! arithmetic instantiation re-collects the addressable numeric cells.
-//! [`ExecContext`] performs those scans **once per table** and hands the
-//! executors cached, immutable indexes. The pipeline builds one context per
-//! input table and shares it across all `samples_per_table` program
-//! attempts.
+//! Template instantiation repeatedly scans the same table: value-candidate
+//! collection walks a column per value hole, and arithmetic instantiation
+//! re-collects the addressable numeric cells. [`ExecContext`] performs those
+//! scans **once per table** and hands the executors cached, immutable
+//! indexes. The pipeline builds one context per input table and shares it
+//! across all `samples_per_table` program attempts.
+//!
+//! The context keeps only what needs a scan. A cell's numeric reading is
+//! one `match` on a [`Value`] that table typing already parsed
+//! ([`Value::as_number`]), so the executors read it from the cell they hold
+//! instead of from a copy that would have to be kept in step with it.
 //!
 //! Every cache mirrors the exact scan order of the naive code it replaces,
 //! so indexed execution is observably identical to a fresh table scan —
@@ -46,21 +49,12 @@ pub struct ExecContext<'t> {
     /// `table.column_values(ci)` with nulls dropped (the value-candidate
     /// list used by template instantiation).
     non_null: Vec<Vec<&'t Value>>,
-    /// Per column: `(row, numeric value)` for every cell with a numeric
-    /// interpretation, in row order (the scan behind `table_sum`, `max`,
-    /// `avg`, …).
-    numeric: Vec<Vec<(usize, f64)>>,
-    /// Row-major `Value::as_number` of every cell (`None` for non-numeric).
-    grid: Vec<Option<f64>>,
     /// Columns whose inferred schema type is `Number`.
     numeric_cols: Vec<usize>,
-    /// First `Text` column (else 0) — the arithmetic executor's row-name
-    /// column.
-    row_name_col: usize,
     /// Numeric cells addressable as `the <col> of <row>` by arithmetic
     /// templates, in the instantiation scan order: rows ascending (rows
-    /// with a null name cell skipped), columns ascending (name column
-    /// skipped).
+    /// with a null cell in [`Table::entity_column`] skipped), columns
+    /// ascending (that column skipped).
     addressable: Vec<(usize, usize)>,
     /// Distinct text cells in row-major scan order (the perturbation pool
     /// for refuted-claim synthesis).
@@ -73,6 +67,9 @@ pub struct ExecContext<'t> {
     /// kernel-eligible for `Value`-ordered batched ops exactly when every
     /// non-null cell is a number (see [`ExecContext::all_number`]).
     number_cells: Vec<usize>,
+    /// Per column: how many cells have a numeric reading
+    /// ([`Value::as_number`]: numbers, booleans and dates).
+    numeric_cells: Vec<usize>,
 }
 
 fn type_index(ty: ColumnType) -> usize {
@@ -90,13 +87,12 @@ impl<'t> ExecContext<'t> {
         let n_rows = table.n_rows();
         let n_cols = table.n_cols();
         let mut non_null = Vec::with_capacity(n_cols);
-        let mut numeric = Vec::with_capacity(n_cols);
         let mut number_cells = Vec::with_capacity(n_cols);
-        let mut grid = vec![None; n_rows * n_cols];
+        let mut numeric_cells = Vec::with_capacity(n_cols);
         for ci in 0..n_cols {
             let mut vals = Vec::new();
-            let mut nums = Vec::new();
             let mut numbers = 0usize;
+            let mut numeric = 0usize;
             for ri in 0..n_rows {
                 let Some(v) = table.cell(ri, ci) else { continue };
                 if !v.is_null() {
@@ -105,14 +101,13 @@ impl<'t> ExecContext<'t> {
                 if matches!(v, Value::Number(_)) {
                     numbers += 1;
                 }
-                if let Some(n) = v.as_number() {
-                    grid[ri * n_cols + ci] = Some(n);
-                    nums.push((ri, n));
+                if v.as_number().is_some() {
+                    numeric += 1;
                 }
             }
             non_null.push(vals);
-            numeric.push(nums);
             number_cells.push(numbers);
+            numeric_cells.push(numeric);
         }
 
         let numeric_cols = table.schema().columns_of_type(ColumnType::Number);
@@ -120,17 +115,15 @@ impl<'t> ExecContext<'t> {
         for col in table.schema().columns() {
             type_counts[type_index(col.ty)] += 1;
         }
-        let row_name_col =
-            table.schema().columns().iter().position(|c| c.ty == ColumnType::Text).unwrap_or(0);
-
+        let name_col = table.entity_column();
         let mut addressable = Vec::new();
         for ri in 0..n_rows {
-            let named = table.cell(ri, row_name_col).is_some_and(|v| !v.is_null());
+            let named = table.cell(ri, name_col).is_some_and(|v| !v.is_null());
             if !named {
                 continue;
             }
             for ci in 0..n_cols {
-                if ci != row_name_col && grid[ri * n_cols + ci].is_some() {
+                if ci != name_col && table.cell(ri, ci).and_then(Value::as_number).is_some() {
                     addressable.push((ri, ci));
                 }
             }
@@ -151,14 +144,12 @@ impl<'t> ExecContext<'t> {
         ExecContext {
             table,
             non_null,
-            numeric,
-            grid,
             numeric_cols,
-            row_name_col,
             addressable,
             text_pool,
             type_counts,
             number_cells,
+            numeric_cells,
         }
     }
 
@@ -191,29 +182,15 @@ impl<'t> ExecContext<'t> {
         self.non_null.get(col).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// `(row, number)` pairs of a column's numeric cells in row order.
-    pub fn numeric_pairs(&self, col: usize) -> &[(usize, f64)] {
-        self.numeric.get(col).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Cached `Value::as_number` of one cell.
-    pub fn number_at(&self, row: usize, col: usize) -> Option<f64> {
-        let n_cols = self.n_cols();
-        if col >= n_cols {
-            return None;
-        }
-        self.grid.get(row * n_cols + col).copied().flatten()
+    /// How many cells of a column have a numeric reading
+    /// ([`Value::as_number`]); 0 for out-of-range columns.
+    pub fn numeric_count(&self, col: usize) -> usize {
+        self.numeric_cells.get(col).copied().unwrap_or(0)
     }
 
     /// Columns typed `Number` by schema inference.
     pub fn numeric_columns(&self) -> &[usize] {
         &self.numeric_cols
-    }
-
-    /// The arithmetic executor's row-name column (first `Text` column,
-    /// else 0).
-    pub fn row_name_column(&self) -> usize {
-        self.row_name_col
     }
 
     /// Numeric cells addressable by arithmetic templates (see field docs
@@ -273,28 +250,21 @@ mod tests {
     }
 
     #[test]
-    fn numeric_pairs_match_cell_scan() {
+    fn numeric_counts_match_cell_scan() {
         let t = table();
         let ctx = ExecContext::new(&t);
         for ci in 0..t.n_cols() {
-            let naive: Vec<(usize, f64)> = (0..t.n_rows())
-                .filter_map(|ri| t.cell(ri, ci).and_then(Value::as_number).map(|n| (ri, n)))
-                .collect();
-            assert_eq!(ctx.numeric_pairs(ci), naive.as_slice(), "column {ci}");
-            for (ri, n) in naive {
-                assert_eq!(ctx.number_at(ri, ci), Some(n));
-            }
+            let naive = (0..t.n_rows())
+                .filter(|&ri| t.cell(ri, ci).and_then(Value::as_number).is_some())
+                .count();
+            assert_eq!(ctx.numeric_count(ci), naive, "column {ci}");
         }
-        // The null score cell has no numeric reading.
-        assert_eq!(ctx.number_at(2, 1), None);
-        assert_eq!(ctx.number_at(0, 99), None);
-    }
-
-    #[test]
-    fn name_column_is_the_first_text_column() {
-        let t = table();
-        let ctx = ExecContext::new(&t);
-        assert_eq!(ctx.row_name_column(), 0);
+        // The null score cell has no numeric reading; dates read as their
+        // ordinal, text as nothing.
+        assert_eq!(ctx.numeric_count(1), 2);
+        assert_eq!(ctx.numeric_count(2), 0);
+        assert_eq!(ctx.numeric_count(3), 2);
+        assert_eq!(ctx.numeric_count(99), 0);
     }
 
     #[test]

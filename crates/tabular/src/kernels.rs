@@ -1,13 +1,12 @@
 //! Batched column kernels shared by the three program executors.
 //!
-//! The [`crate::ExecContext`] already stores every cell's parsed number
-//! (`numeric_pairs` per column, `number_at` per cell); the executors
-//! historically still walked tables cell-by-cell through `Value` dispatch.
-//! The kernels here are the batched counterparts: tight sequential loops
-//! over `&[f64]` slices and `(row, f64)` pair lists that the optimizer can
-//! keep in registers, plus a [`KernelScratch`] pool of reusable row-index /
-//! numeric / key buffers so the hot generation loop stops allocating
-//! per-expression views.
+//! The executors gather a column's numeric readings (`Value::as_number` of
+//! each cell, a `match` on a value table typing already parsed) into a
+//! buffer and reduce it here: tight sequential loops over `&[f64]` slices
+//! and `(row, f64)` pair lists that the optimizer can keep in registers,
+//! plus a [`KernelScratch`] pool of reusable row-index / numeric / key
+//! buffers so the hot generation loop stops allocating per-expression
+//! views.
 //!
 //! ## Bit-exactness contract
 //!
@@ -161,15 +160,22 @@ pub fn sort_total(nums: &mut [f64]) {
 /// form. A finite numeric reading looks in an epsilon window of an ordered
 /// key map, confirms each candidate with `loosely_equals` and takes the
 /// smallest class; a non-finite one is compared with every numeric class.
+/// Dates sit in a map of their own: a date loosely equals another date
+/// only when it is the same date, so a date looks up its exact key there,
+/// and numbers and booleans scan the window in both maps. Distinct dates
+/// whose ordinals crowd one window (years near the `i32` limit) then cost
+/// a lookup each, not a pass over the column.
 /// DESIGN.md §5 gives the exactness argument. Memory is allocated per class.
 #[derive(Debug, Default)]
 pub struct LooseIndex {
     classes: usize,
     null: Option<usize>,
     texts: FxHashMap<String, usize>,
-    /// Representatives with a finite reading, keyed by
+    /// Number and boolean representatives with a finite reading, keyed by
     /// ([`order_key`] of the reading, class).
     finite: BTreeMap<(u64, usize), Value>,
+    /// Date representatives, keyed like `finite` by their ordinal.
+    dates: BTreeMap<(u64, usize), Value>,
     non_finite: Vec<(usize, Value)>,
     /// Reused buffer for the lowercased text key.
     key: String,
@@ -196,8 +202,13 @@ impl LooseIndex {
                     }
                     None => (0, 0)..=(u64::MAX, usize::MAX),
                 };
+                let dates = match (v, finite) {
+                    (Value::Date(_), Some(n)) => (order_key(n), 0)..=(order_key(n), usize::MAX),
+                    _ => window.clone(),
+                };
                 self.finite
                     .range(window)
+                    .chain(self.dates.range(dates))
                     .map(|(&(_, class), rep)| (class, rep))
                     .chain(self.non_finite.iter().map(|(class, rep)| (*class, rep)))
                     .filter(|(_, rep)| rep.loosely_equals(v))
@@ -214,6 +225,9 @@ impl LooseIndex {
             (Value::Null, _) => self.null = Some(class),
             (Value::Text(_), _) => {
                 self.texts.insert(self.key.clone(), class);
+            }
+            (Value::Date(_), Some(n)) => {
+                self.dates.insert((order_key(n), class), v.clone());
             }
             (_, Some(n)) => {
                 self.finite.insert((order_key(n), class), v.clone());
@@ -296,6 +310,8 @@ mod tests {
         let n = Value::Number;
         let far = |day| Value::Date(Date { year: 999_999, month: 1, day });
         let far_ordinal = far(1).as_number().unwrap_or_else(|| panic!("date reading"));
+        let huge = |day| Value::Date(Date { year: 2_000_000_000, month: 3, day });
+        let huge_ordinal = huge(7).as_number().unwrap_or_else(|| panic!("date reading"));
         let cases = [
             vec![n(f64::INFINITY), n(5.0)],
             vec![n(5.0), n(f64::INFINITY)],
@@ -306,6 +322,14 @@ mod tests {
             vec![n(1.0), n(1.0000018), n(1.0000009)],
             // Adjacent dates with nearly equal ordinals stay apart.
             vec![far(2), far(1), n(far_ordinal)],
+            // Distinct dates whose ordinals share one window, beside a
+            // number at one of their ordinals (after them, then before).
+            {
+                let mut v: Vec<Value> = (1..=28).map(huge).collect();
+                v.extend([n(huge_ordinal), huge(7), Value::Bool(true), huge(28)]);
+                v
+            },
+            vec![n(huge_ordinal), huge(1), huge(2), huge(7), Value::Bool(false)],
             vec![Value::text("Apple"), Value::text("APPLE"), Value::text("5"), n(5.0)],
         ];
         for values in cases {

@@ -83,21 +83,6 @@ impl SchemaRequirement {
         *self == SchemaRequirement::NONE
     }
 
-    /// Lattice order: `self.implies(other)` iff every table satisfying
-    /// `self` also satisfies `other` — pointwise, `self` bounds each field
-    /// at least as tightly. Equivalent to `self.join(other) == self`; the
-    /// subsumption preorder in `uctr::analysis` is built on this.
-    pub fn implies(&self, other: &SchemaRequirement) -> bool {
-        self.min_rows >= other.min_rows
-            && self.min_cols >= other.min_cols
-            && self.min_number_cols >= other.min_number_cols
-            && self.min_date_cols >= other.min_date_cols
-            && self.min_text_cols >= other.min_text_cols
-            && self.min_addressable_cells >= other.min_addressable_cells
-            && (self.needs_number_column || !other.needs_number_column)
-            && self.min_col_numeric_values >= other.min_col_numeric_values
-    }
-
     /// Whether the table behind `ctx` meets every bound. `false` means the
     /// analyzers proved instantiation cannot succeed on this table.
     pub fn satisfied_by(&self, ctx: &ExecContext) -> bool {
@@ -109,8 +94,7 @@ impl SchemaRequirement {
             && ctx.addressable_cells().len() >= self.min_addressable_cells
             && (!self.needs_number_column || ctx.column_type_count(ColumnType::Number) > 0)
             && (self.min_col_numeric_values == 0
-                || (0..ctx.n_cols())
-                    .any(|c| ctx.numeric_pairs(c).len() >= self.min_col_numeric_values))
+                || (0..ctx.n_cols()).any(|c| ctx.numeric_count(c) >= self.min_col_numeric_values))
     }
 }
 
@@ -228,27 +212,6 @@ mod tests {
         assert_eq!(a.join(b), b.join(a));
         assert_eq!(j.join(j), j);
         assert_eq!(a.join(SchemaRequirement::NONE), a);
-    }
-
-    #[test]
-    fn implies_is_the_lattice_order() {
-        let weak = SchemaRequirement { min_rows: 1, ..SchemaRequirement::NONE };
-        let strong = SchemaRequirement {
-            min_rows: 2,
-            min_number_cols: 1,
-            needs_number_column: true,
-            ..SchemaRequirement::NONE
-        };
-        assert!(strong.implies(&weak));
-        assert!(!weak.implies(&strong));
-        // Reflexive; NONE is implied by everything and implies only itself.
-        assert!(strong.implies(&strong));
-        assert!(strong.implies(&SchemaRequirement::NONE));
-        assert!(!SchemaRequirement::NONE.implies(&weak));
-        // Consistency with join: a.implies(b) iff a.join(b) == a.
-        assert_eq!(strong.join(weak), strong);
-        let incomparable = SchemaRequirement { min_date_cols: 1, ..SchemaRequirement::NONE };
-        assert!(!strong.implies(&incomparable) && !incomparable.implies(&strong));
     }
 
     #[test]

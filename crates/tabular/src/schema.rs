@@ -23,13 +23,6 @@ pub enum ColumnType {
     Text,
 }
 
-impl ColumnType {
-    /// Whether a value of this type supports arithmetic.
-    pub fn is_numeric(self) -> bool {
-        matches!(self, ColumnType::Number | ColumnType::Date)
-    }
-}
-
 impl fmt::Display for ColumnType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -92,11 +85,6 @@ impl Schema {
     /// Indexes of all columns of the given type.
     pub fn columns_of_type(&self, ty: ColumnType) -> Vec<usize> {
         self.columns.iter().enumerate().filter(|(_, c)| c.ty == ty).map(|(i, _)| i).collect()
-    }
-
-    /// Indexes of all numeric columns (numbers or dates).
-    pub fn numeric_columns(&self) -> Vec<usize> {
-        self.columns.iter().enumerate().filter(|(_, c)| c.ty.is_numeric()).map(|(i, _)| i).collect()
     }
 
     pub fn push(&mut self, col: Column) {
@@ -206,6 +194,5 @@ mod tests {
             Column::new("d", ColumnType::Date),
         ]);
         assert_eq!(s.columns_of_type(ColumnType::Number), vec![1, 2]);
-        assert_eq!(s.numeric_columns(), vec![1, 2, 3]);
     }
 }

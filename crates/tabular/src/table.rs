@@ -6,7 +6,7 @@
 //! build on.
 
 use crate::kernels::LooseIndex;
-use crate::schema::{infer_column_type, Column, Schema};
+use crate::schema::{infer_column_type, Column, ColumnType, Schema};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -129,6 +129,14 @@ impl Table {
         self.schema.index_of(name)
     }
 
+    /// The column that names each row's entity: the first `Text` column,
+    /// else column 0 (financial tables lead with a label column). Its cell
+    /// is the subject of a row Table-To-Text verbalizes and the `<row>` an
+    /// arithmetic program addresses as `the <col> of <row>`.
+    pub fn entity_column(&self) -> usize {
+        self.schema.columns().iter().position(|c| c.ty == ColumnType::Text).unwrap_or(0)
+    }
+
     /// Appends a row, checking arity.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<(), TableError> {
         if row.len() != self.schema.len() {
@@ -206,7 +214,6 @@ impl fmt::Display for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::ColumnType;
 
     fn sample() -> Table {
         Table::from_strings(
@@ -231,6 +238,34 @@ mod tests {
         assert_eq!(column_type(&t, 0), ColumnType::Text);
         assert_eq!(column_type(&t, 1), ColumnType::Number);
         assert_eq!(column_type(&t, 2), ColumnType::Date);
+    }
+
+    #[test]
+    fn first_text_column_else_zero_names_the_entity() {
+        let grid = |rows: &[Vec<&str>]| {
+            Table::from_strings("t", rows).unwrap_or_else(|e| panic!("test table: {e:?}"))
+        };
+        // A leading text column, with a null name cell among its rows.
+        let people = grid(&[
+            vec!["name", "score", "city", "when"],
+            vec!["Ada", "91", "Oslo", "1990-05-01"],
+            vec!["-", "84", "Lima", "n/a"],
+            vec!["Cleo", "n/a", "Oslo", "2001-08-23"],
+        ]);
+        assert_eq!(people.entity_column(), 0);
+        let financials = grid(&[
+            vec!["item", "2019", "2018"],
+            vec!["Stockholders' equity", "3200", "4000"],
+            vec!["Revenue", "8800", "8000"],
+        ]);
+        assert_eq!(financials.entity_column(), 0);
+        // The first text column wins over a leading numeric one.
+        assert_eq!(grid(&[vec!["x", "label"], vec!["1", "a"], vec!["2", "b"]]).entity_column(), 1);
+        let players = grid(&[vec!["score", "player"], vec!["10", "alice"], vec!["20", "bob"]]);
+        assert_eq!(players.entity_column(), 1);
+        // No text column, and no column at all: column 0.
+        assert_eq!(grid(&[vec!["a", "b"], vec!["1", "2"]]).entity_column(), 0);
+        assert_eq!(Table::default().entity_column(), 0);
     }
 
     #[test]

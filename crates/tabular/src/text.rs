@@ -123,25 +123,6 @@ pub fn token_f1(pred: &[String], gold: &[String]) -> f64 {
     2.0 * precision * recall / (precision + recall)
 }
 
-/// Jaccard similarity between the token sets of two strings; used by the
-/// Text-To-Table operator to match sentences to table rows.
-pub fn jaccard(a: &str, b: &str) -> f64 {
-    let ta = tokenize(a);
-    let tb = tokenize(b);
-    if ta.is_empty() && tb.is_empty() {
-        return 1.0;
-    }
-    let sa: std::collections::BTreeSet<&String> = ta.iter().collect();
-    let sb: std::collections::BTreeSet<&String> = tb.iter().collect();
-    let inter = sa.intersection(&sb).count();
-    let union = sa.union(&sb).count();
-    if union == 0 {
-        0.0
-    } else {
-        inter as f64 / union as f64
-    }
-}
-
 /// Splits a paragraph into sentences on `.`, `!`, `?` boundaries, keeping
 /// abbreviating periods inside numbers intact.
 pub fn split_sentences(paragraph: &str) -> Vec<String> {
@@ -227,13 +208,6 @@ mod tests {
         let p = tokenize("42");
         let g = tokenize("42");
         assert_eq!(token_f1(&p, &g), 1.0);
-    }
-
-    #[test]
-    fn jaccard_sanity() {
-        assert_eq!(jaccard("a b c", "a b c"), 1.0);
-        assert_eq!(jaccard("a b", "c d"), 0.0);
-        assert!((jaccard("a b c", "b c d") - 0.5).abs() < 1e-9);
     }
 
     #[test]

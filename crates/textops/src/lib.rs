@@ -23,7 +23,7 @@ pub mod table_to_text;
 pub mod text_to_table;
 
 pub use table_to_text::{
-    describe_row, describe_row_with, entity_column, is_faithful, is_faithful_with, table_to_text,
+    describe_row, describe_row_with, is_faithful, is_faithful_with, table_to_text,
     table_to_text_with, SplitResult, TextScratch,
 };
 pub use text_to_table::{extract_record, text_to_table, ExpandResult, ExtractedRecord};

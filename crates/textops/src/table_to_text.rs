@@ -10,13 +10,7 @@
 
 use rand::Rng;
 use std::fmt::Write as _;
-use tabular::{ColumnType, Table, Value};
-
-/// Index of the column that names the row's entity: the first text column,
-/// else column 0.
-pub fn entity_column(table: &Table) -> usize {
-    table.schema().columns().iter().position(|c| c.ty == ColumnType::Text).unwrap_or(0)
-}
+use tabular::{Table, Value};
 
 /// Reusable buffers for the streaming Table-To-Text entry points
 /// ([`describe_row_with`], [`is_faithful_with`], [`table_to_text_with`]).
@@ -47,7 +41,7 @@ pub fn describe_row_with(
     out: &mut String,
 ) -> bool {
     let Some(cells) = table.row(row) else { return false };
-    let ecol = entity_column(table);
+    let ecol = table.entity_column();
     let Some(entity) = cells.get(ecol).filter(|v| !v.is_null()) else { return false };
     // Stream the facts ", "-separated, remembering the final separator so
     // it can be widened to " and " afterwards — same surface text as the
@@ -156,7 +150,7 @@ pub fn table_to_text_with(
     if !is_faithful_with(table, highlight_row, &sentence, scratch) {
         return None;
     }
-    let ecol = entity_column(table);
+    let ecol = table.entity_column();
     let entity = table.cell(highlight_row, ecol)?.to_string();
     Some(SplitResult { sentence, entity })
 }
@@ -221,16 +215,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         assert!(describe_row(&t, 0, &mut rng).is_none());
         assert!(describe_row(&t, 1, &mut rng).is_some());
-    }
-
-    #[test]
-    fn entity_column_prefers_text() {
-        let t = Table::from_strings(
-            "t",
-            &[vec!["score", "player"], vec!["10", "alice"], vec!["20", "bob"]],
-        )
-        .unwrap_or_else(|e| panic!("test table: {e:?}"));
-        assert_eq!(entity_column(&t), 1);
     }
 
     #[test]

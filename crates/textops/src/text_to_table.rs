@@ -8,7 +8,6 @@
 //! row-name filtering step is implemented by requiring an extractable
 //! entity and at least one value for a known column.
 
-use crate::table_to_text::entity_column;
 use tabular::text::split_sentences;
 use tabular::{Table, Value};
 
@@ -63,7 +62,7 @@ pub fn extract_record(sentence: &str, table: &Table) -> Option<ExtractedRecord> 
         }
     }
 
-    let ecol = entity_column(table);
+    let ecol = table.entity_column();
     // Entity: prefer "the <col> of <entity> is" frame, else sentence subject.
     let mut entity: Option<String> = None;
     let mut fields: Vec<(usize, Value)> = Vec::new();
@@ -167,7 +166,7 @@ pub struct ExpandResult {
 /// the table's schema and is *not already present*, and appends it.
 pub fn text_to_table(table: &Table, paragraph: &str) -> Option<ExpandResult> {
     let sentences = split_sentences(paragraph);
-    let ecol = entity_column(table);
+    let ecol = table.entity_column();
     for (si, sentence) in sentences.iter().enumerate() {
         let Some(record) = extract_record(sentence, table) else { continue };
         // Row-name filter: skip records whose entity already has a row.

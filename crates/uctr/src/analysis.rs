@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqlexec::SqlTemplate;
 use std::fmt;
-use tabular::{AbsSummary, ExecContext, SchemaRequirement, Table, TemplateAnalysis, TemplateIssue};
+use tabular::{ExecContext, SchemaRequirement, Table, TemplateAnalysis, TemplateIssue};
 
 /// Diagnostic code used for templates whose surface text does not parse
 /// (only reachable through [`analyze_text`] / the checked bank builders —
@@ -56,8 +56,6 @@ pub struct AnalyzedTemplate {
     /// from `issues`: a degenerate template still executes, it just cannot
     /// produce useful training signal.
     pub degeneracies: Vec<TemplateIssue>,
-    /// The joined abstract summary over all hole assignments and tables.
-    pub summary: AbsSummary,
     /// Static estimate of the probability one instantiation attempt
     /// survives the generation funnel (see `DESIGN.md`).
     pub survival: f64,
@@ -66,7 +64,7 @@ pub struct AnalyzedTemplate {
 impl AnalyzedTemplate {
     /// Analyzes a program template of any kind.
     pub fn of(template: &AnyTemplate) -> AnalyzedTemplate {
-        let TemplateAnalysis { issues, requirement, degeneracies, summary, survival } =
+        let TemplateAnalysis { issues, requirement, degeneracies, survival, .. } =
             template.analyze();
         AnalyzedTemplate {
             kind: template.kind(),
@@ -74,7 +72,6 @@ impl AnalyzedTemplate {
             requirement,
             issues,
             degeneracies,
-            summary,
             survival,
         }
     }
@@ -214,14 +211,13 @@ pub fn analyze_text(kind: KindSlot, text: &str) -> AnalyzedTemplate {
             requirement: SchemaRequirement::NONE,
             issues: vec![TemplateIssue::new(d.code, d.locus, d.message)],
             degeneracies: Vec::new(),
-            summary: AbsSummary::TOP,
             survival: 0.0,
         },
     }
 }
 
 // ---------------------------------------------------------------------------
-// Cross-template equivalence: differential witnesses, classes, subsumption.
+// Cross-template equivalence: differential witnesses and classes.
 // ---------------------------------------------------------------------------
 
 /// Default number of per-table seeds the differential witness runs
@@ -352,16 +348,6 @@ pub fn verify_merge(
     witness
 }
 
-/// Does `a` subsume `b`? Holds when `b` is redundant *as coverage*: every
-/// table feasible for `b` is feasible for `a` (`b`'s requirement is the
-/// stronger lattice point) and `a`'s abstract output summary encloses
-/// `b`'s. A preorder — reflexive and transitive, not antisymmetric: two
-/// distinct templates can subsume each other (equal requirement and
-/// summary) without being equivalent.
-pub fn subsumes(a: &AnalyzedTemplate, b: &AnalyzedTemplate) -> bool {
-    b.requirement.implies(&a.requirement) && a.summary.contains(&b.summary)
-}
-
 /// One canonical-form equivalence class over a bank plus the miner's
 /// pruned candidates.
 #[derive(Debug, Clone)]
@@ -376,8 +362,7 @@ pub struct EquivalenceClass {
 
 /// The cross-template semantic report `xtask audit-equivalence` renders
 /// and ratchets: canonical equivalence classes over a bank and its merge
-/// records, differential verification of every merge, and the subsumption
-/// preorder over class representatives.
+/// records, and differential verification of every merge.
 #[derive(Debug, Clone)]
 pub struct EquivalenceReport {
     /// One class per admitted template, in bank insertion order.
@@ -390,8 +375,6 @@ pub struct EquivalenceReport {
     /// failure is described in `failures`.
     pub unverified_merges: usize,
     pub failures: Vec<String>,
-    /// Ordered representative pairs (a, b), a ≠ b, where `a` subsumes `b`.
-    pub subsumption_edges: usize,
 }
 
 impl EquivalenceReport {
@@ -429,23 +412,12 @@ impl EquivalenceReport {
                 ));
             }
         }
-        let analyses: Vec<AnalyzedTemplate> =
-            bank.templates().iter().map(AnalyzedTemplate::of).collect();
-        let mut subsumption_edges = 0usize;
-        for (i, a) in analyses.iter().enumerate() {
-            for (j, b) in analyses.iter().enumerate() {
-                if i != j && subsumes(a, b) {
-                    subsumption_edges += 1;
-                }
-            }
-        }
         EquivalenceReport {
             classes,
             pruned_per_kind,
             verified_merges: verified,
             unverified_merges: failures.len(),
             failures,
-            subsumption_edges,
         }
     }
 
@@ -543,21 +515,6 @@ mod tests {
         let w = verify_merge(&arith("subtract( val1 , 100 )"), &arith("subtract( 100 , val1 )"), 8);
         assert!(!w.verified());
         assert!(w.mismatch.is_some());
-    }
-
-    #[test]
-    fn subsumption_is_a_preorder_on_analyses() {
-        let narrow = analyze_text(KindSlot::Sql, "select c1 from w where c2 = val1");
-        let wide = analyze_text(KindSlot::Sql, "select c1 from w");
-        for a in [&narrow, &wide] {
-            assert!(subsumes(a, a), "subsumption is reflexive");
-        }
-        // The filtered lookup needs a strictly stronger schema, so the
-        // unfiltered one can never subsume on coverage grounds alone
-        // unless the requirement direction holds.
-        assert!(narrow.requirement.implies(&wide.requirement));
-        assert!(!wide.requirement.implies(&narrow.requirement));
-        assert!(!subsumes(&narrow, &wide), "weaker-requirement template is not covered");
     }
 
     #[test]

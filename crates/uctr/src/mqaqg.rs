@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use tabular::{Table, Value};
-use textops::{describe_row, entity_column};
+use textops::describe_row;
 
 /// MQA-QG-style generator configuration.
 #[derive(Debug, Clone)]
@@ -68,7 +68,7 @@ fn one_sample(
     if rng.gen_bool(1.0 / 3.0) {
         return text_sample(table, config, rng);
     }
-    let ecol = entity_column(table);
+    let ecol = table.entity_column();
     let row = rng.gen_range(0..table.n_rows());
     let entity = table.cell(row, ecol).filter(|v| !v.is_null())?.to_string();
     let cols: Vec<usize> = (0..table.n_cols())
@@ -148,7 +148,7 @@ fn one_sample(
 fn text_sample(table: &Table, config: &MqaQgConfig, rng: &mut StdRng) -> Option<Sample> {
     let row = rng.gen_range(0..table.n_rows());
     let sentence = describe_row(table, row, rng)?;
-    let ecol = entity_column(table);
+    let ecol = table.entity_column();
     let entity = table.cell(row, ecol).filter(|v| !v.is_null())?.to_string();
     let cols: Vec<usize> = (0..table.n_cols())
         .filter(|&c| c != ecol && table.cell(row, c).is_some_and(|v| !v.is_null()))

@@ -557,7 +557,7 @@ impl UctrPipeline {
         if !textops::describe_row_with(table, row, rng, text, &mut sentence) {
             return None;
         }
-        let ecol = textops::entity_column(table);
+        let ecol = table.entity_column();
         let entity = table.cell(row, ecol).filter(|v| !v.is_null())?.to_string();
         // Pick a non-entity, non-null cell to ask about.
         cols.clear();

@@ -91,17 +91,6 @@ pub enum ProgramKind {
     None,
 }
 
-impl ProgramKind {
-    /// The serialized program, regardless of kind (`None` for programless
-    /// text-only samples).
-    pub fn program_text(&self) -> Option<&str> {
-        match self {
-            ProgramKind::Sql(p) | ProgramKind::Logic(p) | ProgramKind::Arith(p) => Some(p),
-            ProgramKind::None => None,
-        }
-    }
-}
-
 /// TAT-QA-style answer kinds, used for per-type metric breakdowns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AnswerKind {
@@ -492,16 +481,5 @@ mod tests {
         let mut s = Sample::qa(t(), "q?", "a");
         s.context = vec!["First.".into(), "Second.".into()];
         assert_eq!(s.context_text(), "First. Second.");
-    }
-
-    #[test]
-    fn program_text_exposes_source_for_every_kind() {
-        assert_eq!(
-            ProgramKind::Sql("select c1 from w".into()).program_text(),
-            Some("select c1 from w")
-        );
-        assert_eq!(ProgramKind::Logic("eq { a ; b }".into()).program_text(), Some("eq { a ; b }"));
-        assert_eq!(ProgramKind::Arith("add( 1 , 2 )".into()).program_text(), Some("add( 1 , 2 )"));
-        assert_eq!(ProgramKind::None.program_text(), None);
     }
 }

@@ -567,17 +567,6 @@ impl PipelineReport {
         self.kinds.iter().map(|k| k.prefiltered).sum()
     }
 
-    /// Prefiltered / attempted program attempts (0 when nothing was
-    /// attempted) — the hit rate the bench binaries report.
-    pub fn prefilter_rate(&self) -> f64 {
-        let attempted: u64 = self.kinds.iter().map(|k| k.attempted).sum();
-        if attempted == 0 {
-            0.0
-        } else {
-            self.prefiltered() as f64 / attempted as f64
-        }
-    }
-
     /// Accepted / attempted — the rate the CI floor gates on.
     pub fn acceptance_rate(&self) -> f64 {
         let attempted = self.attempted();
@@ -732,7 +721,6 @@ mod tests {
         assert_eq!(sql.prefiltered, 2);
         assert_eq!(sql.attempted, 2);
         assert!(sql.discards.is_empty(), "prefilter is not a discard reason");
-        assert!((report.prefilter_rate() - 2.0 / 3.0).abs() < 1e-12, "2 prefiltered / 3 attempted");
         // Prefilter counts are deterministic state: they participate in
         // deterministic_eq via the kind rows.
         let fresh = TelemetryBank::new().report(1);

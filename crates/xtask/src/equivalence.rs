@@ -1,9 +1,8 @@
 //! Cross-template equivalence audit (`cargo run -p xtask -- audit-equivalence`).
 //!
 //! Rebuilds the deterministic mined corpus, asks [`uctr::analysis::EquivalenceReport`]
-//! for the canonical-form equivalence classes over the resulting bank, the
-//! differential verification of every miner merge, and the subsumption
-//! preorder over class representatives. The scalar results are ratcheted
+//! for the canonical-form equivalence classes over the resulting bank and
+//! the differential verification of every miner merge. The scalar results are ratcheted
 //! two-sided under the `equivalence` counts group of
 //! `ci/template_health.json` — the same file `audit-templates` maintains,
 //! which ignores this group and leaves it intact on `--write`.
@@ -49,7 +48,6 @@ pub fn counts(report: &EquivalenceReport) -> Counts {
     group.insert("classes".to_string(), report.class_count() as i64);
     group.insert("merged_classes".to_string(), report.merged_classes() as i64);
     group.insert("verified_merges".to_string(), report.verified_merges as i64);
-    group.insert("subsumption_edges".to_string(), report.subsumption_edges as i64);
     for kind in [KindSlot::Sql, KindSlot::Logic, KindSlot::Arith] {
         group.insert(format!("classes_{}", kind.name()), per_kind[kind as usize] as i64);
         group.insert(
@@ -122,7 +120,6 @@ pub fn json_report(
         ("pruned_total".to_string(), Value::Int(report.pruned_total() as i64)),
         ("verified_merges".to_string(), Value::Int(report.verified_merges as i64)),
         ("unverified_merges".to_string(), Value::Int(report.unverified_merges as i64)),
-        ("subsumption_edges".to_string(), Value::Int(report.subsumption_edges as i64)),
         ("kinds".to_string(), kinds),
         ("merged".to_string(), merged),
         (
@@ -143,7 +140,7 @@ pub fn json_report(
 pub fn markdown_summary(report: &EquivalenceReport, ratchet: Option<&RatchetStatus>) -> String {
     let per_kind = classes_per_kind(report);
     let mut md =
-        String::from("## xtask audit-equivalence — canonical classes & subsumption pruning\n\n");
+        String::from("## xtask audit-equivalence — canonical classes & equivalence pruning\n\n");
     md.push_str("| kind | classes | pruned equivalents |\n|---|---:|---:|\n");
     for kind in [KindSlot::Sql, KindSlot::Logic, KindSlot::Arith] {
         md.push_str(&format!(
@@ -155,12 +152,11 @@ pub fn markdown_summary(report: &EquivalenceReport, ratchet: Option<&RatchetStat
     }
     md.push_str(&format!(
         "\n{} class(es), {} absorbed at least one pruned template; {} template(s) pruned, \
-         {} merge(s) differentially verified, {} subsumption edge(s).\n",
+         {} merge(s) differentially verified.\n",
         report.class_count(),
         report.merged_classes(),
         report.pruned_total(),
         report.verified_merges,
-        report.subsumption_edges,
     ));
     if report.unverified_merges == 0 {
         md.push_str("\nDifferential witness gate: **ok** — every merge verified.\n");
@@ -224,7 +220,6 @@ mod tests {
             verified_merges: 1,
             unverified_merges: 0,
             failures: vec![],
-            subsumption_edges: 1,
         }
     }
 
@@ -241,7 +236,6 @@ mod tests {
         assert_eq!(group["pruned_arith"], 1);
         assert_eq!(group["pruned_sql"], 0);
         assert_eq!(group["verified_merges"], 1);
-        assert_eq!(group["subsumption_edges"], 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `ci/template_health.json`. See `DESIGN.md` §7 and [`audit`].
 //!
 //! `cargo run -p xtask -- audit-equivalence` rebuilds the mined corpus,
-//! reports canonical-form equivalence classes and subsumption edges, and
+//! reports canonical-form equivalence classes and pruned equivalents, and
 //! differentially verifies every canonical merge the miner performed —
 //! ratcheted under the `equivalence` group of the same health file, with
 //! a hard zero gate on unverified merges. See [`equivalence`].

@@ -48,7 +48,7 @@ AUDIT-EQUIVALENCE OPTIONS:
                             leaving every other group and the floors untouched
     --json <FILE>           write the machine-readable report (classes per kind,
                             merged classes with their pruned members, witness
-                            failures, subsumption edge count)
+                            failures)
     --md <FILE>             write a markdown summary table (for CI job summaries)
     --quiet                 suppress per-merge lines
 
@@ -439,13 +439,12 @@ fn run_equiv(opts: &EquivOpts) -> Result<bool, String> {
 
     println!(
         "xtask audit-equivalence: {} class(es) ({} merged), {} pruned, {} verified merge(s), \
-         {} unverified, {} subsumption edge(s){}",
+         {} unverified{}",
         report.class_count(),
         report.merged_classes(),
         report.pruned_total(),
         report.verified_merges,
         report.unverified_merges,
-        report.subsumption_edges,
         match (opts.check, clean, gate_ok) {
             (_, _, false) => " — WITNESS GATE FAILED",
             (true, true, true) => " — equivalence ok",
@@ -565,7 +564,7 @@ fn default_health_comment() -> String {
      values mean an ill-typed template slipped in; counts below mean templates were \
      fixed and this file must be regenerated with --write. Missing entries are zero. \
      The `equivalence` group is owned by `cargo run -p xtask -- audit-equivalence` \
-     (canonical classes, pruned equivalents, differential-witness and subsumption \
-     counts over the mined bank) and is ignored/preserved by audit-templates."
+     (canonical classes, pruned equivalents and differential-witness counts over \
+     the mined bank) and is ignored/preserved by audit-templates."
         .to_string()
 }

@@ -32,7 +32,7 @@ use uctr::{TableWithContext, UctrConfig, UctrPipeline};
 const MAX_ALLOCS_PER_SAMPLE: u64 = 40; // measured 36/sample (1705 / 48), +10%
 
 /// Maximum allocations of one `ExecContext::new` over [`wide_table`].
-const MAX_CONTEXT_ALLOCS: u64 = 332; // measured 302, +10%
+const MAX_CONTEXT_ALLOCS: u64 = 199; // measured 181, +10%
 
 struct CountingAlloc;
 

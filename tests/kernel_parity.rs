@@ -6,8 +6,8 @@
 //! *result-identical* to the context-free per-cell interpreters in each
 //! executor crate's `reference` module. This sweep pins that contract for every
 //! builtin and mined template over a zoo built to stress the kernels where
-//! they diverge first — non-finite and mixed-type columns (the cached
-//! numeric parse must classify cells exactly like `Value::as_number`),
+//! they diverge first — non-finite and mixed-type columns (the kernel
+//! gates must classify cells exactly like the per-cell `Value` reads),
 //! filters that keep zero rows, all-null columns, duplicate keys (tie
 //! handling in argmax/nth kernels), and 1-row tables — across 32 RNG seeds
 //! per (template, table) pair.
@@ -38,8 +38,8 @@ fn kernel_zoo() -> Vec<Table> {
         // runs at its lower size bound.
         vec![vec!["name", "score", "rank"], vec!["Solo", "42", "1"]],
         // Mixed-type column: `score` holds numbers, text, and a null; the
-        // kernel's cached parse and the interpreter's per-cell
-        // `Value::as_number` must skip exactly the same cells.
+        // kernel paths and the interpreter's per-cell reads must skip
+        // exactly the same cells.
         vec![
             vec!["name", "score", "note"],
             vec!["Ada", "10", "fast"],
@@ -86,6 +86,18 @@ fn kernel_zoo() -> Vec<Table> {
             vec!["V", "1999-12-31", "0"],
             vec!["W", "2020-06-15", "2.25"],
             vec!["X", "2010-01-01", "-0.75"],
+        ],
+        // Far-future dates: every ordinal shares one loose-equality window,
+        // yet distinct dates stay distinct classes. The number in `when`
+        // sits at the ordinal of 2000000000-03-02.
+        vec![
+            vec!["name", "when", "n"],
+            vec!["Fa", "2000000000-03-01", "4"],
+            vec!["Fb", "2000000000-03-02", "1"],
+            vec!["Fc", "2000000000-03-01", "4"],
+            vec!["Fd", "2000000000-12-31", ""],
+            vec!["Fe", "730485000062", "2"],
+            vec!["Ff", "2000000000-03-05", "1"],
         ],
         // Loose equality: numbers within the 1e-6 epsilon of each other,
         // booleans beside 1/0, repeated and adjacent dates, case variants
@@ -250,11 +262,17 @@ fn mined_templates_kernel_scalar_parity() {
 }
 
 /// No template uses `SELECT DISTINCT` or `GROUP BY`, so the sweep never
-/// reaches them: fixed queries over the loose-equality table do.
+/// reaches them: fixed queries over the loose-equality and far-future date
+/// tables do.
 #[test]
 fn distinct_and_group_by_match_the_oracle() {
     let zoo = kernel_zoo();
-    let table = zoo.last().unwrap();
+    let (table, far_dates) = (&zoo[zoo.len() - 1], &zoo[zoo.len() - 2]);
+    let far_queries = [
+        "select distinct [when] from w",
+        "select [when] , count ( * ) , sum ( [n] ) from w group by [when]",
+        "select count ( distinct [when] ) , min ( distinct [when] ) from w",
+    ];
     let queries = [
         "select distinct [name] from w",
         "select distinct [amount] , [flag] from w",
@@ -270,7 +288,8 @@ fn distinct_and_group_by_match_the_oracle() {
         "select min ( distinct [when] ) , max ( distinct [name] ) from w",
     ];
     let mut kern = tabular::KernelScratch::default();
-    for query in queries {
+    let runs = queries.iter().map(|q| (q, table)).chain(far_queries.iter().map(|q| (q, far_dates)));
+    for (query, table) in runs {
         let stmt = sqlexec::parse(query).unwrap();
         let oracle = sqlexec::reference::execute(&stmt, table);
         let production = sqlexec::execute(&stmt, table, &mut kern);
