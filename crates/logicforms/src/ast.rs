@@ -268,11 +268,12 @@ impl fmt::Display for LogicType {
 }
 
 /// A node of a logical form: an operator application or a leaf symbol.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum LfExpr {
     /// `func { arg1 ; ... }`
     Apply(LfOp, Vec<LfExpr>),
     /// The whole table (`all_rows`).
+    #[default]
     AllRows,
     /// A column-name leaf.
     Column(String),

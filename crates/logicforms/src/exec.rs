@@ -147,6 +147,17 @@ pub(crate) fn evaluate_truth_impl(
     ctx: Option<&ExecContext>,
     kern: &mut KernelScratch,
 ) -> Result<bool, LfError> {
+    truth_of(evaluate_value_impl(expr, table, ctx, kern)?)
+}
+
+/// The value [`evaluate_impl`] computes, without sorting or copying out
+/// the highlight set.
+pub(crate) fn evaluate_value_impl(
+    expr: &LfExpr,
+    table: &Table,
+    ctx: Option<&ExecContext>,
+    kern: &mut KernelScratch,
+) -> Result<LfValue, LfError> {
     if expr.has_holes() {
         return Err(LfError::Uninstantiated);
     }
@@ -154,7 +165,7 @@ pub(crate) fn evaluate_truth_impl(
     hl.clear();
     let res = eval(expr, table, ctx, kern, &mut hl);
     kern.hl = hl;
-    truth_of(res?)
+    res
 }
 
 fn truth_of(value: LfValue) -> Result<bool, LfError> {

@@ -32,11 +32,12 @@
 //! Everything here is deterministic for a fixed seed, so the mined corpus
 //! file CI commits (`ci/mined_templates.txt`) is reproducible bit-for-bit.
 
+use crate::analysis::AnalyzedTemplate;
 use crate::autogen::AutoGenerator;
 use crate::program::AnyTemplate;
 use crate::sample::{ProgramKind, Sample};
 use crate::telemetry::KindSlot;
-use crate::templates::TemplateBank;
+use crate::templates::{AddOutcome, TemplateBank};
 use logicforms::LfScratch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -253,18 +254,20 @@ impl Miner {
         // convict (constant output, decided claim, provably empty result)
         // would only ever mint useless samples. The check is pure — it
         // consumes no RNG — so mining stays deterministic per seed.
-        {
-            let analysis = abstracted.analyze();
-            if analysis.issues.is_empty() && !analysis.degeneracies.is_empty() {
-                self.stats.bump(kind, MineOutcome::Degenerate);
-                return MineOutcome::Degenerate;
-            }
+        let analyzed = AnalyzedTemplate::of(&abstracted);
+        if analyzed.is_clean() && analyzed.is_degenerate() {
+            self.stats.bump(kind, MineOutcome::Degenerate);
+            return MineOutcome::Degenerate;
         }
-        let outcome = match self.bank.try_add_classified(abstracted.clone()) {
-            Ok(crate::templates::AddOutcome::Added(_)) => MineOutcome::Mined,
-            Ok(crate::templates::AddOutcome::DuplicateSignature) => MineOutcome::Duplicate,
-            Ok(crate::templates::AddOutcome::EquivalentTo(rep)) => {
-                self.merges.push(MergeRecord { kind, pruned: abstracted, representative: rep });
+        let outcome = match self.bank.add_analyzed(abstracted, analyzed) {
+            Ok((AddOutcome::Added(_), _)) => MineOutcome::Mined,
+            Ok((AddOutcome::DuplicateSignature, _)) => MineOutcome::Duplicate,
+            Ok((AddOutcome::EquivalentTo(rep), pruned)) => {
+                self.merges.extend(pruned.map(|pruned| MergeRecord {
+                    kind,
+                    pruned,
+                    representative: rep,
+                }));
                 MineOutcome::EquivalentTo(rep)
             }
             Err(_) => MineOutcome::Rejected,
@@ -391,11 +394,14 @@ impl Miner {
     }
 }
 
-/// How many auto-generated logic proposals the synthetic corpus instantiates
-/// and re-mines. Deliberately above the shallow-shape capacity of the
-/// grammar: the [`LOGIC_MAX_OPS`] cap turns away deep proposals, so
-/// overshooting the target is how the miner exhausts the space of claims
-/// cheap enough to admit.
+/// How many validated auto-generated logic templates the synthetic corpus
+/// asks [`AutoGenerator::generate`] for; each is instantiated into one
+/// concrete claim per truth target and re-mined. The generator stops after
+/// `LOGIC_TARGET × 40` proposals, and at [`SYNTHETIC_SEED`] that cap ends
+/// the loop first, with 639 templates admitted. Deliberately above the
+/// shallow-shape capacity of the grammar: the [`LOGIC_MAX_OPS`] cap turns
+/// away deep claims, so overshooting the target is how the miner exhausts
+/// the space of claims cheap enough to admit.
 pub const LOGIC_TARGET: usize = 800;
 
 /// The default seed of the synthetic corpus (and of `xtask mine`).

@@ -160,12 +160,24 @@ impl TemplateBank {
         t: AnyTemplate,
     ) -> Result<AddOutcome, TemplateDiagnostics> {
         let analyzed = AnalyzedTemplate::of(&t);
+        self.add_analyzed(t, analyzed).map(|(outcome, _)| outcome)
+    }
+
+    /// [`TemplateBank::try_add_classified`] for a template its caller has
+    /// already analyzed (`analyzed` is `AnalyzedTemplate::of(&t)`), so an
+    /// admission analyzes once. An [`AddOutcome::EquivalentTo`] hands the
+    /// template back beside the outcome, since the bank does not store it.
+    pub(crate) fn add_analyzed(
+        &mut self,
+        t: AnyTemplate,
+        analyzed: AnalyzedTemplate,
+    ) -> Result<(AddOutcome, Option<AnyTemplate>), TemplateDiagnostics> {
         if !analyzed.is_clean() {
             return Err(analyzed.into_diagnostics());
         }
         let sig = format!("{}:{}", kind_prefix(analyzed.kind), analyzed.signature);
         if self.signatures.contains(&sig) {
-            return Ok(AddOutcome::DuplicateSignature);
+            return Ok((AddOutcome::DuplicateSignature, None));
         }
         let key = format!("{}:{}", kind_prefix(analyzed.kind), t.canonicalize());
         if let Some(&rep) = self.canon.get(&key) {
@@ -175,7 +187,7 @@ impl TemplateBank {
             // per-attempt cost distribution — as the unpruned bank, while
             // the template itself is stored only once.
             self.by_kind[analyzed.kind as usize].push(rep);
-            return Ok(AddOutcome::EquivalentTo(rep));
+            return Ok((AddOutcome::EquivalentTo(rep), Some(t)));
         }
         self.signatures.insert(sig);
         let index = self.templates.len();
@@ -197,7 +209,7 @@ impl TemplateBank {
         };
         self.point_of.push(point);
         self.requirements.push(analyzed.requirement);
-        Ok(AddOutcome::Added(index))
+        Ok((AddOutcome::Added(index), None))
     }
 
     /// Parses a template of `kind` from surface text and

@@ -82,13 +82,17 @@ fn sql_instantiation_matches_naive_path() {
 #[test]
 fn logic_instantiation_and_evaluation_match_naive_path() {
     let mut meta = StdRng::seed_from_u64(0xBEEF);
+    // One scratch for every table and template, as a pipeline worker holds
+    // it: state that goes stale between calls diverges from the oracle,
+    // which starts each call from a fresh scratch. The template changes on
+    // every call, so a failed call is always followed by another template.
+    let mut scratch = LfScratch::default();
     for round in 0..12 {
         let table = random_table(&mut meta, 4 + (round % 10));
         let ctx = ExecContext::new(&table);
-        let mut scratch = LfScratch::default();
-        for (ti, t) in BUILTIN_LOGIC.iter().enumerate() {
-            let tpl = LfTemplate::parse(t).unwrap();
-            for desired in [true, false] {
+        for desired in [true, false] {
+            for (ti, t) in BUILTIN_LOGIC.iter().enumerate() {
+                let tpl = LfTemplate::parse(t).unwrap();
                 let mut naive_rng = StdRng::seed_from_u64(round as u64 * 1000 + ti as u64);
                 let mut ctx_rng = naive_rng.clone();
                 let naive =
