@@ -2,13 +2,13 @@
 //!
 //! Generates synthetic samples over the ragged table zoo ([`bench::zoo`])
 //! with the QA and the verification pipelines, measures accepted
-//! samples/sec at one thread and at the saturated thread count, and emits
-//! `BENCH_pipeline.json` — the committed-baseline format behind the CI
-//! throughput ratchet.
+//! samples/sec at one thread and at the saturated thread count, and can
+//! write them in the format of the committed `BENCH_pipeline.json`, the
+//! trajectory point behind the CI throughput ratchet.
 //!
 //! Flags:
-//!   --json PATH          write the measurements as JSON (default
-//!                        BENCH_pipeline.json)
+//!   --json PATH          write the measurements as JSON to PATH (CI passes
+//!                        BENCH_pipeline.json); without it nothing is written
 //!   --check-floor PATH   one-sided throughput ratchet: fail when a rate
 //!                        regresses > `bench_max_throughput_regression`
 //!                        below the recorded baselines in the floor file
@@ -292,12 +292,13 @@ fn main() {
         }),
         ("mined_bank".into(), Value::Obj(mined_json)),
     ]);
-    let path = flag_value(&args, "--json").unwrap_or_else(|| "BENCH_pipeline.json".into());
-    if let Err(e) = std::fs::write(&path, serde_json::to_string_pretty(&json).unwrap()) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(2);
+    if let Some(path) = flag_value(&args, "--json") {
+        if let Err(e) = std::fs::write(&path, serde_json::to_string_pretty(&json).unwrap()) {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(2);
+        }
+        println!("wrote {path}");
     }
-    println!("wrote {path}");
 
     if let Some((path, floor)) = floor {
         // Every gate runs and prints one verdict line on stdout, which CI's

@@ -16,7 +16,7 @@ use rand::Rng;
 use sqlexec::{
     AggFunc, CmpOp, ColumnRef, Cond, Expr, OrderDir, SelectItem, SelectStmt, SqlScratch,
 };
-use tabular::{ExecContext, KernelScratch, Table};
+use tabular::{ExecContext, Table};
 use uctr::{AnswerKind, EvidenceType, ProgramKind, Sample, TemplateBank, Verdict};
 
 /// Gold-only template extensions: reasoning shapes UCTR's builtin bank does
@@ -558,30 +558,10 @@ pub fn gold_qa_sql_for_topic(
     let tpl = bank.sql().choose(rng).copied()?;
     let mut scratch = SqlScratch::default();
     let stmt = tpl.try_instantiate(&ExecContext::new(table), rng, &mut scratch).ok()?;
-    let result = sqlexec::execute(&stmt, table, &mut scratch.kern).ok()?;
-    if result.is_empty() {
-        return None;
-    }
-    let answer = result.answer_text();
-    if answer.is_empty() {
-        return None;
-    }
+    let result = uctr::execute_sql(&stmt, table, &mut scratch.kern).ok()?;
     let text = human_sql_question_for_topic(&stmt, topic, rng);
-    let mut s = Sample::qa(table.clone(), text, answer);
-    s.answer_kind =
-        if stmt
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Aggregate { func: AggFunc::Count, .. }))
-        {
-            AnswerKind::Count
-        } else if stmt.items.iter().any(|i| {
-            matches!(i, SelectItem::Aggregate { .. } | SelectItem::Expr(Expr::Binary { .. }))
-        }) {
-            AnswerKind::Arithmetic
-        } else {
-            AnswerKind::Span
-        };
+    let mut s = Sample::qa(table.clone(), text, result.answer);
+    s.answer_kind = uctr::sql_answer_kind(&stmt);
     s.program = ProgramKind::Sql(stmt.to_string());
     Some(s)
 }
@@ -602,23 +582,7 @@ pub fn gold_qa_arith(table: &Table, bank: &TemplateBank, rng: &mut impl Rng) -> 
 /// splitting one reasoning row into a sentence (the gold analogue of the
 /// paper's combined-evidence instances).
 pub fn into_table_text(sample: Sample, rng: &mut impl Rng) -> Option<Sample> {
-    let table = &sample.table;
-    let mut kern = KernelScratch::default();
-    let highlighted = match &sample.program {
-        ProgramKind::Sql(q) => {
-            let stmt = sqlexec::parse(q).ok()?;
-            sqlexec::execute(&stmt, table, &mut kern).ok()?.highlighted
-        }
-        ProgramKind::Logic(f) => {
-            let e = logicforms::parse(f).ok()?;
-            logicforms::evaluate(&e, &ExecContext::new(table), &mut kern).ok()?.highlighted
-        }
-        ProgramKind::Arith(p) => {
-            let prog = arithexpr::parse(p).ok()?;
-            arithexpr::execute(&prog, &ExecContext::new(table), &mut kern).ok()?.highlighted
-        }
-        ProgramKind::None => return None,
-    };
+    let highlighted = sample.program.highlighted_cells(&sample.table)?;
     let mut rows: Vec<usize> = highlighted.iter().map(|&(row, _)| row).collect();
     rows.sort_unstable();
     rows.dedup();
@@ -684,7 +648,7 @@ mod tests {
             produced += 1;
             let ProgramKind::Logic(f) = &s.program else { panic!() };
             let ctx = ExecContext::new(&s.table);
-            let mut kern = KernelScratch::default();
+            let mut kern = tabular::KernelScratch::default();
             let truth = logicforms::evaluate_truth(&logicforms::parse(f)?, &ctx, &mut kern)?;
             let expect = if truth { Verdict::Supported } else { Verdict::Refuted };
             assert_eq!(s.label.as_verdict(), Some(expect));

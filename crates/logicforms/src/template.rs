@@ -93,6 +93,16 @@ pub struct LfScratch {
     pub kern: tabular::KernelScratch,
 }
 
+impl LfScratch {
+    /// The cells the claim of the last successful
+    /// [`LfTemplate::try_instantiate`] highlights, sorted: the set
+    /// [`crate::evaluate`] returns for it, kept from the evaluation that
+    /// decided its truth. Valid until the scratch is used again.
+    pub fn highlighted(&self) -> &[(usize, usize)] {
+        &self.kern.hl
+    }
+}
+
 /// Result of instantiating a template: the concrete program and the truth
 /// value it executes to (= the claim's gold label).
 #[derive(Debug, Clone, PartialEq)]
@@ -300,6 +310,8 @@ impl LfTemplate {
 }
 
 /// The truth of the fully bound working tree, if it is the one desired.
+/// That evaluation's highlights then stay in `kern.hl`, sorted and
+/// deduplicated as [`crate::evaluate`] returns them.
 fn finish(
     expr: &LfExpr,
     table: &Table,
@@ -311,7 +323,11 @@ fn finish(
         return Err(LfInstantiateError::MalformedTemplate);
     }
     match evaluate_truth_impl(expr, table, ctx, kern) {
-        Ok(truth) if truth == desired => Ok(truth),
+        Ok(truth) if truth == desired => {
+            kern.hl.sort_unstable();
+            kern.hl.dedup();
+            Ok(truth)
+        }
         // Let the caller retry with fresh sampling.
         Ok(_) => Err(LfInstantiateError::TruthUnreachable),
         Err(LfError::Empty { .. }) => Err(LfInstantiateError::DegenerateResult),

@@ -13,7 +13,6 @@
 //! back to anchor cells (cells whose value the claim mentions).
 
 use tabular::text::tokenize;
-use tabular::{ExecContext, KernelScratch};
 use uctr::Sample;
 
 /// Default retrieval budget (cells per claim).
@@ -89,67 +88,31 @@ impl Retriever {
         scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
         scored.into_iter().take(self.k).map(|(_, c)| c).collect()
     }
-
-    /// Fraction of samples whose gold evidence is fully covered by the
-    /// retrieved set (evidence recall, the retrieval half of the FEVEROUS
-    /// score), as a percentage.
-    pub fn evidence_recall(&self, samples: &[Sample]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let covered = samples
-            .iter()
-            .filter(|s| {
-                let gold = gold_evidence_cells(s);
-                let retrieved = self.retrieve(s);
-                gold.iter().all(|c| retrieved.contains(c))
-            })
-            .count();
-        100.0 * covered as f64 / samples.len() as f64
-    }
 }
 
 /// The gold evidence of a sample: the table cells its generating program
 /// highlighted (recomputed by re-executing the program), or — for samples
 /// without a program — the cells whose value the claim mentions.
 pub fn gold_evidence_cells(sample: &Sample) -> Vec<(usize, usize)> {
-    let table = &sample.table;
-    let mut kern = KernelScratch::default();
-    match &sample.program {
-        uctr::ProgramKind::Sql(q) => sqlexec::parse(q)
-            .ok()
-            .and_then(|stmt| sqlexec::execute(&stmt, table, &mut kern).ok())
-            .map(|r| r.highlighted)
-            .unwrap_or_default(),
-        uctr::ProgramKind::Logic(f) => logicforms::parse(f)
-            .ok()
-            .and_then(|e| logicforms::evaluate(&e, &ExecContext::new(table), &mut kern).ok())
-            .map(|o| o.highlighted)
-            .unwrap_or_default(),
-        uctr::ProgramKind::Arith(p) => arithexpr::parse(p)
-            .ok()
-            .and_then(|prog| arithexpr::execute(&prog, &ExecContext::new(table), &mut kern).ok())
-            .map(|o| o.highlighted)
-            .unwrap_or_default(),
-        uctr::ProgramKind::None => {
-            let lower = sample.text.to_lowercase();
-            let mut cells = Vec::new();
-            for ri in 0..sample.table.n_rows() {
-                for ci in 0..sample.table.n_cols() {
-                    if let Some(v) = sample.table.cell(ri, ci) {
-                        if v.is_null() {
-                            continue;
-                        }
-                        let vs = v.to_string().to_lowercase();
-                        if vs.len() > 1 && lower.contains(&vs) {
-                            cells.push((ri, ci));
-                        }
-                    }
+    if sample.program != uctr::ProgramKind::None {
+        return sample.program.highlighted_cells(&sample.table).unwrap_or_default();
+    }
+    let lower = sample.text.to_lowercase();
+    let mut cells = Vec::new();
+    for ri in 0..sample.table.n_rows() {
+        for ci in 0..sample.table.n_cols() {
+            if let Some(v) = sample.table.cell(ri, ci) {
+                if v.is_null() {
+                    continue;
+                }
+                let vs = v.to_string().to_lowercase();
+                if vs.len() > 1 && lower.contains(&vs) {
+                    cells.push((ri, ci));
                 }
             }
-            cells
         }
     }
+    cells
 }
 
 /// Convenience wrapper with the default budget (kept for API stability).
@@ -193,16 +156,6 @@ mod tests {
         let top = Retriever::with_budget(1).retrieve(&s);
         // "P300" itself is the strongest lexical match.
         assert_eq!(top, vec![(1, 0)]);
-        Ok(())
-    }
-
-    #[test]
-    fn recall_grows_with_budget() -> Result<(), Box<dyn std::error::Error>> {
-        let samples = vec![sample()?];
-        let low = Retriever::with_budget(1).evidence_recall(&samples);
-        let high = Retriever::with_budget(8).evidence_recall(&samples);
-        assert!(high >= low);
-        assert_eq!(high, 100.0, "budget 8 must cover this 2x3 table's evidence");
         Ok(())
     }
 

@@ -13,8 +13,8 @@
 use crate::ast::*;
 use rustc_hash::FxHashSet;
 use std::borrow::Cow;
-use std::fmt;
-use tabular::{format_number, KernelScratch, LooseIndex, Table, Value};
+use std::fmt::{self, Write as _};
+use tabular::{KernelScratch, LooseIndex, Table, Value};
 
 /// Execution error.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,35 +48,38 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// The result of executing a query.
+/// What executing a query yields: the answer, rendered once, and the
+/// source-table cells that took part. No result cell is copied.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
-    /// Output column labels.
-    pub columns: Vec<String>,
-    /// Result rows.
-    pub rows: Vec<Vec<Value>>,
-    /// Source-table cells that took part in the computation.
+    /// The non-null result values in row order, rendered and joined with
+    /// `", "`.
+    pub answer: String,
+    /// Whether any result value was non-null (paper §IV-C: a query whose
+    /// result has none is discarded during sampling).
+    pub non_null: bool,
+    /// Result rows, after DISTINCT, GROUP BY and LIMIT.
+    pub n_rows: usize,
+    /// Source-table cells that took part in the computation, sorted.
     pub highlighted: Vec<(usize, usize)>,
 }
 
 impl QueryResult {
-    /// Flattens the result to a list of values (the "denotation" compared
-    /// against gold answers in WikiSQL-style evaluation).
-    pub fn denotation(&self) -> Vec<Value> {
-        self.rows.iter().flatten().cloned().collect()
+    fn new() -> QueryResult {
+        QueryResult { answer: String::new(), non_null: false, n_rows: 0, highlighted: vec![] }
     }
 
-    /// True if the query returned nothing (paper §IV-C: such programs are
-    /// discarded during sampling).
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty() || self.rows.iter().all(|r| r.iter().all(Value::is_null))
-    }
-
-    /// Renders the denotation as a human-readable answer string.
-    pub fn answer_text(&self) -> String {
-        let vals: Vec<String> =
-            self.denotation().iter().filter(|v| !v.is_null()).map(|v| v.to_string()).collect();
-        vals.join(", ")
+    /// Appends one result value to the answer; nulls are skipped.
+    fn push(&mut self, v: &Value) {
+        if v.is_null() {
+            return;
+        }
+        if self.non_null {
+            self.answer.push_str(", ");
+        }
+        // Writing to a `String` cannot fail.
+        let _ = write!(self.answer, "{v}");
+        self.non_null = true;
     }
 }
 
@@ -272,91 +275,89 @@ fn run_compiled(
     } else if has_aggregate {
         // Whole-filtered-set aggregation: one output row. LIMIT applies to
         // the input rows first.
-        let input = limited(&kept, stmt.limit);
-        (|| {
-            let mut row = Vec::with_capacity(plan.items.len());
-            let mut columns = Vec::with_capacity(plan.items.len());
-            for (item, src) in plan.items.iter().zip(&stmt.items) {
-                match item {
-                    CItem::Agg { func, arg, distinct } => {
-                        row.push(eval_aggregate_c(
-                            *func,
-                            arg.as_ref(),
-                            *distinct,
-                            table,
-                            input,
-                            hl,
-                        )?);
-                        columns.push(src.to_string());
-                    }
-                    CItem::Expr(e) => {
-                        // Mixed select: evaluate on the first row if any.
-                        let v = input
-                            .first()
-                            .map(|&ri| eval_expr_c(e, table, ri, hl))
-                            .transpose()?
-                            .map(Cow::into_owned)
-                            .unwrap_or(Value::Null);
-                        row.push(v);
-                        columns.push(src.to_string());
-                    }
-                    CItem::Star => {
-                        return Err(ExecError::UnknownColumn("* mixed with aggregate".into()))
-                    }
-                }
-            }
-            Ok(QueryResult { columns, rows: vec![row], highlighted: vec![] })
-        })()
+        aggregate(plan, table, limited(&kept, stmt.limit), hl)
     } else {
-        // Plain projection.
-        let rows_in = limited(&kept, stmt.limit);
-        (|| {
-            let mut columns: Vec<String> = Vec::new();
-            for (item, src) in plan.items.iter().zip(&stmt.items) {
-                match item {
-                    CItem::Star => {
-                        for c in table.schema().columns() {
-                            columns.push(c.name.clone());
-                        }
-                    }
-                    CItem::Expr(_) => columns.push(src.to_string()),
-                    CItem::Agg { .. } => {
-                        return Err(ExecError::Internal("aggregate item in plain projection"))
-                    }
-                }
-            }
-            let mut rows: Vec<Vec<Value>> = Vec::with_capacity(rows_in.len());
-            for &ri in rows_in {
-                let mut out = Vec::with_capacity(columns.len());
-                for item in &plan.items {
-                    match item {
-                        CItem::Star => {
-                            for ci in 0..table.n_cols() {
-                                hl.push((ri, ci));
-                                out.push(table.cell(ri, ci).cloned().unwrap_or(Value::Null));
-                            }
-                        }
-                        CItem::Expr(e) => out.push(eval_expr_c(e, table, ri, hl)?.into_owned()),
-                        CItem::Agg { .. } => {
-                            return Err(ExecError::Internal("aggregate item in plain projection"))
-                        }
-                    }
-                }
-                rows.push(out);
-            }
-            if stmt.distinct {
-                // First occurrences under `==`, which `Hash for Value`
-                // agrees with.
-                let mut seen = FxHashSet::default();
-                let first: Vec<bool> = rows.iter().map(|r| seen.insert(r.as_slice())).collect();
-                let mut first = first.into_iter();
-                rows.retain(|_| first.next().unwrap_or(false));
-            }
-            Ok(QueryResult { columns, rows, highlighted: vec![] })
-        })()
+        project(stmt, plan, table, limited(&kept, stmt.limit), hl)
     };
     kern.put_rows(kept);
     res
+}
+
+/// The one output row of an aggregate select over `input`.
+fn aggregate(
+    plan: &Plan,
+    table: &Table,
+    input: &[usize],
+    hl: &mut Vec<(usize, usize)>,
+) -> Result<QueryResult, ExecError> {
+    let mut result = QueryResult::new();
+    for item in &plan.items {
+        match item {
+            CItem::Agg { func, arg, distinct } => {
+                result.push(&eval_aggregate_c(*func, arg.as_ref(), *distinct, table, input, hl)?)
+            }
+            CItem::Expr(e) => {
+                // Mixed select: evaluate on the first row if any.
+                if let Some(&ri) = input.first() {
+                    result.push(&*eval_expr_c(e, table, ri, hl)?);
+                }
+            }
+            CItem::Star => return Err(ExecError::UnknownColumn("* mixed with aggregate".into())),
+        }
+    }
+    result.n_rows = 1;
+    Ok(result)
+}
+
+/// Plain projection of `rows_in`. Without DISTINCT each row is rendered as
+/// it is evaluated; with it, the rows' values are kept as borrows until the
+/// first occurrences under `==` (which `Hash for Value` agrees with) are
+/// known.
+fn project(
+    stmt: &SelectStmt,
+    plan: &Plan,
+    table: &Table,
+    rows_in: &[usize],
+    hl: &mut Vec<(usize, usize)>,
+) -> Result<QueryResult, ExecError> {
+    let mut result = QueryResult::new();
+    let mut cells: Vec<Cow<'_, Value>> = Vec::new();
+    for &ri in rows_in {
+        if !stmt.distinct {
+            cells.clear();
+        }
+        for item in &plan.items {
+            match item {
+                CItem::Star => {
+                    for ci in 0..table.n_cols() {
+                        hl.push((ri, ci));
+                        cells.push(Cow::Borrowed(table.cell(ri, ci).unwrap_or(&Value::Null)));
+                    }
+                }
+                CItem::Expr(e) => cells.push(eval_expr_c(e, table, ri, hl)?),
+                CItem::Agg { .. } => {
+                    return Err(ExecError::Internal("aggregate item in plain projection"))
+                }
+            }
+        }
+        if !stmt.distinct {
+            cells.iter().for_each(|v| result.push(v));
+        }
+    }
+    if stmt.distinct {
+        let width = cells.len().checked_div(rows_in.len()).unwrap_or(0);
+        let mut seen = FxHashSet::default();
+        for i in 0..rows_in.len() {
+            let row = &cells[i * width..(i + 1) * width];
+            if seen.insert(row) {
+                row.iter().for_each(|v| result.push(v));
+                result.n_rows += 1;
+            }
+        }
+    } else {
+        result.n_rows = rows_in.len();
+    }
+    Ok(result)
 }
 
 fn exec_grouped_c(
@@ -378,39 +379,35 @@ fn exec_grouped_c(
             None => groups.push((key, vec![ri])),
         }
     }
-    let mut columns = Vec::with_capacity(stmt.items.len());
-    for item in &stmt.items {
-        columns.push(item.to_string());
-    }
-    let mut rows = Vec::with_capacity(groups.len());
-    for (key, members) in &groups {
-        let mut out = Vec::with_capacity(plan.items.len());
+    // Every group is evaluated, for its highlights and errors; LIMIT keeps
+    // the first groups' values.
+    let mut result = QueryResult::new();
+    result.n_rows = stmt.limit.map_or(groups.len(), |n| n.min(groups.len()));
+    for (gi, (key, members)) in groups.iter().enumerate() {
+        let shown = gi < result.n_rows;
         for item in &plan.items {
-            match item {
-                CItem::Expr(CExpr::Col(ci)) if *ci == gci => {
-                    out.push((*key).clone());
-                }
-                CItem::Expr(e) => {
-                    let v = members
-                        .first()
-                        .map(|&ri| eval_expr_c(e, table, ri, hl))
-                        .transpose()?
-                        .map(Cow::into_owned)
-                        .unwrap_or(Value::Null);
-                    out.push(v);
-                }
-                CItem::Agg { func, arg, distinct } => {
-                    out.push(eval_aggregate_c(*func, arg.as_ref(), *distinct, table, members, hl)?);
-                }
+            let v = match item {
+                CItem::Expr(CExpr::Col(ci)) if *ci == gci => Cow::Borrowed(*key),
+                CItem::Expr(e) => match members.first() {
+                    Some(&ri) => eval_expr_c(e, table, ri, hl)?,
+                    None => Cow::Owned(Value::Null),
+                },
+                CItem::Agg { func, arg, distinct } => Cow::Owned(eval_aggregate_c(
+                    *func,
+                    arg.as_ref(),
+                    *distinct,
+                    table,
+                    members,
+                    hl,
+                )?),
                 CItem::Star => return Err(ExecError::UnknownColumn("* in group by".into())),
+            };
+            if shown {
+                result.push(&v);
             }
         }
-        rows.push(out);
     }
-    if let Some(n) = stmt.limit {
-        rows.truncate(n);
-    }
-    Ok(QueryResult { columns, rows, highlighted: vec![] })
+    Ok(result)
 }
 
 fn eval_expr_c<'t>(
@@ -548,18 +545,6 @@ pub fn run_sql(query: &str, table: &Table) -> Result<QueryResult, String> {
     execute(&stmt, table, &mut KernelScratch::default()).map_err(|e| e.to_string())
 }
 
-/// Formats a value list the way denotation accuracy compares answers.
-pub fn denotation_string(values: &[Value]) -> String {
-    values
-        .iter()
-        .map(|v| match v {
-            Value::Number(n) => format_number(*n),
-            other => other.to_string(),
-        })
-        .collect::<Vec<_>>()
-        .join("|")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,46 +567,46 @@ mod tests {
     fn select_with_order_limit() -> Result<(), Box<dyn std::error::Error>> {
         let r =
             run_sql("select [department] from w order by [total deputies] desc limit 1", &table())?;
-        assert_eq!(r.answer_text(), "Defense");
+        assert_eq!(r.answer, "Defense");
         Ok(())
     }
 
     #[test]
     fn select_where_eq() -> Result<(), Box<dyn std::error::Error>> {
         let r = run_sql("select [budget] from w where [department] = 'Treasury'", &table())?;
-        assert_eq!(r.answer_text(), "3000");
+        assert_eq!(r.answer, "3000");
         Ok(())
     }
 
     #[test]
     fn where_case_insensitive_text_match() -> Result<(), Box<dyn std::error::Error>> {
         let r = run_sql("select [budget] from w where [department] = 'treasury'", &table())?;
-        assert_eq!(r.answer_text(), "3000");
+        assert_eq!(r.answer, "3000");
         Ok(())
     }
 
     #[test]
     fn count_star_with_filter() -> Result<(), Box<dyn std::error::Error>> {
         let r = run_sql("select count(*) from w where [total deputies] > 15", &table())?;
-        assert_eq!(r.answer_text(), "3");
+        assert_eq!(r.answer, "3");
         Ok(())
     }
 
     #[test]
     fn sum_and_avg() -> Result<(), Box<dyn std::error::Error>> {
         let r = run_sql("select sum([budget]) from w", &table())?;
-        assert_eq!(r.answer_text(), "13200");
+        assert_eq!(r.answer, "13200");
         let r = run_sql("select avg([total deputies]) from w", &table())?;
-        assert_eq!(r.answer_text(), "25.5");
+        assert_eq!(r.answer, "25.5");
         Ok(())
     }
 
     #[test]
     fn min_max_on_text() -> Result<(), Box<dyn std::error::Error>> {
         let r = run_sql("select min([department]) from w", &table())?;
-        assert_eq!(r.answer_text(), "Commerce");
+        assert_eq!(r.answer, "Commerce");
         let r = run_sql("select max([department]) from w", &table())?;
-        assert_eq!(r.answer_text(), "Treasury");
+        assert_eq!(r.answer, "Treasury");
         Ok(())
     }
 
@@ -631,7 +616,7 @@ mod tests {
             "select [budget] - [total deputies] from w where [department] = 'Energy'",
             &table(),
         )?;
-        assert_eq!(r.answer_text(), "688");
+        assert_eq!(r.answer, "688");
         Ok(())
     }
 
@@ -641,7 +626,7 @@ mod tests {
             "select [department] from w where [total deputies] > 15 and [budget] < 4000",
             &table(),
         )?;
-        assert_eq!(r.answer_text(), "Commerce, Treasury");
+        assert_eq!(r.answer, "Commerce, Treasury");
         Ok(())
     }
 
@@ -651,7 +636,7 @@ mod tests {
             "select [department] from w where [department] = 'Energy' or [department] = 'Defense'",
             &table(),
         )?;
-        assert_eq!(r.answer_text(), "Defense, Energy");
+        assert_eq!(r.answer, "Defense, Energy");
         Ok(())
     }
 
@@ -659,7 +644,7 @@ mod tests {
     fn distinct_dedups() -> Result<(), Box<dyn std::error::Error>> {
         let t = Table::from_strings("t", &[vec!["x"], vec!["a"], vec!["a"], vec!["b"]])?;
         let r = run_sql("select distinct [x] from w", &t)?;
-        assert_eq!(r.rows.len(), 2);
+        assert_eq!((r.answer.as_str(), r.n_rows), ("a, b", 2));
         Ok(())
     }
 
@@ -670,9 +655,7 @@ mod tests {
             &[vec!["team", "pts"], vec!["a", "1"], vec!["b", "2"], vec!["a", "3"]],
         )?;
         let r = run_sql("select [team], count(*) from w group by [team]", &t)?;
-        assert_eq!(r.rows.len(), 2);
-        assert_eq!(r.rows[0][0].to_string(), "a");
-        assert_eq!(r.rows[0][1], Value::Number(2.0));
+        assert_eq!((r.answer.as_str(), r.n_rows), ("a, 2, b, 1", 2));
         Ok(())
     }
 
@@ -683,15 +666,15 @@ mod tests {
             &[vec!["team", "pts"], vec!["a", "1"], vec!["b", "2"], vec!["a", "3"]],
         )?;
         let r = run_sql("select [team], sum([pts]) from w group by [team]", &t)?;
-        assert_eq!(r.rows[0][1], Value::Number(4.0));
-        assert_eq!(r.rows[1][1], Value::Number(2.0));
+        assert_eq!(r.answer, "a, 4, b, 2");
         Ok(())
     }
 
     #[test]
     fn empty_result_detected() -> Result<(), Box<dyn std::error::Error>> {
         let r = run_sql("select [department] from w where [total deputies] > 1000", &table())?;
-        assert!(r.is_empty());
+        assert!(!r.non_null);
+        assert_eq!((r.answer.as_str(), r.n_rows), ("", 0));
         Ok(())
     }
 
@@ -719,14 +702,14 @@ mod tests {
     fn nulls_filtered_by_comparisons() -> Result<(), Box<dyn std::error::Error>> {
         let t = Table::from_strings("t", &[vec!["x", "y"], vec!["", "1"], vec!["5", "2"]])?;
         let r = run_sql("select [y] from w where [x] > 0", &t)?;
-        assert_eq!(r.answer_text(), "2");
+        assert_eq!(r.answer, "2");
         Ok(())
     }
 
     #[test]
     fn date_comparisons() -> Result<(), Box<dyn std::error::Error>> {
         let r = run_sql("select [department] from w where [founded] > '1950-01-01'", &table())?;
-        assert_eq!(r.answer_text(), "Energy");
+        assert_eq!(r.answer, "Energy");
         Ok(())
     }
 
@@ -744,7 +727,7 @@ mod tests {
     #[test]
     fn order_by_asc_default() -> Result<(), Box<dyn std::error::Error>> {
         let r = run_sql("select [department] from w order by [budget] limit 2", &table())?;
-        assert_eq!(r.answer_text(), "Commerce, Energy");
+        assert_eq!(r.answer, "Commerce, Energy");
         Ok(())
     }
 
@@ -752,15 +735,8 @@ mod tests {
     fn count_distinct() -> Result<(), Box<dyn std::error::Error>> {
         let t = Table::from_strings("t", &[vec!["x"], vec!["a"], vec!["A"], vec!["b"]])?;
         let r = run_sql("select count(distinct [x]) from w", &t)?;
-        assert_eq!(r.answer_text(), "2"); // loose (case-insensitive) equality
+        assert_eq!(r.answer, "2"); // loose (case-insensitive) equality
         Ok(())
-    }
-
-    #[test]
-    fn denotation_string_formats_numbers() {
-        let vals = vec![Value::Number(5.0), Value::text("x"), Value::Number(2.5)];
-        assert_eq!(denotation_string(&vals), "5|x|2.5");
-        assert_eq!(denotation_string(&[]), "");
     }
 
     #[test]
@@ -769,8 +745,10 @@ mod tests {
             "t",
             &[vec!["team", "pts"], vec!["a", "1"], vec!["b", "2"], vec!["a", "3"], vec!["c", "9"]],
         )?;
-        let r = run_sql("select [team], count(*) from w group by [team] limit 2", &t)?;
-        assert_eq!(r.rows.len(), 2);
+        let r = run_sql("select [team], sum([pts]) from w group by [team] limit 2", &t)?;
+        assert_eq!((r.answer.as_str(), r.n_rows), ("a, 4, b, 2", 2));
+        // Groups past the limit are still evaluated: their cells highlight.
+        assert!(r.highlighted.contains(&(3, 1)));
         Ok(())
     }
 
@@ -782,7 +760,7 @@ mod tests {
             &table(),
         )
         ?;
-        assert_eq!(r.answer_text(), "Treasury");
+        assert_eq!(r.answer, "Treasury");
         Ok(())
     }
 
@@ -792,7 +770,7 @@ mod tests {
         let r =
             run_sql("select max([budget]) from w order by [total deputies] asc limit 2", &table())?;
         // Two smallest by deputies: Energy (700), Commerce (500) -> max 700.
-        assert_eq!(r.answer_text(), "700");
+        assert_eq!(r.answer, "700");
         Ok(())
     }
 }

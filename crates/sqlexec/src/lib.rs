@@ -20,7 +20,7 @@
 //!     vec!["Defense", "42"],
 //! ]).unwrap();
 //! let r = run_sql("select [department] from w order by [total deputies] desc limit 1", &t).unwrap();
-//! assert_eq!(r.answer_text(), "Defense");
+//! assert_eq!(r.answer, "Defense");
 //! ```
 
 pub mod absint;
@@ -38,6 +38,6 @@ pub use ast::{
     SelectStmt,
 };
 pub use canon::{canonical_form, canonical_stmt};
-pub use exec::{denotation_string, execute, run_sql, ExecError, QueryResult};
+pub use exec::{execute, run_sql, ExecError, QueryResult};
 pub use parser::{parse, ParseError};
 pub use template::{abstract_query, SqlInstantiateError, SqlScratch, SqlTemplate};

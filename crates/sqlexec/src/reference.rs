@@ -56,7 +56,7 @@ pub fn execute(stmt: &SelectStmt, table: &Table) -> Result<QueryResult, ExecErro
 
     let has_aggregate = stmt.items.iter().any(|i| matches!(i, SelectItem::Aggregate { .. }));
 
-    let mut result = if let Some(group_col) = &stmt.group_by {
+    let rows = if let Some(group_col) = &stmt.group_by {
         exec_grouped(stmt, table, &kept, group_col, &mut highlights)?
     } else if has_aggregate {
         // Whole-filtered-set aggregation: one output row. LIMIT applies to
@@ -67,7 +67,6 @@ pub fn execute(stmt: &SelectStmt, table: &Table) -> Result<QueryResult, ExecErro
             None => kept.clone(),
         };
         let mut row = Vec::with_capacity(stmt.items.len());
-        let mut columns = Vec::with_capacity(stmt.items.len());
         for item in &stmt.items {
             match item {
                 SelectItem::Aggregate { func, arg, distinct } => {
@@ -79,7 +78,6 @@ pub fn execute(stmt: &SelectStmt, table: &Table) -> Result<QueryResult, ExecErro
                         &input,
                         &mut highlights,
                     )?);
-                    columns.push(item.to_string());
                 }
                 SelectItem::Expr(e) => {
                     // Mixed select: evaluate on the first row if any.
@@ -89,37 +87,22 @@ pub fn execute(stmt: &SelectStmt, table: &Table) -> Result<QueryResult, ExecErro
                         .transpose()?
                         .unwrap_or(Value::Null);
                     row.push(v);
-                    columns.push(e.to_string());
                 }
                 SelectItem::Star => {
                     return Err(ExecError::UnknownColumn("* mixed with aggregate".into()))
                 }
             }
         }
-        QueryResult { columns, rows: vec![row], highlighted: vec![] }
+        vec![row]
     } else {
         // Plain projection.
         let rows_in: Vec<usize> = match stmt.limit {
             Some(n) => kept.iter().copied().take(n).collect(),
             None => kept.clone(),
         };
-        let mut columns: Vec<String> = Vec::new();
-        for item in &stmt.items {
-            match item {
-                SelectItem::Star => {
-                    for c in table.schema().columns() {
-                        columns.push(c.name.clone());
-                    }
-                }
-                SelectItem::Expr(e) => columns.push(e.to_string()),
-                SelectItem::Aggregate { .. } => {
-                    return Err(ExecError::Internal("aggregate item in plain projection"))
-                }
-            }
-        }
         let mut rows: Vec<Vec<Value>> = Vec::with_capacity(rows_in.len());
         for &ri in &rows_in {
-            let mut out = Vec::with_capacity(columns.len());
+            let mut out = Vec::new();
             for item in &stmt.items {
                 match item {
                     SelectItem::Star => {
@@ -147,13 +130,19 @@ pub fn execute(stmt: &SelectStmt, table: &Table) -> Result<QueryResult, ExecErro
                 }
             });
         }
-        QueryResult { columns, rows, highlighted: vec![] }
+        rows
     };
 
-    let mut hl: Vec<(usize, usize)> = highlights.into_iter().collect();
-    hl.sort_unstable();
-    result.highlighted = hl;
-    Ok(result)
+    let mut highlighted: Vec<(usize, usize)> = highlights.into_iter().collect();
+    highlighted.sort_unstable();
+    let answer: Vec<String> =
+        rows.iter().flatten().filter(|v| !v.is_null()).map(Value::to_string).collect();
+    Ok(QueryResult {
+        non_null: !answer.is_empty(),
+        answer: answer.join(", "),
+        n_rows: rows.len(),
+        highlighted,
+    })
 }
 
 fn exec_grouped(
@@ -162,7 +151,7 @@ fn exec_grouped(
     kept: &[usize],
     group_col: &ColumnRef,
     highlights: &mut FxHashSet<(usize, usize)>,
-) -> Result<QueryResult, ExecError> {
+) -> Result<Vec<Vec<Value>>, ExecError> {
     let gci = resolve(group_col, table)?;
     // Group in first-occurrence order.
     let mut groups: Vec<(Value, Vec<usize>)> = Vec::new();
@@ -173,10 +162,6 @@ fn exec_grouped(
             Some((_, members)) => members.push(ri),
             None => groups.push((key, vec![ri])),
         }
-    }
-    let mut columns = Vec::new();
-    for item in &stmt.items {
-        columns.push(item.to_string());
     }
     let mut rows = Vec::with_capacity(groups.len());
     for (key, members) in &groups {
@@ -212,7 +197,7 @@ fn exec_grouped(
     if let Some(n) = stmt.limit {
         rows.truncate(n);
     }
-    Ok(QueryResult { columns, rows, highlighted: vec![] })
+    Ok(rows)
 }
 
 fn eval_expr(

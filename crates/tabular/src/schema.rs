@@ -92,13 +92,13 @@ impl Schema {
     }
 }
 
-/// Infers a column type from a sample of its values.
+/// Infers a column type from a sample of its values, read in place.
 ///
 /// A column is typed `Number`/`Date`/`Bool` when a strict majority (> 60%) of
 /// its non-null cells parse as that type; otherwise it is `Text`. This
 /// mirrors how SQUALL annotates `_number` columns: mostly-numeric columns
 /// with an occasional stray footnote still count as numeric.
-pub fn infer_column_type(values: &[Value]) -> ColumnType {
+pub fn infer_column_type<'v>(values: impl IntoIterator<Item = &'v Value>) -> ColumnType {
     let mut num = 0usize;
     let mut date = 0usize;
     let mut boolean = 0usize;

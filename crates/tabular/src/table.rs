@@ -78,8 +78,7 @@ impl Table {
         }
         let mut cols = Vec::with_capacity(ncols);
         for (i, name) in header.iter().enumerate() {
-            let col_vals: Vec<Value> = rows.iter().map(|r| r[i].clone()).collect();
-            cols.push(Column::new(*name, infer_column_type(&col_vals)));
+            cols.push(Column::new(*name, infer_column_type(rows.iter().map(|r| &r[i]))));
         }
         Ok(Table { title: title.into(), schema: Schema::new(cols), rows })
     }
@@ -191,8 +190,8 @@ impl Table {
     pub fn reinfer_types(&mut self) {
         let mut cols = Vec::with_capacity(self.schema.len());
         for (i, c) in self.schema.columns().iter().enumerate() {
-            let vals = self.column_values(i);
-            cols.push(Column::new(c.name.clone(), infer_column_type(&vals)));
+            let ty = infer_column_type(self.rows.iter().filter_map(|r| r.get(i)));
+            cols.push(Column::new(c.name.clone(), ty));
         }
         self.schema = Schema::new(cols);
     }

@@ -40,7 +40,7 @@ pub use autogen::{extend_bank_auto, AutoGenerator, ProgramDistribution};
 pub use mining::{mined_bank, MergeRecord, MineOutcome, Miner, MinerStats};
 pub use mqaqg::{generate_mqaqg, MqaQgConfig};
 pub use pipeline::{TableWithContext, TaskKind, UctrConfig, UctrPipeline};
-pub use program::{AnyTemplate, GenScratch, Program, ProgramOutput};
+pub use program::{execute_sql, sql_answer_kind, AnyTemplate, GenScratch, Program, ProgramOutput};
 pub use sample::{AnswerKind, Dataset, EvidenceType, Label, ProgramKind, Sample, Verdict};
 pub use serve::{
     Client, Daemon, GenRequest, GenResponse, RequestSpec, ServeConfig, ServeStats, SubmitError,

@@ -7,9 +7,10 @@
 //!
 //! * an [`AnyTemplate`] can **instantiate** itself against a table
 //!   (sampling holes from the table via a shared [`ExecContext`]),
-//! * the resulting [`Program`] can **execute** (unless the executor
-//!   already ran during instantiation — see [`Program::pre_executed`]),
-//!   **verbalize** through the [`NlGenerator`], and finally surrender its
+//! * the resulting [`Program`] can **execute** (a SQL query; logic and
+//!   arithmetic programs run during instantiation — see
+//!   [`Program::pre_executed`]), **verbalize** through the
+//!   [`NlGenerator`], and finally surrender its
 //!   [`ProgramOutput`]: the gold label, the serialized program, the answer
 //!   kind and the highlighted cells that downstream sample builders (table
 //!   splitting / expansion) need.
@@ -28,8 +29,8 @@ use logicforms::{LfExpr, LfScratch, LfTemplate};
 use nlgen::{NlGenerator, NlScratch, ProgramRef};
 use rand::rngs::StdRng;
 use rand::Rng;
-use sqlexec::{SelectStmt, SqlScratch, SqlTemplate};
-use tabular::{ExecContext, TemplateAnalysis};
+use sqlexec::{AggFunc, Expr, QueryResult, SelectItem, SelectStmt, SqlScratch, SqlTemplate};
+use tabular::{ExecContext, KernelScratch, Table, TemplateAnalysis};
 
 /// Reusable per-worker buffers for the sample hot path.
 ///
@@ -163,7 +164,8 @@ impl AnyTemplate {
                 // own draws) is part of the determinism contract.
                 let desired = rng.gen_bool(0.5);
                 let claim = t.try_instantiate(ctx, rng, desired, &mut scratch.lf)?;
-                Ok(Program::Logic { expr: claim.expr, truth: claim.truth, highlighted: Vec::new() })
+                let highlighted = scratch.lf.highlighted().to_vec();
+                Ok(Program::Logic { expr: claim.expr, truth: claim.truth, highlighted })
             }
             AnyTemplate::Arith(t) => {
                 let inst = t.try_instantiate(ctx, rng, &mut scratch.ae)?;
@@ -180,44 +182,31 @@ pub enum Program {
     /// A SQL query; `answer` and `highlighted` are filled by
     /// [`Program::execute`].
     Sql { stmt: SelectStmt, answer: String, highlighted: Vec<(usize, usize)> },
-    /// A logical-form claim whose truth value instantiation targeted;
-    /// `highlighted` is filled by [`Program::execute`].
+    /// A logical-form claim whose truth value instantiation targeted and
+    /// reached, with the cells the deciding evaluation highlighted.
     Logic { expr: LfExpr, truth: bool, highlighted: Vec<(usize, usize)> },
     /// An arithmetic program, executed during instantiation.
     Arith { program: AeProgram, outcome: AeOutcome },
 }
 
 impl Program {
-    /// True when instantiation already executed the program (arithmetic
-    /// templates execute while sampling, to validate the binding). The
+    /// True when instantiation already executed the program: arithmetic
+    /// templates execute while sampling, to validate the binding, and
+    /// truth-targeted logic sampling evaluates the claim it returns. The
     /// pipeline then skips [`Program::execute`] and its timer.
     pub fn pre_executed(&self) -> bool {
-        matches!(self, Program::Arith { .. })
+        !matches!(self, Program::Sql { .. })
     }
 
-    /// Executes against `ctx`'s table, storing the result internally.
-    /// Includes the paper's §IV-C result filters (empty results / empty
-    /// answers are discards, not successes). Kernel buffers come from
-    /// `scratch`.
+    /// Executes a SQL query against `ctx`'s table through
+    /// [`execute_sql`]'s result filters, storing its answer and highlights.
+    /// Kernel buffers come from `scratch`. A pre-executed program has
+    /// nothing left to run.
     pub fn execute(&mut self, ctx: &ExecContext, scratch: &mut GenScratch) -> Result<(), Discard> {
-        match self {
-            Program::Sql { stmt, answer, highlighted } => {
-                let result = sqlexec::execute(stmt, ctx.table(), &mut scratch.sql.kern)?;
-                if result.is_empty() {
-                    // paper §IV-C: discard empty-result programs
-                    return Err(Discard::EmptyResult);
-                }
-                let text = result.answer_text();
-                if text.is_empty() {
-                    return Err(Discard::EmptyAnswer);
-                }
-                *answer = text;
-                *highlighted = result.highlighted;
-            }
-            Program::Logic { expr, highlighted, .. } => {
-                *highlighted = logicforms::evaluate(expr, ctx, &mut scratch.lf.kern)?.highlighted;
-            }
-            Program::Arith { .. } => {}
+        if let Program::Sql { stmt, answer, highlighted } = self {
+            let result = execute_sql(stmt, ctx.table(), &mut scratch.sql.kern)?;
+            *answer = result.answer;
+            *highlighted = result.highlighted;
         }
         Ok(())
     }
@@ -241,32 +230,12 @@ impl Program {
     /// Surrenders the run's output, after a successful execute.
     pub fn output(self) -> ProgramOutput {
         match self {
-            Program::Sql { stmt, answer, highlighted } => {
-                let answer_kind = if stmt.items.iter().any(|i| {
-                    matches!(
-                        i,
-                        sqlexec::SelectItem::Aggregate { func: sqlexec::AggFunc::Count, .. }
-                    )
-                }) {
-                    AnswerKind::Count
-                } else if stmt.items.iter().any(|i| {
-                    matches!(
-                        i,
-                        sqlexec::SelectItem::Aggregate { .. }
-                            | sqlexec::SelectItem::Expr(sqlexec::Expr::Binary { .. })
-                    )
-                }) {
-                    AnswerKind::Arithmetic
-                } else {
-                    AnswerKind::Span
-                };
-                ProgramOutput {
-                    label: Label::Answer(answer),
-                    program: ProgramKind::Sql(render(&stmt, 96)),
-                    answer_kind,
-                    highlighted,
-                }
-            }
+            Program::Sql { stmt, answer, highlighted } => ProgramOutput {
+                label: Label::Answer(answer),
+                program: ProgramKind::Sql(render(&stmt, 96)),
+                answer_kind: sql_answer_kind(&stmt),
+                highlighted,
+            },
             Program::Logic { expr, truth, highlighted } => {
                 let verdict = if truth { Verdict::Supported } else { Verdict::Refuted };
                 ProgramOutput {
@@ -283,6 +252,63 @@ impl Program {
                 highlighted: outcome.highlighted,
             },
         }
+    }
+}
+
+/// Executes a SQL program with the paper's §IV-C result filters: a result
+/// with no non-null value, or an empty answer, is a discard.
+pub fn execute_sql(
+    stmt: &SelectStmt,
+    table: &Table,
+    kern: &mut KernelScratch,
+) -> Result<QueryResult, Discard> {
+    let result = sqlexec::execute(stmt, table, kern)?;
+    if !result.non_null {
+        return Err(Discard::EmptyResult);
+    }
+    if result.answer.is_empty() {
+        return Err(Discard::EmptyAnswer);
+    }
+    Ok(result)
+}
+
+/// The answer-type bucket of a SQL program's answer (paper Table VI): a
+/// COUNT is a count, any other aggregate or a binary expression is
+/// arithmetic, anything else a span.
+pub fn sql_answer_kind(stmt: &SelectStmt) -> AnswerKind {
+    let items = &stmt.items;
+    if items.iter().any(|i| matches!(i, SelectItem::Aggregate { func: AggFunc::Count, .. })) {
+        AnswerKind::Count
+    } else if items
+        .iter()
+        .any(|i| matches!(i, SelectItem::Aggregate { .. } | SelectItem::Expr(Expr::Binary { .. })))
+    {
+        AnswerKind::Arithmetic
+    } else {
+        AnswerKind::Span
+    }
+}
+
+impl ProgramKind {
+    /// The table cells this serialized program highlights when it is parsed
+    /// again and run on `table`; `None` for a sample without a program, or
+    /// when the program no longer parses or runs there.
+    pub fn highlighted_cells(&self, table: &Table) -> Option<Vec<(usize, usize)>> {
+        let mut kern = KernelScratch::default();
+        Some(match self {
+            ProgramKind::Sql(q) => {
+                sqlexec::execute(&sqlexec::parse(q).ok()?, table, &mut kern).ok()?.highlighted
+            }
+            ProgramKind::Logic(f) => {
+                let expr = logicforms::parse(f).ok()?;
+                logicforms::evaluate(&expr, &ExecContext::new(table), &mut kern).ok()?.highlighted
+            }
+            ProgramKind::Arith(p) => {
+                let program = arithexpr::parse(p).ok()?;
+                arithexpr::execute(&program, &ExecContext::new(table), &mut kern).ok()?.highlighted
+            }
+            ProgramKind::None => return None,
+        })
     }
 }
 
@@ -340,13 +366,16 @@ mod tests {
         );
         assert_eq!(tpl.kind(), KindSlot::Logic);
         let mut rng = StdRng::seed_from_u64(3);
-        let mut inst = instantiate(&tpl, &ctx, &mut rng);
-        inst.execute(&ctx, &mut GenScratch::default()).unwrap_or_else(|e| panic!("execute: {e:?}"));
+        let inst = instantiate(&tpl, &ctx, &mut rng);
+        assert!(inst.pre_executed());
         let out = inst.output();
         assert!(matches!(out.program, ProgramKind::Logic(_)));
         assert!(out.label.as_verdict().is_some());
         assert_eq!(out.answer_kind, AnswerKind::NotApplicable);
         assert!(!out.highlighted.is_empty());
+        // The cells instantiation carried out are those a fresh evaluation
+        // of the serialized claim highlights.
+        assert_eq!(out.program.highlighted_cells(&t).as_ref(), Some(&out.highlighted));
     }
 
     #[test]

@@ -164,18 +164,6 @@ impl From<sqlexec::ExecError> for Discard {
     }
 }
 
-impl From<logicforms::LfError> for Discard {
-    fn from(_: logicforms::LfError) -> Discard {
-        Discard::ExecFailed
-    }
-}
-
-impl From<arithexpr::AeError> for Discard {
-    fn from(_: arithexpr::AeError) -> Discard {
-        Discard::ExecFailed
-    }
-}
-
 /// Data sources of the generation loop (rows of the paper's ablation grid).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Source {
@@ -474,34 +462,9 @@ pub struct TimingReport {
 }
 
 impl TimingReport {
-    /// An empty histogram (used as the merge identity).
-    pub fn empty(name: &str) -> TimingReport {
-        TimingReport {
-            name: name.to_string(),
-            count: 0,
-            total_ns: 0,
-            log2_ns_buckets: vec![0; HIST_BUCKETS],
-        }
-    }
-
     /// Mean latency in nanoseconds (0 when nothing was recorded).
     pub fn mean_ns(&self) -> u64 {
         self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Folds another snapshot into this one (bucket-wise addition; `self`
-    /// keeps its name). Merging is commutative and associative over the
-    /// count/total/bucket fields, so worker snapshots can be combined in any
-    /// grouping — the property the serving daemon's live stats rely on.
-    pub fn merge(&mut self, other: &TimingReport) {
-        self.count += other.count;
-        self.total_ns += other.total_ns;
-        if self.log2_ns_buckets.len() < other.log2_ns_buckets.len() {
-            self.log2_ns_buckets.resize(other.log2_ns_buckets.len(), 0);
-        }
-        for (mine, theirs) in self.log2_ns_buckets.iter_mut().zip(&other.log2_ns_buckets) {
-            *mine += theirs;
-        }
     }
 
     /// Estimated `q`-quantile latency in nanoseconds (`q` in `[0, 1]`),
@@ -745,58 +708,18 @@ mod tests {
     /// A synthetic snapshot with the given per-bucket counts (total_ns set
     /// so mean and totals stay consistent with the bucket lower edges).
     fn timing(name: &str, buckets: &[(usize, u64)]) -> TimingReport {
-        let mut t = TimingReport::empty(name);
+        let mut t = TimingReport {
+            name: name.to_string(),
+            count: 0,
+            total_ns: 0,
+            log2_ns_buckets: vec![0; HIST_BUCKETS],
+        };
         for &(i, n) in buckets {
             t.log2_ns_buckets[i] += n;
             t.count += n;
             t.total_ns += n * (1u64 << i);
         }
         t
-    }
-
-    #[test]
-    fn timing_merge_is_associative_and_commutative() {
-        let a = timing("request", &[(3, 5), (10, 2)]);
-        let b = timing("request", &[(3, 1), (14, 7)]);
-        let c = timing("request", &[(0, 4), (31, 1)]);
-        // (a + b) + c
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        // a + (b + c)
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right, "merge must be associative");
-        // b + a == a + b
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.count, ba.count);
-        assert_eq!(ab.total_ns, ba.total_ns);
-        assert_eq!(ab.log2_ns_buckets, ba.log2_ns_buckets);
-        // Identity: merging an empty histogram is a no-op.
-        let mut id = a.clone();
-        id.merge(&TimingReport::empty("request"));
-        assert_eq!(id, a);
-    }
-
-    #[test]
-    fn timing_merge_handles_shorter_buckets() {
-        let mut short = TimingReport {
-            name: "request".into(),
-            count: 1,
-            total_ns: 8,
-            log2_ns_buckets: vec![0, 0, 0, 1],
-        };
-        let long = timing("request", &[(10, 2)]);
-        short.merge(&long);
-        assert_eq!(short.count, 3);
-        assert_eq!(short.log2_ns_buckets.len(), HIST_BUCKETS);
-        assert_eq!(short.log2_ns_buckets[3], 1);
-        assert_eq!(short.log2_ns_buckets[10], 2);
     }
 
     #[test]
@@ -813,7 +736,7 @@ mod tests {
         assert!((1 << 20..=1 << 21).contains(&p999), "p999 = {p999}");
         assert!(p50 <= p99 && p99 <= p999, "quantiles must be monotone");
         // Degenerate cases.
-        assert_eq!(TimingReport::empty("t").quantile_ns(0.99), 0);
+        assert_eq!(timing("t", &[]).quantile_ns(0.99), 0);
         let one = timing("t", &[(5, 1)]);
         assert_eq!(one.quantile_ns(0.0), one.quantile_ns(1.0));
     }

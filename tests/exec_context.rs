@@ -75,6 +75,13 @@ fn sql_instantiation_matches_naive_path() {
                 "sql template `{t}` diverged on round {round}"
             );
             assert_rngs_aligned(&mut naive_rng, &mut ctx_rng, "sql instantiation");
+            // Execution parity on the whole result: answer, non-null flag,
+            // row count and highlighted cells.
+            if let Ok(stmt) = naive {
+                let a = sqlexec::reference::execute(&stmt, &table);
+                let b = sqlexec::execute(&stmt, &table, &mut scratch.kern);
+                assert_eq!(a, b, "sql execution diverged for `{stmt}`");
+            }
         }
     }
 }
@@ -105,9 +112,17 @@ fn logic_instantiation_and_evaluation_match_naive_path() {
                 );
                 assert_rngs_aligned(&mut naive_rng, &mut ctx_rng, "lf instantiation");
                 // Evaluation parity (outcome AND highlighted cells) on every
-                // successfully instantiated claim.
+                // successfully instantiated claim, starting with the cells
+                // the claim carries out of instantiation.
                 if let Ok(claim) = naive {
                     let a = logicforms::reference::evaluate(&claim.expr, &table);
+                    let cells = a.as_ref().map(|o| o.highlighted.as_slice());
+                    assert_eq!(
+                        cells,
+                        Ok(scratch.highlighted()),
+                        "lf instantiation carried other cells out for `{}`",
+                        claim.expr
+                    );
                     let b = logicforms::evaluate(&claim.expr, &ctx, &mut scratch.kern);
                     assert_eq!(a, b, "lf evaluation diverged for `{}`", claim.expr);
                     let ta = logicforms::reference::evaluate_truth(&claim.expr, &table);

@@ -29,10 +29,10 @@ fn executors_survive_empty_tables() {
     assert!(sqlexec::run_sql("select [a] from w", &empty).is_err());
     // SQL on header-only table: executes to an empty result.
     let r = sqlexec::run_sql("select [a] from w", &header).unwrap();
-    assert!(r.is_empty());
+    assert!(!r.non_null);
     // count(*) over nothing is 0.
     let r = sqlexec::run_sql("select count(*) from w", &header).unwrap();
-    assert_eq!(r.answer_text(), "0");
+    assert_eq!(r.answer, "0");
     // Logic aggregates over nothing: Empty error.
     let e = logicforms::parse("eq { max { all_rows ; a } ; 1 }").unwrap();
     assert!(truth(&e, &header).is_err());
@@ -213,7 +213,7 @@ fn single_row_and_single_column_tables() {
     assert!(textops::table_to_text(&one_row, 0, &mut rng).is_none());
     // A one-column table still supports programs on that column.
     let r = sqlexec::run_sql("select sum([a]) from w", &one_col).unwrap();
-    assert_eq!(r.answer_text(), "6");
+    assert_eq!(r.answer, "6");
     // Superlative claim instantiation on one row: argmax of 1 row is row 0.
     let e = logicforms::parse("eq { hop { argmax { all_rows ; b } ; a } ; x }").unwrap();
     assert!(truth(&e, &one_row).unwrap());
@@ -226,10 +226,10 @@ fn values_with_null_and_nan_poison() {
     let t = Table::from_strings("t", &[vec!["a", "b"], vec!["x", ""], vec!["y", "3"]]).unwrap();
     // Aggregates skip the null.
     let r = sqlexec::run_sql("select avg([b]) from w", &t).unwrap();
-    assert_eq!(r.answer_text(), "3");
+    assert_eq!(r.answer, "3");
     // Comparisons against null never match.
     let r = sqlexec::run_sql("select [a] from w where [b] > 0", &t).unwrap();
-    assert_eq!(r.answer_text(), "y");
+    assert_eq!(r.answer, "y");
     // argmax skips nulls.
     assert_eq!(t.argmax(1), Some(1));
 }

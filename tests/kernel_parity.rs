@@ -147,6 +147,7 @@ fn check_sql(t: &sqlexec::SqlTemplate, table: &Table, ctx: &ExecContext, seed: u
         table.title
     );
     if let Ok(stmt) = scalar {
+        // The whole result: answer, non-null flag, row count and cells.
         let scalar_out = sqlexec::reference::execute(&stmt, table);
         let kernel_out = sqlexec::execute(&stmt, table, &mut scratch.kern);
         assert_eq!(
@@ -180,6 +181,13 @@ fn check_logic(t: &logicforms::LfTemplate, table: &Table, ctx: &ExecContext, see
         );
         if let Ok(claim) = scalar {
             let scalar_out = logicforms::reference::evaluate(&claim.expr, table);
+            assert_eq!(
+                scalar_out.as_ref().map(|o| o.highlighted.as_slice()),
+                Ok(scratch.highlighted()),
+                "logic `{sig}` on `{}` seed {seed}: instantiation carried other cells out for `{}`",
+                table.title,
+                claim.expr
+            );
             let kernel_out = logicforms::evaluate(&claim.expr, ctx, &mut scratch.kern);
             assert_eq!(
                 dbg(&scalar_out),
@@ -278,6 +286,7 @@ fn distinct_and_group_by_match_the_oracle() {
         "select distinct [amount] , [flag] from w",
         "select distinct * from w",
         "select [name] , count ( * ) from w group by [name]",
+        "select [name] , sum ( [amount] ) from w group by [name] limit 1",
         "select [amount] , sum ( [amount] ) from w group by [amount]",
         "select [flag] , count ( * ) from w group by [flag]",
         "select [when] , count ( distinct [name] ) from w group by [when]",

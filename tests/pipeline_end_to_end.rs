@@ -71,7 +71,7 @@ fn qa_answers_are_execution_faithful() {
                 let stmt = sqlexec::parse(q).expect("stored SQL parses");
                 let r = sqlexec::execute(&stmt, &s.table, &mut KernelScratch::default())
                     .expect("stored SQL executes");
-                assert_eq!(r.answer_text(), answer, "answer mismatch for `{q}`");
+                assert_eq!(r.answer, answer, "answer mismatch for `{q}`");
             }
             ProgramKind::Arith(p) => {
                 let prog = arithexpr::parse(p).expect("stored arith parses");

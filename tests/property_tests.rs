@@ -127,7 +127,7 @@ fn count_filter_at_most_rows() {
         let threshold: i64 = rng.gen_range(0..1000);
         let q = format!("select count(*) from w where [alpha] > {threshold}");
         let r = sqlexec::run_sql(&q, &table).unwrap();
-        let count = r.denotation()[0].as_number().unwrap() as usize;
+        let count: usize = r.answer.parse().unwrap();
         assert!(count <= table.n_rows());
     }
 }
@@ -201,10 +201,11 @@ fn sql_order_limit_prefix() {
             &table,
         )
         .unwrap();
-        assert_eq!(topk.rows.len(), k.min(table.n_rows()));
-        for (a, b) in topk.rows.iter().zip(all.rows.iter()) {
-            assert_eq!(a, b);
-        }
+        assert_eq!(topk.n_rows, k.min(table.n_rows()));
+        // Names are never null: the top-k answer lists the first k names of
+        // the full one.
+        let rest = all.answer.strip_prefix(topk.answer.as_str()).unwrap();
+        assert!(rest.is_empty() || rest.starts_with(", "), "{} vs {}", topk.answer, all.answer);
     }
 }
 
