@@ -21,7 +21,7 @@ use serde_json::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use uctr::{TableWithContext, UctrConfig, UctrPipeline};
+use uctr::{KindSlot, TableWithContext, UctrConfig, UctrPipeline};
 
 /// Heap-allocation counter behind the `allocs/sample` summary line: the same
 /// ratchet dimension `tests/alloc_budget.rs` gates, surfaced in the bench job
@@ -173,11 +173,15 @@ fn main() {
     // The same passes over the mined bank (builtins + miner output): ~20×
     // more templates through the same schema-indexed lookup, so this is the
     // scale story for the inverted index.
-    let mut miner = uctr::mining::Miner::with_bank(uctr::TemplateBank::builtin());
-    miner.mine_synthetic_corpus(uctr::mining::SYNTHETIC_SEED);
-    let mined_pruned = miner.stats().equivalent_total();
-    let mined_bank = miner.into_bank();
+    let mined_bank = uctr::mined_bank(uctr::mining::SYNTHETIC_SEED);
     let mined_templates = mined_bank.len();
+    // Each pruned canonical equivalent left one sampling slot on its class
+    // representative, so the slots beyond one per template count them.
+    let mined_pruned = [KindSlot::Sql, KindSlot::Logic, KindSlot::Arith]
+        .into_iter()
+        .map(|kind| mined_bank.stratum_len(kind))
+        .sum::<usize>()
+        - mined_templates;
     let mined_pipelines = [
         UctrPipeline::new(UctrConfig::qa()).with_bank(mined_bank.clone()),
         UctrPipeline::new(UctrConfig::verification()).with_bank(mined_bank),

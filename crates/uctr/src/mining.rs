@@ -12,11 +12,11 @@
 //!   prefixed cross-kind signature);
 //! * [`Miner::mine_sample`] — the same flow driven from a [`Sample`]'s
 //!   serialized gold program (the `corpora` benchmarks are mined this way);
-//! * [`Miner::mine_synthetic_corpus`] — a deterministic synthetic seed
-//!   corpus standing in for the licensed originals: an enumerated family
-//!   of concrete SQL queries and arithmetic step programs over fixed probe
-//!   tables, plus concrete logical-form claims obtained by instantiating
-//!   [`crate::autogen`] proposals.
+//! * [`Miner::mine_synthetic_corpus`] — a fixed synthetic seed corpus
+//!   standing in for the licensed originals: enumerated families of
+//!   concrete SQL queries, arithmetic step programs and logical-form claims
+//!   over two probe tables, plus 20 listed logical-form claims
+//!   (`EXTRA_LOGIC_CLAIMS`).
 //!
 //! Mining also enforces a per-kind cost cap ([`SQL_MAX_WHERE_ATOMS`],
 //! [`ARITH_MAX_STEPS`], [`LOGIC_MAX_OPS`]): the pipeline samples
@@ -29,20 +29,15 @@
 //! per-sample cost within the CI throughput gate's tolerance of the builtin
 //! bank (`bench_pipeline --check-floor`).
 //!
-//! Everything here is deterministic for a fixed seed, so the mined corpus
-//! file CI commits (`ci/mined_templates.txt`) is reproducible bit-for-bit.
+//! Nothing here draws a random number, so the mined corpus file CI commits
+//! (`ci/mined_templates.txt`) is reproducible bit-for-bit.
 
 use crate::analysis::AnalyzedTemplate;
-use crate::autogen::AutoGenerator;
 use crate::program::AnyTemplate;
 use crate::sample::{ProgramKind, Sample};
 use crate::telemetry::KindSlot;
 use crate::templates::{AddOutcome, TemplateBank};
-use logicforms::LfScratch;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rustc_hash::FxHashSet;
-use tabular::{ExecContext, Table};
+use tabular::Table;
 
 /// How one concrete program fared in the mining flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,12 +97,6 @@ impl MinerStats {
     /// Templates admitted across all kinds.
     pub fn mined_total(&self) -> usize {
         self.per_kind.iter().map(|k| k.mined).sum()
-    }
-
-    /// Canonical equivalents pruned across all kinds — the gap between the
-    /// signatures the miner saw as novel and the templates it admitted.
-    pub fn equivalent_total(&self) -> usize {
-        self.per_kind.iter().map(|k| k.equivalent).sum()
     }
 
     fn bump(&mut self, kind: KindSlot, outcome: MineOutcome) {
@@ -253,7 +242,7 @@ impl Miner {
         // Abstract-interpretation gate: a well-typed template the A-rules
         // convict (constant output, decided claim, provably empty result)
         // would only ever mint useless samples. The check is pure — it
-        // consumes no RNG — so mining stays deterministic per seed.
+        // consumes no RNG — so mining stays deterministic.
         let analyzed = AnalyzedTemplate::of(&abstracted);
         if analyzed.is_clean() && analyzed.is_degenerate() {
             self.stats.bump(kind, MineOutcome::Degenerate);
@@ -300,11 +289,11 @@ impl Miner {
         self.stats.mined_total() - before
     }
 
-    /// Mines the deterministic synthetic seed corpus (see the module docs):
-    /// the enumerated concrete SQL and arithmetic programs plus
-    /// `LOGIC_TARGET` auto-generated concrete logical-form claims. Returns
-    /// the number of templates admitted.
-    pub fn mine_synthetic_corpus(&mut self, seed: u64) -> usize {
+    /// Mines the synthetic seed corpus (see the module docs): the
+    /// enumerated concrete SQL, arithmetic and logical-form programs, then
+    /// the 20 listed logic claims of `EXTRA_LOGIC_CLAIMS` in list order.
+    /// Returns the number of templates admitted.
+    pub fn mine_synthetic_corpus(&mut self) -> usize {
         let before = self.stats.mined_total();
         let sql_probe = sql_probe_table();
         let fin_probe = fin_probe_table();
@@ -317,29 +306,10 @@ impl Miner {
         for text in logic_seed_programs() {
             self.mine_program(KindSlot::Logic, &text, &sql_probe);
         }
-        self.mine_autogen_logic(&sql_probe, LOGIC_TARGET, seed);
-        self.stats.mined_total() - before
-    }
-
-    /// The logic side of the synthetic corpus: fit [`AutoGenerator`] on the
-    /// builtin logic stratum, instantiate each validated proposal on the
-    /// probe table into *concrete* claims (one per truth target), and run
-    /// those through the ordinary mining flow (parse → abstract → dedup) —
-    /// the same path a real Logic2Text claim would take.
-    fn mine_autogen_logic(&mut self, probe: &Table, target: usize, seed: u64) {
-        let seed_bank = TemplateBank::builtin();
-        let mut gen = AutoGenerator::fit(seed_bank.logic());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut existing = FxHashSet::default();
-        let ctx = ExecContext::new(probe);
-        let mut scratch = LfScratch::default();
-        for tpl in gen.generate(target, probe, &mut existing, &mut rng) {
-            for desired in [true, false] {
-                if let Ok(claim) = tpl.try_instantiate(&ctx, &mut rng, desired, &mut scratch) {
-                    self.mine_program(KindSlot::Logic, &claim.expr.to_string(), probe);
-                }
-            }
+        for text in EXTRA_LOGIC_CLAIMS {
+            self.mine_program(KindSlot::Logic, text, &sql_probe);
         }
+        self.stats.mined_total() - before
     }
 
     /// The bank accumulated so far.
@@ -358,7 +328,7 @@ impl Miner {
     }
 
     /// The canonical-equivalence prunings performed so far, in the order
-    /// they happened. Deterministic per seed (the gate is pure).
+    /// they happened. Deterministic (the gate is pure).
     pub fn merges(&self) -> &[MergeRecord] {
         &self.merges
     }
@@ -394,31 +364,64 @@ impl Miner {
     }
 }
 
-/// How many validated auto-generated logic templates the synthetic corpus
-/// asks [`AutoGenerator::generate`] for; each is instantiated into one
-/// concrete claim per truth target and re-mined. The generator stops after
-/// `LOGIC_TARGET × 40` proposals, and at [`SYNTHETIC_SEED`] that cap ends
-/// the loop first, with 639 templates admitted. Deliberately above the
-/// shallow-shape capacity of the grammar: the [`LOGIC_MAX_OPS`] cap turns
-/// away deep claims, so overshooting the target is how the miner exhausts
-/// the space of claims cheap enough to admit.
-pub const LOGIC_TARGET: usize = 800;
+/// Logical-form claims the synthetic corpus mines after its enumerated
+/// logic seeds, in this order.
+///
+/// The enumeration covers ordinal 2 only; these add `nth_max` / `nth_min`
+/// claims at ordinals 1 and 3 (9 templates) and repeat `less { <agg> ; v }`
+/// claims whose class the enumeration already holds (11 canonical
+/// equivalents). Each equivalent adds one sampling slot to its class
+/// representative ([`TemplateBank::stratum`]), so the repeats, and their
+/// order, are part of the bank: the list must stay as it is for the mined
+/// bank's golden digests to hold. Every column is `points` and every
+/// literal `70`, since abstraction lifts both into holes; the `nth_*`
+/// ordinals are not lifted.
+///
+/// The list is what the auto-generator ([`crate::autogen`]), fitted on the
+/// builtin logic templates and seeded with 2023, added when the corpus
+/// ran it: of the 1,275 claims its proposals instantiated into on
+/// [`sql_probe_table`], only these 20 changed the bank. The rest were over
+/// the [`LOGIC_MAX_OPS`] budget (1,189) or duplicate signatures (66).
+const EXTRA_LOGIC_CLAIMS: [&str; 20] = [
+    "eq { nth_min { all_rows ; points ; 3 } ; 70 }",
+    "round_eq { nth_min { all_rows ; points ; 3 } ; 70 }",
+    "eq { nth_max { all_rows ; points ; 3 } ; 70 }",
+    "greater { nth_max { all_rows ; points ; 1 } ; 70 }",
+    "round_eq { nth_max { all_rows ; points ; 3 } ; 70 }",
+    "less { avg { all_rows ; points } ; 70 }",
+    "less { avg { all_rows ; points } ; 70 }",
+    "less { count { all_rows } ; 70 }",
+    "less { count { all_rows } ; 70 }",
+    "less { sum { all_rows ; points } ; 70 }",
+    "less { sum { all_rows ; points } ; 70 }",
+    "less { nth_max { all_rows ; points ; 1 } ; 70 }",
+    "less { nth_max { all_rows ; points ; 2 } ; 70 }",
+    "not_eq { nth_min { all_rows ; points ; 3 } ; 70 }",
+    "less { max { all_rows ; points } ; 70 }",
+    "less { max { all_rows ; points } ; 70 }",
+    "less { min { all_rows ; points } ; 70 }",
+    "less { min { all_rows ; points } ; 70 }",
+    "less { nth_min { all_rows ; points ; 1 } ; 70 }",
+    "less { nth_min { all_rows ; points ; 3 } ; 70 }",
+];
 
-/// The default seed of the synthetic corpus (and of `xtask mine`).
+/// A seed for [`mined_bank`]. The bank ignores it; the constant stays for
+/// the callers that pass one.
 pub const SYNTHETIC_SEED: u64 = 2023;
 
 /// A 1k+-template bank: the builtin templates extended with the full
 /// synthetic seed corpus (mined templates dedup against the builtins).
-/// Deterministic per seed; this is the configuration `bench_pipeline`
+/// The seed is ignored: the corpus draws no random numbers, so every call
+/// returns the same bank. This is the configuration `bench_pipeline`
 /// measures as `mined_bank`.
-pub fn mined_bank(seed: u64) -> TemplateBank {
+pub fn mined_bank(_seed: u64) -> TemplateBank {
     let mut miner = Miner::with_bank(TemplateBank::builtin());
-    miner.mine_synthetic_corpus(seed);
+    miner.mine_synthetic_corpus();
     miner.into_bank()
 }
 
 /// SQUALL-style probe table: two text columns, two number columns, one date
-/// column. Types the SQL holes and hosts the logic-claim instantiation.
+/// column. Types the SQL holes; the logic claims name its columns.
 #[expect(
     clippy::panic,
     reason = "The SQL probe table is a compile-time constant with uniform row widths; from_strings \
@@ -547,14 +550,15 @@ fn sql_seed_programs() -> Vec<String> {
 }
 
 /// The enumerated concrete logical-form seed corpus over
-/// [`sql_probe_table`]: every claim shape expressible within the
-/// two-application [`LOGIC_MAX_OPS`] cap — scalar comparators over
-/// aggregations of the whole table, uniqueness claims over one filter, and
+/// [`sql_probe_table`], within the two-application [`LOGIC_MAX_OPS`] cap:
+/// scalar comparators over aggregations of the whole table (the ordinal
+/// aggregations at ordinal 2 only), uniqueness claims over one filter, and
 /// the `all_*`/`most_*` column-quantifier family, plain and over a
-/// `filter_all` view. Deeper claim shapes (the classic
+/// `filter_all` view. It is not every shape within the cap: ordinals 1 and
+/// 3 come from [`EXTRA_LOGIC_CLAIMS`], and no quantifier ranges over a
+/// comparison filter. Deeper claim shapes (the classic
 /// `eq { count { filter_eq { ... } } ; n }` of Logic2Text) stay with the
-/// builtin templates and the autogen proposals feeding
-/// [`Miner::mine_autogen_logic`].
+/// builtin templates.
 fn logic_seed_programs() -> Vec<String> {
     let comparators = ["eq", "not_eq", "round_eq", "greater", "less"];
     let aggs = [
@@ -744,7 +748,7 @@ mod tests {
     #[test]
     fn synthetic_corpus_yields_a_large_clean_deduped_bank() {
         let mut miner = Miner::new();
-        let mined = miner.mine_synthetic_corpus(SYNTHETIC_SEED);
+        let mined = miner.mine_synthetic_corpus();
         let stats = miner.stats();
         assert!(
             mined >= 1000,
@@ -755,7 +759,15 @@ mod tests {
             // enumerations of the seed corpus (logic most of all: its seed
             // deliberately emits both comparator argument orders), so the
             // per-kind floor sits below the pre-pruning 100.
-            assert!(stats.kind(kind).mined >= 60, "kind {kind:?} too thin: {:?}", stats.kind(kind));
+            let k = stats.kind(kind);
+            assert!(k.mined >= 60, "kind {kind:?} too thin: {k:?}");
+            // Every program the corpus lists is worth mining: none exceeds
+            // the cost cap and none repeats a signature already admitted.
+            assert_eq!(
+                (k.over_budget, k.duplicates),
+                (0, 0),
+                "kind {kind:?} wastes programs: {k:?}"
+            );
         }
         // The logic and arithmetic seeds deliberately enumerate both
         // argument orders, so canonical pruning must fire there. The SQL
@@ -788,8 +800,8 @@ mod tests {
     fn synthetic_corpus_is_deterministic() {
         let mut a = Miner::new();
         let mut b = Miner::new();
-        a.mine_synthetic_corpus(SYNTHETIC_SEED);
-        b.mine_synthetic_corpus(SYNTHETIC_SEED);
+        a.mine_synthetic_corpus();
+        b.mine_synthetic_corpus();
         assert_eq!(a.corpus_lines(), b.corpus_lines());
     }
 

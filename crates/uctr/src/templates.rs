@@ -7,11 +7,10 @@
 //! questions with the same underlying logic abstract to the same template).
 //!
 //! The reproduction ships the same machinery: [`TemplateBank`] holds the
-//! deduplicated templates, supports mining new ones from concrete programs
-//! via the per-crate `abstract_*` functions, and provides
-//! [`TemplateBank::builtin`] — a bank transcribed from the template
-//! families those corpora contain, stratified over the reasoning types the
-//! paper enumerates (§II-C).
+//! deduplicated templates and provides [`TemplateBank::builtin`] — a bank
+//! transcribed from the template families those corpora contain,
+//! stratified over the reasoning types the paper enumerates (§II-C).
+//! Mining new templates from concrete programs is [`crate::mining`]'s job.
 
 use crate::analysis::{parse_any, AnalyzedTemplate, TemplateDiagnostics};
 use crate::program::AnyTemplate;
@@ -239,21 +238,6 @@ impl TemplateBank {
     /// Adds an arithmetic template with dedup.
     pub fn add_arith(&mut self, t: AeTemplate) -> bool {
         self.add(AnyTemplate::Arith(t))
-    }
-
-    /// Mines a template from a concrete SQL query over `table`.
-    pub fn mine_sql(&mut self, stmt: &sqlexec::SelectStmt, table: &tabular::Table) -> bool {
-        self.add_sql(sqlexec::abstract_query(stmt, table))
-    }
-
-    /// Mines a template from a concrete logical form.
-    pub fn mine_logic(&mut self, expr: &logicforms::LfExpr) -> bool {
-        self.add_logic(logicforms::abstract_form(expr))
-    }
-
-    /// Mines a template from a concrete arithmetic program.
-    pub fn mine_arith(&mut self, program: &arithexpr::AeProgram) -> bool {
-        self.add_arith(arithexpr::abstract_program(program))
     }
 
     /// Samples a template of `kind` uniformly over the sampling slots — a
@@ -865,21 +849,6 @@ mod tests {
                 .unwrap_or_else(|| panic!("chosen template is in the bank"));
             assert!(bank.requirements()[i].satisfied_by(&ctx));
         }
-    }
-
-    #[test]
-    fn mining_abstracts_and_dedups() {
-        let table =
-            Table::from_strings("t", &[vec!["name", "pts"], vec!["a", "1"], vec!["b", "2"]])
-                .unwrap_or_else(|e| panic!("test table: {e}"));
-        let mut bank = TemplateBank::new();
-        let q1 = sqlexec::parse("select [name] from w where [pts] > 1")
-            .unwrap_or_else(|e| panic!("query: {e}"));
-        let q2 = sqlexec::parse("select [name] from w where [pts] > 2")
-            .unwrap_or_else(|e| panic!("query: {e}"));
-        assert!(bank.mine_sql(&q1, &table));
-        assert!(!bank.mine_sql(&q2, &table), "same logic structure must dedup");
-        assert_eq!(bank.sql().len(), 1);
     }
 
     #[test]

@@ -40,7 +40,6 @@ AUDIT-EQUIVALENCE OPTIONS:
     --health <FILE>         health ratchet file (default: ci/template_health.json);
                             this audit owns only its `equivalence` counts group —
                             audit-templates ignores that group and preserves it
-    --seed <N>              synthetic-corpus seed (default: 2023)
     --seeds <N>             differential-witness seeds per table (default: 32)
     --check                 fail unless the `equivalence` counts match the
                             health file exactly (two-sided)
@@ -58,7 +57,6 @@ AUDIT-EQUIVALENCE OPTIONS:
 MINE OPTIONS:
     --root <DIR>            workspace root (default: auto-detected)
     --out <FILE>            mined corpus output (default: ci/mined_templates.txt)
-    --seed <N>              synthetic-corpus seed (default: 2023)
     --check                 do not write; fail if the regenerated corpus
                             differs from the committed file (determinism gate)
 
@@ -296,7 +294,6 @@ fn run_audit(opts: &AuditOpts) -> Result<bool, String> {
 struct EquivOpts {
     root: PathBuf,
     health: PathBuf,
-    seed: u64,
     seeds: u32,
     check: bool,
     write: bool,
@@ -314,7 +311,6 @@ fn parse_equiv_opts(args: &[String]) -> Result<EquivOpts, String> {
     let mut opts = EquivOpts {
         root: default_root(),
         health: PathBuf::from("ci/template_health.json"),
-        seed: uctr::mining::SYNTHETIC_SEED,
         seeds: uctr::analysis::WITNESS_SEEDS,
         check: false,
         write: false,
@@ -329,11 +325,6 @@ fn parse_equiv_opts(args: &[String]) -> Result<EquivOpts, String> {
         match arg.as_str() {
             "--root" => opts.root = PathBuf::from(value_arg("--root")?),
             "--health" => opts.health = PathBuf::from(value_arg("--health")?),
-            "--seed" => {
-                opts.seed = value_arg("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed must be an integer: {e}"))?;
-            }
             "--seeds" => {
                 opts.seeds = value_arg("--seeds")?
                     .parse()
@@ -353,7 +344,7 @@ fn parse_equiv_opts(args: &[String]) -> Result<EquivOpts, String> {
 fn run_equiv(opts: &EquivOpts) -> Result<bool, String> {
     use xtask::equivalence;
 
-    let miner = mine_corpus(opts.seed);
+    let miner = mine_corpus();
     let report = uctr::analysis::EquivalenceReport::over(miner.bank(), miner.merges(), opts.seeds);
     let rep_signatures: Vec<String> =
         miner.bank().templates().iter().map(|t| t.signature()).collect();
@@ -460,7 +451,6 @@ fn run_equiv(opts: &EquivOpts) -> Result<bool, String> {
 struct MineOpts {
     root: PathBuf,
     out: PathBuf,
-    seed: u64,
     check: bool,
 }
 
@@ -473,7 +463,6 @@ fn parse_mine_opts(args: &[String]) -> Result<MineOpts, String> {
     let mut opts = MineOpts {
         root: default_root(),
         out: PathBuf::from("ci/mined_templates.txt"),
-        seed: uctr::mining::SYNTHETIC_SEED,
         check: false,
     };
     let mut it = args.iter();
@@ -483,11 +472,6 @@ fn parse_mine_opts(args: &[String]) -> Result<MineOpts, String> {
         match arg.as_str() {
             "--root" => opts.root = PathBuf::from(value_arg("--root")?),
             "--out" => opts.out = PathBuf::from(value_arg("--out")?),
-            "--seed" => {
-                opts.seed = value_arg("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed must be an integer: {e}"))?;
-            }
             "--check" => opts.check = true,
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -499,7 +483,7 @@ fn parse_mine_opts(args: &[String]) -> Result<MineOpts, String> {
 /// benchmark generators, then the synthetic seed corpus. Fixed seeds end to
 /// end, so two runs of `mine` produce byte-identical output — which is
 /// exactly what `--check` gates in CI.
-fn mine_corpus(seed: u64) -> uctr::mining::Miner {
+fn mine_corpus() -> uctr::mining::Miner {
     use corpora::{feverous_like, semtab_like, tatqa_like, wikisql_like, CorpusConfig};
 
     let mut miner = uctr::mining::Miner::new();
@@ -509,14 +493,14 @@ fn mine_corpus(seed: u64) -> uctr::mining::Miner {
         miner.mine_samples(&bench.gold.dev);
         miner.mine_samples(&bench.gold.test);
     }
-    miner.mine_synthetic_corpus(seed);
+    miner.mine_synthetic_corpus();
     miner
 }
 
 fn run_mine(opts: &MineOpts) -> Result<bool, String> {
     use uctr::telemetry::KindSlot;
 
-    let miner = mine_corpus(opts.seed);
+    let miner = mine_corpus();
     let stats = miner.stats();
     for kind in [KindSlot::Sql, KindSlot::Logic, KindSlot::Arith] {
         let k = stats.kind(kind);
@@ -533,7 +517,7 @@ fn run_mine(opts: &MineOpts) -> Result<bool, String> {
             k.parse_failures,
         );
     }
-    println!("xtask mine: {} template(s) total (seed {})", stats.mined_total(), opts.seed);
+    println!("xtask mine: {} template(s) total", stats.mined_total());
 
     let lines = miner.corpus_lines();
     let out = resolve(&opts.root, &opts.out);

@@ -10,7 +10,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::print_stdout)]
 
 use tabular::Table;
-use uctr::{TableWithContext, TemplateBank, UctrConfig, UctrPipeline};
+use uctr::{KindSlot, Miner, TableWithContext, TemplateBank, UctrConfig, UctrPipeline};
 
 fn main() {
     let table = Table::from_strings(
@@ -25,46 +25,46 @@ fn main() {
     )
     .expect("rectangular grid");
 
-    let mut bank = TemplateBank::builtin();
-    let before = bank.len();
+    let builtin = TemplateBank::builtin();
+    let before = builtin.len();
     println!(
         "Built-in bank: {} templates ({} SQL / {} logic / {} arithmetic)",
         before,
-        bank.sql().len(),
-        bank.logic().len(),
-        bank.arith().len()
+        builtin.sql().len(),
+        builtin.logic().len(),
+        builtin.arith().len()
     );
 
-    // Mine a new SQL template from a concrete query: the column names and
-    // compared constants are abstracted to typed placeholders.
-    let query =
-        sqlexec::parse("select [secretary] from w where [budget] > 600 and [total deputies] < 40")
-            .unwrap();
-    let added = bank.mine_sql(&query, &table);
-    println!("\nMined from: {query}");
-    println!("  new template added: {added}");
-    println!("  signature: {}", sqlexec::abstract_query(&query, &table).signature());
-
-    // Mining the same logic structure again is rejected (the paper's
-    // redundancy filtration).
-    let similar = sqlexec::parse(
-        "select [department] from w where [total deputies] > 20 and [budget] < 5000",
-    )
-    .unwrap();
-    let added_again = bank.mine_sql(&similar, &table);
-    println!("\nMined structurally identical query: added = {added_again} (deduplicated)");
-
-    // Mine a logical form and an arithmetic program.
-    let claim = logicforms::parse(
-        "and { eq { count { filter_greater { all_rows ; budget ; 600 } } ; 2 } ; only { filter_less { all_rows ; total deputies ; 15 } } }",
-    )
-    .unwrap();
-    bank.mine_logic(&claim);
-    let arith = arithexpr::parse(
-        "subtract( the budget of Defense , the budget of Treasury ) , divide( #0 , the budget of Treasury )",
-    )
-    .unwrap();
-    bank.mine_arith(&arith);
+    // Each concrete program is parsed, checked against the miner's per-kind
+    // cost cap, abstracted (column names and compared constants become
+    // typed placeholders), analyzed, and deduplicated against the bank.
+    let mut miner = Miner::with_bank(builtin);
+    let programs = [
+        // A novel shape: mined.
+        (KindSlot::Sql, "select [department] from w where [total deputies] >= 20"),
+        // Same structure with other columns and constants: filtered as a
+        // duplicate (the paper's redundancy filtration).
+        (KindSlot::Sql, "select [secretary] from w where [budget] >= 600"),
+        // Two WHERE atoms exceed the SQL cost cap of one.
+        (KindSlot::Sql, "select [secretary] from w where [budget] > 600 and [total deputies] < 40"),
+        // Six operator applications exceed the logic cost cap of two.
+        (
+            KindSlot::Logic,
+            "and { eq { count { filter_greater { all_rows ; budget ; 600 } } ; 2 } ; \
+             only { filter_less { all_rows ; total deputies ; 15 } } }",
+        ),
+        // The percentage-change program, already a builtin template.
+        (
+            KindSlot::Arith,
+            "subtract( the budget of Defense , the budget of Treasury ) , \
+             divide( #0 , the budget of Treasury )",
+        ),
+    ];
+    for (kind, text) in programs {
+        let outcome = miner.mine_program(kind, text, &table);
+        println!("\n{}: {text}\n  -> {outcome:?}", kind.name());
+    }
+    let bank = miner.into_bank();
     println!("\nBank after mining: {} templates (+{})", bank.len(), bank.len() - before);
 
     // Use the enlarged bank in the pipeline.

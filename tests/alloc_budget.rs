@@ -37,7 +37,7 @@ const MAX_CONTEXT_ALLOCS: u64 = 199; // measured 181, +10%
 
 /// Maximum allocations of one `uctr::mined_bank(SYNTHETIC_SEED)` build:
 /// the set-up every mined-bank pipeline pays before its first sample.
-const MAX_MINED_BANK_ALLOCS: u64 = 499_519; // measured 454,108, +10%
+const MAX_MINED_BANK_ALLOCS: u64 = 168_713; // measured 153,376, +10%
 
 struct CountingAlloc;
 
